@@ -163,12 +163,15 @@ def detect_period(word):
     """Smallest eventual period the prefix supports, with its preperiod.
 
     A candidate period q needs a periodic tail of at least three full
-    periods and a preperiod no longer than half the word; anything weaker
-    is routinely satisfied by aperiodic words (the Fibonacci word carries
-    tail repetitions just short of cube length plus golden excess, and its
-    prefixes end in squares of Fibonacci-length blocks).  Returns the pair
-    (preperiod, period) for the smallest workable q, else
-    APERIODIC_AT_SCALE.
+    periods and a preperiod no longer than half the word.  That rules out
+    the squares of Fibonacci-length blocks that end Fibonacci-word
+    prefixes, but not every repetition of an aperiodic word: the Fibonacci
+    word contains powers of exponent up to 2 + golden ratio (about 3.62),
+    so some of its prefixes pass.  The 1000- and 2000-letter prefixes read
+    APERIODIC_AT_SCALE, while the 3000- and 5000-letter ones read
+    (987, 610) and (1597, 987).  The verdict describes the prefix, not the
+    infinite word.  Returns the pair (preperiod, period) for the smallest
+    workable q, else APERIODIC_AT_SCALE.
 
     The minimal preperiod for a given q comes from one Z-array of the
     reversed word: s[p:] is q-periodic iff the common suffix of the word

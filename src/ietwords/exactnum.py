@@ -9,11 +9,16 @@ d = 0 and d = 1 are accepted as purely rational field markers (the radical
 part is folded away at construction).  Scalars from different field
 contexts never mix: arithmetic and ordering between them raise
 FieldMismatch even when both happen to be rational.
+
+Checking that d is squarefree takes trial division up to sqrt(d), so
+radicands read from text are bounded by MAX_RADICAND (10**12): a larger
+one is rejected before any division is tried.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 
@@ -48,6 +53,10 @@ class ParseError(ValueError):
 # Comparison verdicts, aligned with the sign of the difference.
 LT, EQ, GT = -1, 0, 1
 
+# Largest radicand parse_scalar accepts; its squarefree check stays well
+# under a second.
+MAX_RADICAND = 10**12
+
 
 def _sign_of(a, b, d):
     """Sign of a + b*sqrt(d) for integers a, b; decided without radicals."""
@@ -67,8 +76,13 @@ def _sign_of(a, b, d):
     return (rhs > lhs) - (rhs < lhs)
 
 
+@lru_cache(maxsize=256)
 def is_squarefree(d):
-    """True for d >= 0 with no square factor; 0 and 1 count as rational markers."""
+    """True for d >= 0 with no square factor; 0 and 1 count as rational markers.
+
+    Trial division costs O(sqrt(d)), so verdicts are cached: a field
+    context is checked once, not on every scalar built in it.
+    """
     if d < 0:
         return False
     if d <= 1:
@@ -86,33 +100,28 @@ def is_squarefree(d):
 class ExactScalar:
     """An element a + b*sqrt(d) of Q(sqrt(d)), immutable and totally ordered.
 
-    The component fields a_num/a_den/b_num/b_den are exposed as derived
-    properties; internally the value is kept over one common denominator,
-    which keeps translation orbits cheap.
+    The value is kept over one common denominator, which keeps translation
+    orbits cheap; rational_part and radical_part give the two coefficients.
+    Arithmetic results skip the radicand check, which the operands passed.
     """
 
     __slots__ = ("_a", "_b", "_q", "_d")
 
-    def __init__(self, a, b, q, d, _canonical=False):
-        if not _canonical:
-            if q == 0:
-                raise ZeroDenominator("denominator is zero")
-            if not is_squarefree(d):
-                raise NonSquarefreeRadicand(f"radicand {d} is not squarefree")
-            if q < 0:
-                a, b, q = -a, -b, -q
-            if d == 0:
-                b = 0
-            elif d == 1:
-                a, b = a + b, 0
-            g = gcd(gcd(abs(a), abs(b)), q)
-            if g > 1:
-                a //= g
-                b //= g
-                q //= g
-        self._a = a
-        self._b = b
-        self._q = q
+    def __init__(self, a, b, q, d):
+        if q == 0:
+            raise ZeroDenominator("denominator is zero")
+        if not is_squarefree(d):
+            raise NonSquarefreeRadicand(f"radicand {d} is not squarefree")
+        if q < 0:
+            a, b, q = -a, -b, -q
+        if d == 0:
+            b = 0
+        elif d == 1:
+            a, b = a + b, 0
+        g = gcd(a, b, q)
+        self._a = a // g
+        self._b = b // g
+        self._q = q // g
         self._d = d
 
     # -- constructors ----------------------------------------------------
@@ -122,19 +131,6 @@ class ExactScalar:
         """Lift an int or Fraction into the field context d (radical part 0)."""
         f = Fraction(value)
         return cls(f.numerator, 0, f.denominator, d)
-
-    @classmethod
-    def from_parts(cls, a, b, d):
-        """Build from rational parts a and b of a + b*sqrt(d)."""
-        a = Fraction(a)
-        b = Fraction(b)
-        q = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-        return cls(
-            a.numerator * (q // a.denominator),
-            b.numerator * (q // b.denominator),
-            q,
-            d,
-        )
 
     @classmethod
     def zero(cls, d=0):
@@ -157,22 +153,6 @@ class ExactScalar:
     @property
     def radical_part(self):
         return Fraction(self._b, self._q)
-
-    @property
-    def a_num(self):
-        return self.rational_part.numerator
-
-    @property
-    def a_den(self):
-        return self.rational_part.denominator
-
-    @property
-    def b_num(self):
-        return self.radical_part.numerator
-
-    @property
-    def b_den(self):
-        return self.radical_part.denominator
 
     def is_rational(self):
         return self._b == 0
@@ -204,7 +184,7 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactScalar(
+        return _result(
             self._a * o._q + o._a * self._q,
             self._b * o._q + o._b * self._q,
             self._q * o._q,
@@ -217,7 +197,7 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactScalar(
+        return _result(
             self._a * o._q - o._a * self._q,
             self._b * o._q - o._b * self._q,
             self._q * o._q,
@@ -234,7 +214,7 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactScalar(
+        return _result(
             self._a * o._a + self._b * o._b * self._d,
             self._a * o._b + self._b * o._a,
             self._q * o._q,
@@ -244,7 +224,7 @@ class ExactScalar:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ExactScalar(-self._a, -self._b, self._q, self._d, _canonical=True)
+        return _result(-self._a, -self._b, self._q, self._d)
 
     # -- ordering ---------------------------------------------------------
 
@@ -318,6 +298,20 @@ class ExactScalar:
         return format_scalar(self)
 
 
+def _result(a, b, q, d):
+    """(a + b*sqrt(d)) / q from arithmetic on scalars of field d.
+
+    q > 0, b is folded for d in {0, 1}, and d passed its check when the
+    operands were built, so only the common factor is divided out.
+    """
+    g = gcd(a, b, q)
+    if g > 1:
+        a, b, q = a // g, b // g, q // g
+    x = object.__new__(ExactScalar)
+    x._a, x._b, x._q, x._d = a, b, q, d
+    return x
+
+
 # -- spec operation surface ------------------------------------------------
 
 
@@ -336,22 +330,6 @@ def make_scalar(a_num, a_den, b_num, b_den, d):
 def cmp(x, y):
     """LT, EQ or GT by real value; requires a shared field context."""
     return x._cmp(y)
-
-
-def add(x, y):
-    return x + y
-
-
-def sub(x, y):
-    return x - y
-
-
-def mul(x, y):
-    return x * y
-
-
-def neg(x):
-    return -x
 
 
 def mod1(x):
@@ -399,7 +377,8 @@ def parse_scalar(text, d=None):
     """Parse the scalar grammar; round-trips with format_scalar.
 
     With `d` given, a bare rational is lifted into that field context and a
-    radical with a different radicand raises FieldMismatch.
+    radical with a different radicand raises FieldMismatch.  A radicand
+    above MAX_RADICAND raises ParseError.
     """
     s = text.strip()
     a_num, a_den, pos = _parse_rat(s, 0)
@@ -412,7 +391,10 @@ def parse_scalar(text, d=None):
         if not s.startswith("*sqrt(", pos):
             raise ParseError("expected '*sqrt('", pos)
         pos += len("*sqrt(")
+        start = pos
         radicand, pos = _parse_uint(s, pos)
+        if radicand > MAX_RADICAND:
+            raise ParseError(f"radicand exceeds {MAX_RADICAND}", start)
         if not s.startswith(")", pos):
             raise ParseError("expected ')'", pos)
         pos += 1

@@ -133,7 +133,11 @@ def random_subdivision(rng, d=5, max_colors=5, max_components=4):
         if all(a != b for a, b in zip(labels, labels[1:])):
             break
     segments = _intervals_from_cuts(_cuts(rng, d, len(labels) - 1), d)
+    return _labelled_subdivision(rng, segments, labels)
 
+
+def _labelled_subdivision(rng, segments, labels):
+    """Color segment i with labels[i], drawing the endpoint flags from rng."""
     # default [lo, hi) everywhere; sometimes hand a boundary point to the
     # left segment instead, to exercise the endpoint flags
     flags = [[True, False] for _ in segments]
@@ -212,15 +216,7 @@ def random_rational_instance(rng, max_denominator=24):
     labels = [chr(ord("A") + (i % 4)) for i in range(m)]
     rng.shuffle(labels)
     segments = _intervals_from_cuts(distinct_cuts(m - 1), 0)
-    flags = [[True, False] for _ in segments]
-    for i in range(len(segments) - 1):
-        if rng.random() < 0.25:
-            flags[i][1] = True
-            flags[i + 1][0] = False
-    classes = {}
-    for (lo, hi), (lo_in, hi_in), label in zip(segments, flags, labels):
-        classes.setdefault(label, []).append(Component(lo, lo_in, hi, hi_in))
-    sub = Subdivision({c: BoundarySet(comps) for c, comps in classes.items()})
+    sub = _labelled_subdivision(rng, segments, labels)
 
     x0 = _grid_scalar(rng, q, 0, q - 1)
     return pmap, sub, x0, q

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
-from .intervalsets import BoundarySet, Component
+from .intervalsets import AT, BELOW, _cover_faults
 
 
 class PointOutsideDomain(ValueError):
@@ -51,6 +51,11 @@ class HalfOpenInterval:
     def contains(self, x):
         return self.lo <= x < self.hi
 
+    @property
+    def keys(self):
+        """The interval as an intervalsets key range."""
+        return (self.lo, AT), (self.hi, BELOW)
+
     def length(self):
         return self.hi - self.lo
 
@@ -77,36 +82,12 @@ class AffinePiece:
             return x + self.intercept
         return -x + self.intercept
 
-    def image_set(self):
-        """Exact image: [l, h) for slope +1, (l, h] for slope -1."""
+    def image_keys(self, lo_key, hi_key):
+        """Image of the key range [lo_key, hi_key], as a key range."""
+        c = self.intercept
         if self.slope == 1:
-            return BoundarySet(
-                [
-                    Component(
-                        self.domain.lo + self.intercept,
-                        True,
-                        self.domain.hi + self.intercept,
-                        False,
-                    )
-                ]
-            )
-        return BoundarySet(
-            [
-                Component(
-                    -self.domain.hi + self.intercept,
-                    False,
-                    -self.domain.lo + self.intercept,
-                    True,
-                )
-            ]
-        )
-
-    def invert(self, image_subset):
-        """Preimage of a BoundarySet already known to sit inside the image."""
-        if self.slope == 1:
-            return image_subset.transform(1, -self.intercept)
-        # x -> -x + c is an involution
-        return image_subset.transform(-1, self.intercept)
+            return (lo_key[0] + c, lo_key[1]), (hi_key[0] + c, hi_key[1])
+        return (c - hi_key[0], -hi_key[1]), (c - lo_key[0], -lo_key[1])
 
 
 @dataclass(frozen=True)
@@ -191,73 +172,27 @@ class PiecewiseMap:
         if self._report is not None:
             return self._report
         violations = []
-        zero = ExactScalar.zero(self._d)
-        one = ExactScalar.one(self._d)
-
-        cursor = zero
-        for p in self._pieces:
-            if p.domain.lo > cursor:
-                violations.append(
-                    MapViolation(
-                        "coverage-gap",
-                        f"nothing covers [{cursor}, {p.domain.lo})",
-                        witness=cursor,
-                    )
-                )
-            elif p.domain.lo < cursor:
-                violations.append(
-                    MapViolation(
-                        "domain-overlap",
-                        f"domains overlap from {p.domain.lo}",
-                        witness=p.domain.lo,
-                    )
-                )
-            if p.domain.hi > cursor:
-                cursor = p.domain.hi
-        if cursor < one:
-            violations.append(
-                MapViolation(
-                    "coverage-gap",
-                    f"nothing covers [{cursor}, 1)",
-                    witness=cursor,
-                )
-            )
-
-        image_sets = []
-        for i, p in enumerate(self._pieces):
-            if p.slope == 1:
-                lo_img = p.domain.lo + p.intercept
-                hi_img = p.domain.hi + p.intercept
-                escapes = lo_img < zero or hi_img > one
+        domains = [p.domain.keys for p in self._pieces]
+        # domains lie inside [0, 1), so the walk finds only gaps and overlaps
+        for kind, _, lo_key, hi_key in _cover_faults(domains, self._d):
+            lo = lo_key[0]
+            if kind == "gap":
+                violations.append(MapViolation(
+                    "coverage-gap", f"nothing covers [{lo}, {hi_key[0]})", witness=lo))
             else:
-                lo_img = -p.domain.hi + p.intercept
-                hi_img = -p.domain.lo + p.intercept
-                # hi_img is attained (slope -1 image is (lo, hi]), so 1 is out
-                escapes = lo_img < zero or hi_img >= one
-            if escapes:
-                violations.append(
-                    MapViolation(
-                        "image-escape",
-                        f"piece {i} maps {p.domain} outside [0, 1)",
-                        witness=p.domain.lo,
-                    )
-                )
-            else:
-                image_sets.append(p.image_set())
+                violations.append(MapViolation(
+                    "domain-overlap", f"domains overlap from {lo}", witness=lo))
 
-        bijective = False
-        if len(image_sets) == len(self._pieces):
-            bijective = not any(
-                a.intersects(b)
-                for k, a in enumerate(image_sets)
-                for b in image_sets[k + 1 :]
-            )
-            if bijective:
-                union = BoundarySet()
-                for s in image_sets:
-                    union = union.union(s)
-                full = BoundarySet([Component(zero, True, one, False)])
-                bijective = union == full
+        # the images tile [0, 1) exactly when the map is a bijection
+        images = [p.image_keys(*keys) for p, keys in zip(self._pieces, domains)]
+        order = sorted(range(len(images)), key=lambda i: images[i][0])
+        faults = list(_cover_faults([images[i] for i in order], self._d))
+        for i in sorted(order[j] for kind, j, _, _ in faults if kind == "escape"):
+            p = self._pieces[i]
+            violations.append(MapViolation(
+                "image-escape", f"piece {i} maps {p.domain} outside [0, 1)",
+                witness=p.domain.lo))
+        bijective = not faults
 
         self._report = ValidationReport(tuple(violations), bijective)
         return self._report

@@ -8,7 +8,9 @@ context, so every operation here is decided exactly.
 Positions are compared through keys (x, eps) with eps in {-1, 0, +1}
 standing for "just below x", "x itself", "just above x".  A component is
 the key range [lo_key, hi_key]; unions, intersections and adjacency checks
-reduce to tuple comparisons on keys.
+reduce to tuple comparisons on keys.  So does _cover_faults, the one walk
+that checks whether key ranges tile [0, 1): subdivisions, map domains and
+map images all go through it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ def _hi_key(hi, hi_in):
 def _succ(key):
     # next representable position: x- -> x -> x+
     return (key[0], key[1] + 1)
+
+
+def _pred(key):
+    return (key[0], key[1] - 1)
 
 
 @dataclass(frozen=True)
@@ -195,24 +201,6 @@ def singleton(x):
     return BoundarySet([Component(x, True, x, True)])
 
 
-def split_below(component, p):
-    """component ∩ {x < p} as a key pair, or None when empty."""
-    lo_key = component.lo_key
-    hi_key = min(component.hi_key, (p, BELOW))
-    if lo_key <= hi_key:
-        return _from_keys(lo_key, hi_key)
-    return None
-
-
-def split_above(component, p):
-    """component ∩ {x > p} as a key pair, or None when empty."""
-    lo_key = max(component.lo_key, (p, ABOVE))
-    hi_key = component.hi_key
-    if lo_key <= hi_key:
-        return _from_keys(lo_key, hi_key)
-    return None
-
-
 def _canonical_components(components):
     comps = sorted(components, key=lambda c: c.lo_key)
     merged = []
@@ -224,3 +212,31 @@ def _canonical_components(components):
         else:
             merged.append(c)
     return tuple(merged)
+
+
+def _cover_faults(ranges, d):
+    """Walk key ranges sorted by start across [0, 1) and yield every fault.
+
+    `ranges` holds (lo_key, hi_key) pairs in one field context d.  Yields
+    (kind, i, lo_key, hi_key) in walk order: "gap" for the keys of [0, 1)
+    that nothing covers before range i (i == len(ranges) for the tail),
+    "overlap" for the keys range i shares with the ranges before it, and
+    "escape" with range i's own keys when it reaches below 0 or up to 1.
+    The ranges tile [0, 1) exactly when nothing is yielded.
+    """
+    start = (ExactScalar.zero(d), AT)
+    end = (ExactScalar.one(d), AT)
+    cursor = start                 # the first key not yet covered
+    for i, (lo_key, hi_key) in enumerate(ranges):
+        if lo_key < start:
+            yield "escape", i, lo_key, hi_key
+        else:
+            if cursor < end and lo_key > cursor:
+                yield "gap", i, cursor, min(_pred(lo_key), _pred(end))
+            elif lo_key < cursor:
+                yield "overlap", i, lo_key, min(hi_key, _pred(cursor))
+            if hi_key >= end:
+                yield "escape", i, lo_key, hi_key
+        cursor = max(cursor, _succ(hi_key))
+    if cursor < end:
+        yield "gap", len(ranges), cursor, _pred(end)

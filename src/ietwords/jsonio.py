@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .exactnum import (
+    MAX_RADICAND,
     ExactScalar,
     FieldMismatch,
     NonSquarefreeRadicand,
@@ -242,9 +243,10 @@ def gluing_from_json(obj, path="/gluing"):
 def parse_spec(document):
     """Parse and validate a full instance document (text or decoded dict).
 
-    Schema problems raise SpecError with a pointer path.  Domain problems
-    (class overlap, coverage gap, invalid map, x0 outside [0, 1)) raise
-    their module exceptions so callers can tell the two apart.
+    Schema problems raise SpecError with a pointer path, as does a field_d
+    above exactnum.MAX_RADICAND, whose squarefree check could take hours.
+    Domain problems (class overlap, coverage gap, invalid map, x0 outside
+    [0, 1)) raise their module exceptions so callers can tell the two apart.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -255,6 +257,8 @@ def parse_spec(document):
         raise SpecError("/", "expected a JSON object")
 
     d = _read_int(_require(document, "field_d", "/"), "/field_d", minimum=0)
+    if d > MAX_RADICAND:
+        raise SpecError("/field_d", f"expected an integer <= {MAX_RADICAND}, got {d}")
     try:
         ExactScalar.zero(d)
     except NonSquarefreeRadicand as e:

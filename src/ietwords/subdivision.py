@@ -6,25 +6,25 @@ map when (1) every color class is convex and (2) at every discontinuity that
 sits strictly inside a class, the two sides map to color sets that do not
 meet.  Any subdivision can be cut into a good one, and the original coding
 is recovered from the refined one by gluing letters back.
+
+Everything here reads one sorted cell table: each class component is a
+cell (start key, end key, letter), keyed as in intervalsets.  Construction
+walks the cells across [0, 1) and rejects the first gap, overlap or cell
+outside it.  Condition 1 counts each class's cells.  Condition 2 clips
+each side of an interior discontinuity to every piece of the map, maps the
+clipped keys, and bisects the image into the cells; the first color in
+alphabet order that both sides reach is the violation, witnessed by one
+point on each side whose image has that color.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
-from .intervalsets import (
-    AT,
-    BELOW,
-    BoundarySet,
-    Component,
-    _from_keys,
-    _succ,
-    split_above,
-    split_below,
-)
+from .intervalsets import ABOVE, AT, BELOW, BoundarySet, _cover_faults, _from_keys
 from .intervalmap import PointOutsideDomain
 
 
@@ -65,7 +65,7 @@ class Subdivision:
     no gaps, exactly [0, 1)) is verified.
     """
 
-    __slots__ = ("_alphabet", "_classes", "_d", "_starts", "_letters_at")
+    __slots__ = ("_alphabet", "_classes", "_d", "_starts", "_ends", "_letters_at")
 
     def __init__(self, classes):
         if not classes:
@@ -91,30 +91,22 @@ class Subdivision:
         self._verify_partition()
 
     def _verify_partition(self):
-        zero = ExactScalar.zero(self._d)
-        one = ExactScalar.one(self._d)
-        flat = sorted(
-            ((c, letter) for letter in self._alphabet
+        cells = sorted(
+            ((c.lo_key, c.hi_key, letter) for letter in self._alphabet
              for c in self._classes[letter].components),
-            key=lambda pair: pair[0].lo_key,
+            key=lambda cell: cell[0],
         )
-        cursor = (zero, AT)          # the next key that must be covered
-        prev_letter = None
-        for c, letter in flat:
-            if c.lo_key > cursor:
-                raise CoverageGapError(_from_keys(cursor, c.lo_key).sample_point())
-            if c.lo_key < cursor:
-                overlap_hi = min(c.hi_key, (cursor[0], cursor[1] - 1))
-                witness = _from_keys(c.lo_key, overlap_hi).sample_point()
-                raise OverlapError(witness, (prev_letter, letter))
-            if c.lo < zero or c.hi > one or c.hi_key >= (one, AT):
-                raise ValueError(f"class {letter!r} extends beyond [0, 1)")
-            cursor = _succ(c.hi_key)
-            prev_letter = letter
-        if cursor != (one, AT):
-            raise CoverageGapError(_from_keys(cursor, (one, BELOW)).sample_point())
-        self._starts = [c.lo_key for c, _ in flat]
-        self._letters_at = [letter for _, letter in flat]
+        for kind, i, lo_key, hi_key in _cover_faults(
+                [cell[:2] for cell in cells], self._d):
+            if kind == "gap":
+                raise CoverageGapError(_from_keys(lo_key, hi_key).sample_point())
+            if kind == "overlap":
+                witness = _from_keys(lo_key, hi_key).sample_point()
+                raise OverlapError(witness, (cells[i - 1][2], cells[i][2]))
+            raise ValueError(f"class {cells[i][2]!r} extends beyond [0, 1)")
+        self._starts = [lo_key for lo_key, _, _ in cells]
+        self._ends = [hi_key for _, hi_key, _ in cells]
+        self._letters_at = [letter for _, _, letter in cells]
 
     @property
     def alphabet(self):
@@ -168,16 +160,6 @@ class Subdivision:
         return f"Subdivision({{{inner}}})"
 
 
-def canonicalize(classes):
-    """Build a Subdivision from raw letter -> intervals data."""
-    return Subdivision(classes)
-
-
-def color_of(sub, x):
-    """The unique letter whose class contains x."""
-    return sub.color_of(x)
-
-
 @dataclass(frozen=True)
 class GoodnessViolation:
     """One reason a subdivision fails to be good for a map.
@@ -217,17 +199,30 @@ class GoodnessCertificate:
         return f"good for {self.map_id} (subdivision {self.subdivision_id})"
 
 
-def _image_parts(pmap, bset):
-    """Split a set along the map's pieces and push each part forward.
+def _first_cells(sub, pmap, lo_key, hi_key):
+    """Where the map sends the key range [lo_key, hi_key], letter by letter.
 
-    Yields (piece, image) with image = piece(part); the union of the images
-    is the exact image of bset.
+    Clips the range to each piece in turn, maps the clipped keys, and
+    bisects the image into the sorted cell table.  Returns letter ->
+    (piece, lo_key, hi_key) for the first image cell of that letter, with
+    pieces taken in order and cells from left to right within one image.
     """
+    starts, ends, letters = sub._starts, sub._ends, sub._letters_at
+    hits = {}
     for piece in pmap.pieces:
-        dom = BoundarySet([Component(piece.domain.lo, True, piece.domain.hi, False)])
-        part = bset.intersect(dom)
-        if not part.is_empty():
-            yield piece, part.transform(piece.slope, piece.intercept)
+        dom_lo, dom_hi = piece.domain.keys
+        part_lo, part_hi = max(lo_key, dom_lo), min(hi_key, dom_hi)
+        if part_lo > part_hi:
+            continue
+        img_lo, img_hi = piece.image_keys(part_lo, part_hi)
+        j = max(bisect_right(starts, img_lo) - 1, 0)
+        while j < len(starts) and starts[j] <= img_hi:
+            if letters[j] not in hits:
+                meet_lo, meet_hi = max(img_lo, starts[j]), min(img_hi, ends[j])
+                if meet_lo <= meet_hi:
+                    hits[letters[j]] = (piece, meet_lo, meet_hi)
+            j += 1
+    return hits
 
 
 def _pull_back(piece, y):
@@ -257,47 +252,24 @@ def is_good(sub, pmap):
                 )
             )
 
-    cuts = pmap.discontinuities()
+    cuts = pmap.discontinuities()          # sorted, as the pieces are
     for letter in sub.alphabet:
         for comp in sub.class_of(letter).components:
-            for p in cuts:
-                if not (comp.lo < p < comp.hi):
+            inside = cuts[bisect_right(cuts, comp.lo):bisect_left(cuts, comp.hi)]
+            for p in inside:
+                left = _first_cells(sub, pmap, comp.lo_key, (p, BELOW))
+                right = _first_cells(sub, pmap, (p, ABOVE), comp.hi_key)
+                color = next((c for c in sub.alphabet if c in left and c in right), None)
+                if color is None:
                     continue
-                left = BoundarySet([split_below(comp, p)])
-                right = BoundarySet([split_above(comp, p)])
-                left_parts = list(_image_parts(pmap, left))
-                right_parts = list(_image_parts(pmap, right))
-                for color in sub.alphabet:
-                    cls = sub.class_of(color)
-                    hit_l = next(
-                        (
-                            (piece, img.intersect(cls))
-                            for piece, img in left_parts
-                            if img.intersects(cls)
-                        ),
-                        None,
+                a, b = (_pull_back(piece, _from_keys(lo, hi).sample_point())
+                        for piece, lo, hi in (left[color], right[color]))
+                violations.append(
+                    GoodnessViolation(
+                        "shared-image-color", letter, point=p,
+                        color=color, witness=(a, b),
                     )
-                    if hit_l is None:
-                        continue
-                    hit_r = next(
-                        (
-                            (piece, img.intersect(cls))
-                            for piece, img in right_parts
-                            if img.intersects(cls)
-                        ),
-                        None,
-                    )
-                    if hit_r is None:
-                        continue
-                    a = _pull_back(hit_l[0], hit_l[1].sample_point())
-                    b = _pull_back(hit_r[0], hit_r[1].sample_point())
-                    violations.append(
-                        GoodnessViolation(
-                            "shared-image-color", letter, point=p,
-                            color=color, witness=(a, b),
-                        )
-                    )
-                    break       # one witness per (letter, discontinuity)
+                )
 
     if violations:
         return violations

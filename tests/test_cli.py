@@ -206,6 +206,38 @@ def test_exit_1_on_domain_error(capsys, tmp_path):
     assert rc == 1 and "outside [0, 1)" in err
 
 
+def test_exit_1_on_broken_partitions(capsys, tmp_path):
+    cases = [
+        ({"a": [{"lo": "0", "hi": "1/2"}],
+          "b": [{"lo": "1/2", "hi": "1", "lo_in": False}]}, "no class covers 1/2"),
+        ({"a": [{"lo": "-1/2", "hi": "1/2"}],
+          "b": [{"lo": "1/2", "hi": "1"}]}, "class 'a' extends beyond [0, 1)"),
+    ]
+    for classes, message in cases:
+        doc = json.loads(json.dumps(GOLDEN))
+        doc["subdivision"] = {"classes": classes}
+        path = tmp_path / "partition.json"
+        path.write_text(json.dumps(doc))
+        rc, _, err = run(capsys, "check-good", str(path))
+        assert rc == 1 and err == f"error: {message}\n"
+
+
+def test_exit_2_on_oversized_radicands(capsys, tmp_path):
+    # trial division on either radicand would run for hours
+    huge = 10**22 + 9
+    doc = json.loads(json.dumps(GOLDEN))
+    doc["x0"] = f"0+1*sqrt({huge})"
+    path = tmp_path / "x0.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "generate", str(path))
+    assert rc == 2 and "/x0" in err and "radicand exceeds" in err
+    doc = json.loads(json.dumps(GOLDEN))
+    doc["field_d"] = huge
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "generate", str(path))
+    assert rc == 2 and "/field_d" in err
+
+
 def test_exit_2_when_spec_missing(capsys):
     rc, _, err = run(capsys, "generate")
     assert rc == 2 and "needs a spec" in err

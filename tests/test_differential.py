@@ -1,0 +1,245 @@
+"""is_good and PiecewiseMap.validate against set-algebra references.
+
+The library decides partitions, map validity and condition 2 with one
+sorted-key walk over [0, 1).  The references below decide the same things
+the direct way, from public BoundarySet operations only: condition 2 by
+intersecting and transforming each side of every interior discontinuity,
+and bijectivity by pairwise intersection plus a union.  Verdicts,
+violation records and witnesses must agree exactly.
+"""
+
+import random
+from fractions import Fraction
+
+from ietwords import (
+    AffinePiece,
+    BoundarySet,
+    Component,
+    ExactScalar,
+    GoodnessCertificate,
+    GoodnessViolation,
+    HalfOpenInterval,
+    PiecewiseMap,
+    Subdivision,
+    interval,
+    is_good,
+)
+from ietwords.instances import (
+    golden_alpha,
+    random_instance,
+    random_piecewise_map,
+    random_rational_instance,
+    random_translation_instance,
+    random_translation_map,
+)
+from ietwords.intervalmap import MapViolation, ValidationReport
+
+# ------------------------------------------------------------- references
+
+
+def _image_parts(pmap, bset):
+    """(piece, piece(bset ∩ domain)) for every piece the set meets."""
+    for piece in pmap.pieces:
+        part = bset.intersect(interval(piece.domain.lo, piece.domain.hi))
+        if not part.is_empty():
+            yield piece, part.transform(piece.slope, piece.intercept)
+
+
+def _pull_back(piece, y):
+    return y - piece.intercept if piece.slope == 1 else piece.intercept - y
+
+
+def _first_hit(parts, cls):
+    return next(((piece, img.intersect(cls)) for piece, img in parts
+                 if img.intersects(cls)), None)
+
+
+def reference_is_good(sub, pmap):
+    violations = []
+    for letter in sub.alphabet:
+        comps = sub.class_of(letter).components
+        if len(comps) > 1:
+            violations.append(GoodnessViolation(
+                "not-convex", letter,
+                witness=(comps[0].sample_point(), comps[1].sample_point())))
+
+    cuts = pmap.discontinuities()
+    for letter in sub.alphabet:
+        for comp in sub.class_of(letter).components:
+            for p in cuts:
+                if not comp.lo < p < comp.hi:
+                    continue
+                whole = BoundarySet([comp])
+                left = list(_image_parts(pmap, whole.intersect(interval(comp.lo, p))))
+                right = list(_image_parts(pmap, whole.intersect(
+                    interval(p, comp.hi, lo_in=False, hi_in=True))))
+                for color in sub.alphabet:
+                    cls = sub.class_of(color)
+                    hit_l, hit_r = _first_hit(left, cls), _first_hit(right, cls)
+                    if hit_l is None or hit_r is None:
+                        continue
+                    a = _pull_back(hit_l[0], hit_l[1].sample_point())
+                    b = _pull_back(hit_r[0], hit_r[1].sample_point())
+                    violations.append(GoodnessViolation(
+                        "shared-image-color", letter, point=p, color=color,
+                        witness=(a, b)))
+                    break
+
+    if violations:
+        return violations
+    return GoodnessCertificate(sub.content_id(), pmap.content_id())
+
+
+def reference_validate(pmap):
+    zero, one = ExactScalar.zero(pmap.d), ExactScalar.one(pmap.d)
+    violations = []
+    cursor = zero
+    for p in pmap.pieces:
+        if p.domain.lo > cursor:
+            violations.append(MapViolation(
+                "coverage-gap", f"nothing covers [{cursor}, {p.domain.lo})",
+                witness=cursor))
+        elif p.domain.lo < cursor:
+            violations.append(MapViolation(
+                "domain-overlap", f"domains overlap from {p.domain.lo}",
+                witness=p.domain.lo))
+        cursor = max(cursor, p.domain.hi)
+    if cursor < one:
+        violations.append(MapViolation(
+            "coverage-gap", f"nothing covers [{cursor}, 1)", witness=cursor))
+
+    images = []
+    for i, p in enumerate(pmap.pieces):
+        lo, hi, c = p.domain.lo, p.domain.hi, p.intercept
+        if p.slope == 1:
+            escapes = lo + c < zero or hi + c > one
+        else:
+            # the image (c - hi, c - lo] attains its top end
+            escapes = c - hi < zero or c - lo >= one
+        if escapes:
+            violations.append(MapViolation(
+                "image-escape", f"piece {i} maps {p.domain} outside [0, 1)",
+                witness=p.domain.lo))
+        elif p.slope == 1:
+            images.append(interval(lo + c, hi + c))
+        else:
+            images.append(interval(c - hi, c - lo, lo_in=False, hi_in=True))
+
+    bijective = False
+    if len(images) == len(pmap.pieces):
+        bijective = not any(a.intersects(b) for k, a in enumerate(images)
+                            for b in images[k + 1:])
+        if bijective:
+            union = BoundarySet()
+            for image in images:
+                union = union.union(image)
+            bijective = union == interval(zero, one)
+    return ValidationReport(tuple(violations), bijective)
+
+
+# ------------------------------------------------------------- generators
+
+
+def q(num, den=1, d=0):
+    return ExactScalar.from_rational(Fraction(num, den), d)
+
+
+def cuts_inside_classes(rng):
+    """A map with a subdivision whose boundaries all avoid its discontinuities.
+
+    Class boundaries sit halfway between consecutive discontinuities, so
+    every discontinuity lies strictly inside a class; with at most three
+    letters, shared image colors and split classes are common.
+    """
+    d = rng.choice((0, 5))
+    if rng.random() < 0.5:
+        pmap = random_piecewise_map(rng, d)
+    else:
+        pmap = random_translation_map(rng, d)
+    zero, one = ExactScalar.zero(d), ExactScalar.one(d)
+    cuts = [zero, *pmap.discontinuities(), one]
+    bounds = [zero, *((a + b) * Fraction(1, 2) for a, b in zip(cuts[1:-2], cuts[2:-1])), one]
+    letters = "ABC"[:rng.randint(1, 3)]
+    classes = {}
+    for lo, hi in zip(bounds, bounds[1:]):
+        classes.setdefault(rng.choice(letters), []).append(Component(lo, True, hi, False))
+    return pmap, Subdivision(classes)
+
+
+def random_map(rng):
+    """Pieces on random grid domains: gaps, overlaps and escapes are common."""
+    d = rng.choice((0, 5))
+    pieces = []
+    for _ in range(rng.randint(1, 5)):
+        den = rng.choice((2, 3, 4, 6, 8))
+        a = rng.randint(0, den - 1)
+        b = rng.randint(a + 1, den)
+        c = q(rng.randint(-den, 2 * den), den, d)
+        if d == 5 and rng.random() < 0.3:
+            c = c + golden_alpha() if rng.random() < 0.5 else c - golden_alpha()
+        pieces.append(AffinePiece(HalfOpenInterval(q(a, den, d), q(b, den, d)),
+                                  rng.choice((1, -1)), c))
+    return PiecewiseMap(pieces)
+
+
+def perturbed_translation_map(rng):
+    """A translation bijection with one piece often shifted or reflected."""
+    d = rng.choice((0, 5))
+    pieces = list(random_translation_map(rng, d).pieces)
+    if rng.random() < 0.7:
+        j = rng.randrange(len(pieces))
+        p = pieces[j]
+        delta = q(rng.choice((-1, 1)), rng.choice((4, 8, 16)), d)
+        if rng.random() < 0.5:
+            pieces[j] = AffinePiece(p.domain, 1, p.intercept + delta)
+        else:
+            # reflect onto the same image, then maybe shift it
+            c = p.domain.lo + p.domain.hi + p.intercept
+            pieces[j] = AffinePiece(p.domain, -1, c + delta if rng.random() < 0.5 else c)
+    return PiecewiseMap(pieces)
+
+
+# ------------------------------------------------------------------ tests
+
+
+def assert_same_goodness(sub, pmap):
+    assert is_good(sub, pmap) == reference_is_good(sub, pmap)
+
+
+def test_goodness_matches_reference_on_seeded_instances():
+    rng = random.Random(11)
+    for _ in range(60):
+        for d in (0, 5):
+            pmap, sub, _ = random_instance(rng, d)
+            assert_same_goodness(sub, pmap)
+        pmap, sub, _ = random_translation_instance(rng, 5)
+        assert_same_goodness(sub, pmap)
+        pmap, sub, _, _ = random_rational_instance(rng)
+        assert_same_goodness(sub, pmap)
+
+
+def test_goodness_matches_reference_when_cuts_sit_inside_classes():
+    rng = random.Random(12)
+    fired = 0
+    for _ in range(150):
+        pmap, sub = cuts_inside_classes(rng)
+        verdict = is_good(sub, pmap)
+        assert verdict == reference_is_good(sub, pmap)
+        if isinstance(verdict, list):
+            fired += any(v.kind == "shared-image-color" for v in verdict)
+    assert fired > 50
+
+
+def test_validate_matches_reference_on_instances_and_invalid_maps():
+    rng = random.Random(13)
+    kinds, bijective = set(), 0
+    maps = [random_map(rng) for _ in range(800)]
+    maps += [perturbed_translation_map(rng) for _ in range(300)]
+    maps += [random_instance(rng, rng.choice((0, 5)))[0] for _ in range(50)]
+    for pmap in maps:
+        report = pmap.validate()
+        assert report == reference_validate(pmap), repr(pmap)
+        kinds.update(v.kind for v in report.violations)
+        bijective += report.bijective
+    assert kinds == {"coverage-gap", "domain-overlap", "image-escape"}
+    assert 0 < bijective < len(maps)

@@ -14,16 +14,13 @@ from ietwords import (
     OutOfExpectedRange,
     ParseError,
     ZeroDenominator,
-    add,
     cmp,
     format_scalar,
     make_scalar,
     mod1,
-    mul,
-    neg,
     parse_scalar,
-    sub,
 )
+from ietwords import exactnum
 from ietwords.exactnum import is_squarefree
 
 from oracles import decimal_cmp
@@ -31,11 +28,17 @@ from oracles import decimal_cmp
 ALPHA = make_scalar(-1, 2, 1, 2, 5)  # (sqrt(5) - 1) / 2
 
 
+def parts(x):
+    """(a_num, a_den, b_num, b_den) of x = a_num/a_den + (b_num/b_den)*sqrt(d)."""
+    a, b = x.rational_part, x.radical_part
+    return a.numerator, a.denominator, b.numerator, b.denominator
+
+
 def test_canonical_form_reduces():
     x = make_scalar(2, 4, 0, 1, 0)
-    assert (x.a_num, x.a_den) == (1, 2)
+    assert x.rational_part == Fraction(1, 2)
     y = make_scalar(6, -4, 0, 1, 0)
-    assert (y.a_num, y.a_den) == (-3, 2)
+    assert y.rational_part == Fraction(-3, 2)
 
 
 def test_d_zero_and_one_are_rational_contexts():
@@ -58,6 +61,15 @@ def test_construction_errors():
         assert is_squarefree(good)
 
 
+def test_arithmetic_does_not_recheck_the_radicand(monkeypatch):
+    y = make_scalar(1, 3, 2, 7, 5)
+    calls = []
+    monkeypatch.setattr(exactnum, "is_squarefree", lambda d: calls.append(d) or True)
+    results = [ALPHA + y, ALPHA - y, ALPHA * y, -ALPHA]
+    assert calls == []
+    assert results[0] == make_scalar(-1, 6, 11, 14, 5)
+
+
 def test_cmp_spec_values():
     assert cmp(ALPHA, make_scalar(2, 3, 0, 1, 5)) == LT
     assert cmp(make_scalar(2, 3, 0, 1, 5), ALPHA) == GT
@@ -74,7 +86,7 @@ def test_cross_context_operations_raise():
     r2 = make_scalar(0, 1, 1, 1, 2)
     r5 = make_scalar(0, 1, 1, 1, 5)
     with pytest.raises(FieldMismatch):
-        add(r2, r5)
+        r2 + r5
     with pytest.raises(FieldMismatch):
         cmp(r2, r5)
     # equality is value-based and total: rationals can coincide across d
@@ -89,11 +101,11 @@ def test_arithmetic_against_fractions(rng):
         b = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
         x = ExactScalar.from_rational(a)
         y = ExactScalar.from_rational(b)
-        assert add(x, y).rational_part == a + b
-        assert sub(x, y).rational_part == a - b
-        assert neg(x).rational_part == -a
+        assert (x + y).rational_part == a + b
+        assert (x - y).rational_part == a - b
+        assert (-x).rational_part == -a
         assert (x * y).rational_part == a * b
-        assert mul(x, 3).rational_part == 3 * a
+        assert (x * 3).rational_part == 3 * a
 
 
 def test_mixed_python_number_arithmetic():
@@ -136,8 +148,8 @@ def test_cmp_agrees_with_decimal_oracle(rng):
             rng.randint(-50, 50), rng.randint(1, 50), 5,
         )
         expected = decimal_cmp(
-            (x.a_num, x.a_den, x.b_num, x.b_den, 5),
-            (y.a_num, y.a_den, y.b_num, y.b_den, 5),
+            (*parts(x), 5),
+            (*parts(y), 5),
         )
         assert cmp(x, y) == expected, (str(x), str(y))
 
@@ -164,6 +176,10 @@ def test_parse_errors_carry_positions():
     assert e.value.position == 15
     with pytest.raises(NonSquarefreeRadicand):
         parse_scalar("0+1*sqrt(12)")
+    # radicands above MAX_RADICAND are refused before any trial division
+    with pytest.raises(ParseError) as e:
+        parse_scalar("0+1*sqrt(10000000000000000000009)", d=5)
+    assert e.value.position == 9
 
 
 def test_parse_with_field_context():

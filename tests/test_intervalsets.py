@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from ietwords import BoundarySet, Component, ExactScalar, interval, singleton
-from ietwords.intervalsets import split_above, split_below
 
 from conftest import q
 
@@ -79,16 +78,6 @@ def test_transform_translation_and_reflection():
     assert (c.lo, c.lo_in, c.hi, c.hi_in) == (q(1, 2), False, q(3, 4), True)
     # reflecting twice comes home
     assert flipped.transform(-1, q(1)) == s
-
-
-def test_split_at_point():
-    c = Component(q(0), True, q(1), False)
-    left = split_below(c, q(1, 3))
-    right = split_above(c, q(1, 3))
-    assert (left.lo, left.hi, left.hi_in) == (q(0), q(1, 3), False)
-    assert (right.lo, right.lo_in) == (q(1, 3), False)
-    assert split_below(c, q(0)) is None
-    assert split_above(c, q(1)) is None
 
 
 def test_sample_point_is_member(rng):

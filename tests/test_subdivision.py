@@ -10,9 +10,8 @@ from ietwords import (
     GoodnessCertificate,
     OverlapError,
     PointOutsideDomain,
+    Subdivision,
     UnknownLetter,
-    canonicalize,
-    color_of,
     glue_word,
     identity_map,
     is_good,
@@ -30,54 +29,79 @@ CUT = ONE5 - ALPHA   # 1 - alpha, the rotation's discontinuity
 
 
 def natural():
-    return canonicalize({
+    return Subdivision({
         "0": [Component(ZERO5, True, CUT, False)],
         "1": [Component(CUT, True, ONE5, False)],
     })
 
 
 def whole_interval(letter="A"):
-    return canonicalize({letter: [Component(ZERO5, True, ONE5, False)]})
+    return Subdivision({letter: [Component(ZERO5, True, ONE5, False)]})
 
 
-# ---------------------------------------------------------- canonicalize
+# ------------------------------------------------------------ partition
 
 def test_adjacent_pieces_merge_into_one_class():
-    sub = canonicalize({"A": [Component(q(0), True, q(1, 2), False),
-                              Component(q(1, 2), True, q(1), False)]})
+    sub = Subdivision({"A": [Component(q(0), True, q(1, 2), False),
+                             Component(q(1, 2), True, q(1), False)]})
     assert len(sub.class_of("A")) == 1
 
 
 def test_overlap_is_rejected_with_witness():
     with pytest.raises(OverlapError) as e:
-        canonicalize({"A": [Component(q(0), True, q(2, 3), False)],
-                      "B": [Component(q(1, 2), True, q(1), False)]})
+        Subdivision({"A": [Component(q(0), True, q(2, 3), False)],
+                     "B": [Component(q(1, 2), True, q(1), False)]})
     assert e.value.witness == q(1, 2)
 
 
 def test_gap_is_rejected_with_witness():
     with pytest.raises(CoverageGapError) as e:
-        canonicalize({"A": [Component(q(0), True, q(1, 3), False)]})
+        Subdivision({"A": [Component(q(0), True, q(1, 3), False)]})
     assert e.value.witness == q(1, 3)
 
 
 def test_interior_gap_witness():
     with pytest.raises(CoverageGapError) as e:
-        canonicalize({"A": [Component(q(0), True, q(1, 4), False)],
-                      "B": [Component(q(1, 2), True, q(1), False)]})
+        Subdivision({"A": [Component(q(0), True, q(1, 4), False)],
+                     "B": [Component(q(1, 2), True, q(1), False)]})
     assert q(1, 4) <= e.value.witness < q(1, 2)
 
 
+def test_one_point_gap_is_a_coverage_gap():
+    with pytest.raises(CoverageGapError) as e:
+        Subdivision({"a": [Component(q(0), True, q(1, 2), False)],
+                     "b": [Component(q(1, 2), False, q(1), False)]})
+    assert e.value.witness == q(1, 2)
+
+
+def test_classes_outside_the_unit_interval_are_rejected():
+    with pytest.raises(ValueError, match="'a' extends beyond"):
+        Subdivision({"a": [Component(q(-1, 2), True, q(1, 2), False)],
+                     "b": [Component(q(1, 2), True, q(1), False)]})
+    with pytest.raises(ValueError, match="'b' extends beyond"):
+        Subdivision({"a": [Component(q(0), True, q(1, 2), False)],
+                     "b": [Component(q(1, 2), True, q(3, 2), False)]})
+    # a class lying wholly past 1 leaves no point of [0, 1) uncovered
+    with pytest.raises(ValueError, match="'b' extends beyond"):
+        Subdivision({"a": [Component(q(0), True, q(1), False)],
+                     "b": [Component(q(3, 2), True, q(2), False)]})
+    # a gap inside [0, 1) is still reported first, with a witness inside it
+    with pytest.raises(CoverageGapError) as e:
+        Subdivision({"a": [Component(q(0), True, q(1, 2), True)],
+                     "b": [Component(q(3, 2), True, q(2), False)]})
+    assert e.value.witness == q(3, 4)
+
+
 def test_alphabet_is_sorted_and_classes_nonempty():
-    sub = canonicalize({"B": [Component(q(1, 2), True, q(1), False)],
-                        "A": [Component(q(0), True, q(1, 2), False)]})
+    sub = Subdivision({"B": [Component(q(1, 2), True, q(1), False)],
+                       "A": [Component(q(0), True, q(1, 2), False)]})
     assert sub.alphabet == ("A", "B")
     with pytest.raises(ValueError):
-        canonicalize({"A": [Component(q(0), True, q(1), False)], "B": []})
+        Subdivision({"A": [Component(q(0), True, q(1), False)], "B": []})
 
 
 def test_partition_with_closed_open_flags():
-    sub = canonicalize({
+    sub = Subdivision({
         "A": [Component(q(0), True, q(1, 2), True)],
         "B": [Component(q(1, 2), False, q(1), False)],
     })
@@ -85,7 +109,7 @@ def test_partition_with_closed_open_flags():
 
 
 def test_singleton_class_is_legal():
-    sub = canonicalize({
+    sub = Subdivision({
         "A": [Component(q(0), True, q(1, 2), False)],
         "P": [Component(q(1, 2), True, q(1, 2), True)],
         "B": [Component(q(1, 2), False, q(1), False)],
@@ -100,13 +124,13 @@ def test_singleton_class_is_legal():
 
 def test_color_of_natural_partition():
     sub = natural()
-    assert color_of(sub, ZERO5) == "0"
-    assert color_of(sub, CUT) == "1"          # boundary joins the right class
-    assert color_of(sub, ALPHA) == "1"        # alpha >= 1 - alpha
+    assert sub.color_of(ZERO5) == "0"
+    assert sub.color_of(CUT) == "1"          # boundary joins the right class
+    assert sub.color_of(ALPHA) == "1"        # alpha >= 1 - alpha
     with pytest.raises(PointOutsideDomain):
-        color_of(sub, ONE5)
+        sub.color_of(ONE5)
     with pytest.raises(PointOutsideDomain):
-        color_of(sub, -ALPHA)
+        sub.color_of(-ALPHA)
 
 
 # ---------------------------------------------------------------- is_good
@@ -133,7 +157,7 @@ def test_single_class_fails_condition_two():
 
 
 def test_split_classes_fail_condition_one():
-    sub = canonicalize({
+    sub = Subdivision({
         "A": [Component(q(0), True, q(1, 4), False),
               Component(q(1, 2), True, q(3, 4), False)],
         "B": [Component(q(1, 4), True, q(1, 2), False),
@@ -155,7 +179,7 @@ def test_equal_halves_are_good_for_quarter_rotation():
     # the cut 3/4 sits inside B = [1/2,1), but the two sides land in
     # different colors (left -> B, right -> A), so condition 2 holds
     R = rotation(q(1, 4))
-    sub = canonicalize({
+    sub = Subdivision({
         "A": [Component(q(0), True, q(1, 2), False)],
         "B": [Component(q(1, 2), True, q(1), False)],
     })
@@ -166,7 +190,7 @@ def test_condition_two_catches_interior_straddle_with_rational_map():
     # rotation by 1/4 with A = [0,7/8): the cut 3/4 is interior to A, the
     # left side covers images colored A and B, the right side lands in A
     R = rotation(q(1, 4))
-    sub = canonicalize({
+    sub = Subdivision({
         "A": [Component(q(0), True, q(7, 8), False)],
         "B": [Component(q(7, 8), True, q(1), False)],
     })
@@ -218,7 +242,7 @@ def test_refine_single_class_splits_at_discontinuity():
 
 
 def test_refine_splits_disconnected_classes():
-    sub = canonicalize({
+    sub = Subdivision({
         "A": [Component(q(0), True, q(1, 4), False),
               Component(q(1, 2), True, q(3, 4), False)],
         "B": [Component(q(1, 4), True, q(1, 2), False),
@@ -261,7 +285,7 @@ def test_letter_collision_falls_back_to_underscores():
 
     twelfth = q(1, 12)
     pmap = iet_to_map(IET((twelfth,) * 12, tuple(range(11, -1, -1))))
-    sub = canonicalize({
+    sub = Subdivision({
         "B": [Component(q(0), True, q(23, 24), False)],
         "B1": [Component(q(23, 24), True, q(1), False)],
     })
