@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 
 from .analysis import complexity, detect_period, recurrence_profile
-from .coding import code
+from .coding import code, iter_code
 from .exactnum import format_scalar
 from .intervalmap import to_iet
 from .jsonio import (
@@ -68,12 +69,21 @@ def _violation_json(v):
     }
 
 
+def _length(spec, args):
+    return spec.length if args.length is None else args.length
+
+
 def _cmd_generate(spec, args, out):
-    word = code(spec.pmap, spec.sub, spec.x0, args.length or spec.length)
+    length = _length(spec, args)
     if args.as_json:
-        out.write(dumps(word_to_json(word)))
-    else:
-        out.write(word.text(wrap=80) + "\n")
+        out.write(dumps(word_to_json(code(spec.pmap, spec.sub, spec.x0, length))))
+        return 0
+    if length < 1:
+        raise ValueError("need n >= 1")
+    # the text is written 80 letters a line as the orbit is walked
+    letters = islice(iter_code(spec.pmap, spec.sub, spec.x0), length)
+    while line := list(islice(letters, 80)):
+        out.write(" ".join(line) + "\n")
     return 0
 
 
@@ -110,8 +120,7 @@ def _cmd_refine(spec, args, out):
 def _cmd_roundtrip(spec, args, out):
     from .coding import roundtrip_check
 
-    result = roundtrip_check(spec.pmap, spec.sub, spec.x0,
-                             args.length or spec.length)
+    result = roundtrip_check(spec.pmap, spec.sub, spec.x0, _length(spec, args))
     if args.as_json:
         out.write(dumps({"ok": result.ok, "mismatch_index": result.mismatch_index}))
     else:
@@ -120,8 +129,7 @@ def _cmd_roundtrip(spec, args, out):
 
 
 def _cmd_analyze(spec, args, out):
-    length = args.length or spec.length
-    word = code(spec.pmap, spec.sub, spec.x0, length)
+    word = code(spec.pmap, spec.sub, spec.x0, _length(spec, args))
     n_max = min(args.nmax, len(word))
     comp = complexity(word, n_max)
     rec = recurrence_profile(word, n_max)

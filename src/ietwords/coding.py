@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 from itertools import count, islice
 
 from .exactnum import ExactScalar, FieldMismatch
-from .intervalmap import PointOutsideDomain
 from .subdivision import refine_to_good
 
 
@@ -108,16 +107,9 @@ class Orbit:
         return self.points[i]
 
 
-def _check_start(pmap, x0):
-    zero = ExactScalar.zero(pmap.d)
-    one = ExactScalar.one(pmap.d)
-    if not (zero <= x0 < one):
-        raise PointOutsideDomain(f"{x0} outside [0, 1)")
-
-
 def iter_orbit(pmap, x0, n=None):
     """Stream the forward orbit of x0; infinite when n is None."""
-    _check_start(pmap, x0)
+    pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
     x = x0
     steps = count() if n is None else range(n)
     for _ in steps:

@@ -12,7 +12,8 @@ FieldMismatch even when both happen to be rational.
 
 Checking that d is squarefree takes trial division up to sqrt(d), so
 radicands read from text are bounded by MAX_RADICAND (10**12): a larger
-one is rejected before any division is tried.
+one is rejected before any division is tried.  Digit runs in text are
+bounded by MAX_DIGITS, Python's default limit for int() on a string.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ LT, EQ, GT = -1, 0, 1
 # Largest radicand parse_scalar accepts; its squarefree check stays well
 # under a second.
 MAX_RADICAND = 10**12
+
+# Longest digit run parse_scalar reads; int() refuses longer strings.
+MAX_DIGITS = 4300
 
 
 def _sign_of(a, b, d):
@@ -352,10 +356,12 @@ def mod1(x):
 
 def _parse_uint(text, pos):
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
     if pos == start:
         raise ParseError("expected a digit", start)
+    if pos - start > MAX_DIGITS:
+        raise ParseError(f"more than {MAX_DIGITS} digits", start)
     return int(text[start:pos]), pos
 
 
@@ -378,7 +384,8 @@ def parse_scalar(text, d=None):
 
     With `d` given, a bare rational is lifted into that field context and a
     radical with a different radicand raises FieldMismatch.  A radicand
-    above MAX_RADICAND raises ParseError.
+    above MAX_RADICAND or a run of more than MAX_DIGITS digits raises
+    ParseError.
     """
     s = text.strip()
     a_num, a_den, pos = _parse_rat(s, 0)

@@ -10,15 +10,10 @@ as lengths plus a permutation.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
-from .intervalsets import AT, BELOW, _cover_faults
-
-
-class PointOutsideDomain(ValueError):
-    """A point outside [0, 1) was fed to the dynamics."""
+from .intervalsets import AT, BELOW, CellTable, PointOutsideDomain
 
 
 class CorruptMap(RuntimeError):
@@ -48,9 +43,6 @@ class HalfOpenInterval:
         if not (zero <= self.lo < self.hi <= one):
             raise ValueError(f"need 0 <= lo < hi <= 1, got [{self.lo}, {self.hi})")
 
-    def contains(self, x):
-        return self.lo <= x < self.hi
-
     @property
     def keys(self):
         """The interval as an intervalsets key range."""
@@ -72,8 +64,9 @@ class AffinePiece:
     intercept: ExactScalar
 
     def __post_init__(self):
-        if self.slope not in (1, -1):
-            raise ValueError(f"slope must be +1 or -1, got {self.slope}")
+        # bool is an int subclass and 1.0 == 1; neither is a slope
+        if type(self.slope) is not int or self.slope not in (1, -1):
+            raise ValueError(f"slope must be +1 or -1, got {self.slope!r}")
         if self.intercept.d != self.domain.lo.d:
             raise FieldMismatch("intercept from a different field context")
 
@@ -114,21 +107,21 @@ class ValidationReport:
 
 
 class PiecewiseMap:
-    """Finitely many affine pieces, sorted by domain start."""
+    """Affine pieces sorted by domain start; `table` holds their domains."""
 
-    __slots__ = ("_pieces", "_d", "_los", "_report")
+    __slots__ = ("_pieces", "_d", "table", "_report")
 
     def __init__(self, pieces):
-        pieces = sorted(pieces, key=lambda p: p.domain.lo)
+        pieces = tuple(pieces)
         if not pieces:
             raise ValueError("a map needs at least one piece")
         d = pieces[0].domain.lo.d
         for p in pieces:
             if p.domain.lo.d != d:
                 raise FieldMismatch("pieces from different field contexts")
-        self._pieces = tuple(pieces)
+        self.table = CellTable(((*p.domain.keys, p) for p in pieces), d)
+        self._pieces = tuple(p for _, _, p in self.table.cells)
         self._d = d
-        self._los = [p.domain.lo for p in pieces]
         self._report = None
 
     @property
@@ -143,14 +136,10 @@ class PiecewiseMap:
         return len(self._pieces)
 
     def piece_at(self, x):
-        zero = ExactScalar.zero(self._d)
-        one = ExactScalar.one(self._d)
-        if not (zero <= x < one):
-            raise PointOutsideDomain(f"{x} outside [0, 1)")
-        idx = bisect_right(self._los, x) - 1
-        if idx < 0 or not self._pieces[idx].domain.contains(x):
+        i = self.table.index(x)
+        if i is None:
             raise CorruptMap(f"no piece contains {x}")
-        return self._pieces[idx]
+        return self._pieces[i]
 
     def apply(self, x):
         return self.piece_at(x)(x)
@@ -172,9 +161,8 @@ class PiecewiseMap:
         if self._report is not None:
             return self._report
         violations = []
-        domains = [p.domain.keys for p in self._pieces]
         # domains lie inside [0, 1), so the walk finds only gaps and overlaps
-        for kind, _, lo_key, hi_key in _cover_faults(domains, self._d):
+        for kind, _, lo_key, hi_key in self.table.faults():
             lo = lo_key[0]
             if kind == "gap":
                 violations.append(MapViolation(
@@ -184,10 +172,10 @@ class PiecewiseMap:
                     "domain-overlap", f"domains overlap from {lo}", witness=lo))
 
         # the images tile [0, 1) exactly when the map is a bijection
-        images = [p.image_keys(*keys) for p, keys in zip(self._pieces, domains)]
-        order = sorted(range(len(images)), key=lambda i: images[i][0])
-        faults = list(_cover_faults([images[i] for i in order], self._d))
-        for i in sorted(order[j] for kind, j, _, _ in faults if kind == "escape"):
+        img = CellTable(((*p.image_keys(lo, hi), i)
+                         for i, (lo, hi, p) in enumerate(self.table.cells)), self._d)
+        faults = list(img.faults())
+        for i in sorted(img.cells[j][2] for kind, j, _, _ in faults if kind == "escape"):
             p = self._pieces[i]
             violations.append(MapViolation(
                 "image-escape", f"piece {i} maps {p.domain} outside [0, 1)",

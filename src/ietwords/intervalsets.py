@@ -8,13 +8,15 @@ context, so every operation here is decided exactly.
 Positions are compared through keys (x, eps) with eps in {-1, 0, +1}
 standing for "just below x", "x itself", "just above x".  A component is
 the key range [lo_key, hi_key]; unions, intersections and adjacency checks
-reduce to tuple comparisons on keys.  So does _cover_faults, the one walk
-that checks whether key ranges tile [0, 1): subdivisions, map domains and
-map images all go through it.
+reduce to tuple comparisons on keys.  A CellTable holds key ranges sorted
+by start: map domains, map images and subdivision cells are each one
+table, and every point lookup, range lookup and tiling check on [0, 1)
+goes through it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .exactnum import ExactScalar
@@ -214,29 +216,68 @@ def _canonical_components(components):
     return tuple(merged)
 
 
-def _cover_faults(ranges, d):
-    """Walk key ranges sorted by start across [0, 1) and yield every fault.
+class PointOutsideDomain(ValueError):
+    """A point outside [0, 1) was fed to the dynamics."""
 
-    `ranges` holds (lo_key, hi_key) pairs in one field context d.  Yields
-    (kind, i, lo_key, hi_key) in walk order: "gap" for the keys of [0, 1)
-    that nothing covers before range i (i == len(ranges) for the tail),
-    "overlap" for the keys range i shares with the ranges before it, and
-    "escape" with range i's own keys when it reaches below 0 or up to 1.
-    The ranges tile [0, 1) exactly when nothing is yielded.
+
+class CellTable:
+    """Cells (lo_key, hi_key, value) in field d, sorted by start key.
+
+    Cells with equal starts keep their order.  faults() says whether the
+    cells tile [0, 1); meeting() assumes that they do not overlap.
     """
-    start = (ExactScalar.zero(d), AT)
-    end = (ExactScalar.one(d), AT)
-    cursor = start                 # the first key not yet covered
-    for i, (lo_key, hi_key) in enumerate(ranges):
-        if lo_key < start:
-            yield "escape", i, lo_key, hi_key
-        else:
-            if cursor < end and lo_key > cursor:
-                yield "gap", i, cursor, min(_pred(lo_key), _pred(end))
-            elif lo_key < cursor:
-                yield "overlap", i, lo_key, min(hi_key, _pred(cursor))
-            if hi_key >= end:
+
+    __slots__ = ("cells", "_starts", "_zero", "_one")
+
+    def __init__(self, cells, d):
+        self.cells = sorted(cells, key=lambda cell: cell[0])
+        self._starts = [cell[0] for cell in self.cells]
+        self._zero = ExactScalar.zero(d)
+        self._one = ExactScalar.one(d)
+
+    def index(self, x):
+        """Index of the last cell starting at or before x; None if it ends before x."""
+        if not self._zero <= x < self._one:
+            raise PointOutsideDomain(f"{x} outside [0, 1)")
+        key = (x, AT)
+        i = bisect_right(self._starts, key) - 1
+        if i < 0 or key > self.cells[i][1]:
+            return None
+        return i
+
+    def meeting(self, lo_key, hi_key):
+        """Each cell meeting the key range, clipped to it, left to right, as
+        (lo_key, hi_key, value)."""
+        first = max(bisect_right(self._starts, lo_key) - 1, 0)
+        for cell_lo, cell_hi, value in self.cells[first:]:
+            if cell_lo > hi_key:
+                return
+            meet_lo, meet_hi = max(lo_key, cell_lo), min(hi_key, cell_hi)
+            if meet_lo <= meet_hi:
+                yield meet_lo, meet_hi, value
+
+    def faults(self):
+        """Walk the cells across [0, 1) and yield every fault.
+
+        Yields (kind, i, lo_key, hi_key) in walk order: "gap" for the keys
+        of [0, 1) that nothing covers before cell i (i == len(cells) for
+        the tail), "overlap" for the keys cell i shares with the cells
+        before it, and "escape" with cell i's own keys when it reaches
+        below 0 or up to 1.  The cells tile [0, 1) exactly when nothing is
+        yielded.
+        """
+        start, end = (self._zero, AT), (self._one, AT)
+        cursor = start                 # the first key not yet covered
+        for i, (lo_key, hi_key, _) in enumerate(self.cells):
+            if lo_key < start:
                 yield "escape", i, lo_key, hi_key
-        cursor = max(cursor, _succ(hi_key))
-    if cursor < end:
-        yield "gap", len(ranges), cursor, _pred(end)
+            else:
+                if cursor < end and lo_key > cursor:
+                    yield "gap", i, cursor, min(_pred(lo_key), _pred(end))
+                elif lo_key < cursor:
+                    yield "overlap", i, lo_key, min(hi_key, _pred(cursor))
+                if hi_key >= end:
+                    yield "escape", i, lo_key, hi_key
+            cursor = max(cursor, _succ(hi_key))
+        if cursor < end:
+            yield "gap", len(self.cells), cursor, _pred(end)

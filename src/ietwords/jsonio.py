@@ -174,7 +174,7 @@ def map_from_json(obj, d, path="/map"):
             lo = _read_scalar(_require(po, "lo", ppath), d, f"{ppath}/lo")
             hi = _read_scalar(_require(po, "hi", ppath), d, f"{ppath}/hi")
             slope = _require(po, "slope", ppath)
-            if slope not in (1, -1):
+            if type(slope) is not int or slope not in (1, -1):
                 raise SpecError(f"{ppath}/slope", f"slope must be 1 or -1, got {slope!r}")
             intercept = _read_scalar(
                 _require(po, "intercept", ppath), d, f"{ppath}/intercept"

@@ -7,14 +7,14 @@ sits strictly inside a class, the two sides map to color sets that do not
 meet.  Any subdivision can be cut into a good one, and the original coding
 is recovered from the refined one by gluing letters back.
 
-Everything here reads one sorted cell table: each class component is a
-cell (start key, end key, letter), keyed as in intervalsets.  Construction
-walks the cells across [0, 1) and rejects the first gap, overlap or cell
-outside it.  Condition 1 counts each class's cells.  Condition 2 clips
-each side of an interior discontinuity to every piece of the map, maps the
-clipped keys, and bisects the image into the cells; the first color in
-alphabet order that both sides reach is the violation, witnessed by one
-point on each side whose image has that color.
+Everything here reads intervalsets.CellTable: each class component is a
+cell (start key, end key, letter).  Construction walks the cells across
+[0, 1) and rejects the first gap, overlap or cell outside it.  Condition 1
+counts each class's cells.  Condition 2 looks up each side of an interior
+discontinuity in the map's table of pieces, maps the clipped keys, and
+looks the image up in the cells; the first color in alphabet order that
+both sides reach is the violation, witnessed by one point on each side
+whose image has that color.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
-from .intervalsets import ABOVE, AT, BELOW, BoundarySet, _cover_faults, _from_keys
-from .intervalmap import PointOutsideDomain
+from .intervalsets import ABOVE, AT, BELOW, BoundarySet, CellTable, _from_keys
 
 
 class OverlapError(ValueError):
@@ -62,10 +61,10 @@ class Subdivision:
 
     Construction canonicalizes: each class's intervals are merged and
     sorted, the alphabet is sorted, and the partition property (disjoint,
-    no gaps, exactly [0, 1)) is verified.
+    no gaps, exactly [0, 1)) is verified on `table`, the lettered cells.
     """
 
-    __slots__ = ("_alphabet", "_classes", "_d", "_starts", "_ends", "_letters_at")
+    __slots__ = ("_alphabet", "_classes", "_d", "table")
 
     def __init__(self, classes):
         if not classes:
@@ -88,25 +87,17 @@ class Subdivision:
                     raise FieldMismatch("class endpoints from different field contexts")
         self._d = d
 
-        self._verify_partition()
-
-    def _verify_partition(self):
-        cells = sorted(
+        self.table = CellTable(
             ((c.lo_key, c.hi_key, letter) for letter in self._alphabet
-             for c in self._classes[letter].components),
-            key=lambda cell: cell[0],
-        )
-        for kind, i, lo_key, hi_key in _cover_faults(
-                [cell[:2] for cell in cells], self._d):
+             for c in canon[letter].components), d)
+        cells = self.table.cells
+        for kind, i, lo_key, hi_key in self.table.faults():
             if kind == "gap":
                 raise CoverageGapError(_from_keys(lo_key, hi_key).sample_point())
             if kind == "overlap":
                 witness = _from_keys(lo_key, hi_key).sample_point()
                 raise OverlapError(witness, (cells[i - 1][2], cells[i][2]))
             raise ValueError(f"class {cells[i][2]!r} extends beyond [0, 1)")
-        self._starts = [lo_key for lo_key, _, _ in cells]
-        self._ends = [hi_key for _, hi_key, _ in cells]
-        self._letters_at = [letter for _, _, letter in cells]
 
     @property
     def alphabet(self):
@@ -127,12 +118,7 @@ class Subdivision:
             raise UnknownLetter(letter) from None
 
     def color_of(self, x):
-        zero = ExactScalar.zero(self._d)
-        one = ExactScalar.one(self._d)
-        if not (zero <= x < one):
-            raise PointOutsideDomain(f"{x} outside [0, 1)")
-        idx = bisect_right(self._starts, (x, AT)) - 1
-        return self._letters_at[idx]
+        return self.table.cells[self.table.index(x)][2]
 
     def component_count(self):
         return sum(len(bset) for bset in self._classes.values())
@@ -202,27 +188,22 @@ class GoodnessCertificate:
 def _first_cells(sub, pmap, lo_key, hi_key):
     """Where the map sends the key range [lo_key, hi_key], letter by letter.
 
-    Clips the range to each piece in turn, maps the clipped keys, and
-    bisects the image into the sorted cell table.  Returns letter ->
+    Clips the range to the pieces it meets, maps the clipped keys, and
+    clips each image to the subdivision's cells.  Returns letter ->
     (piece, lo_key, hi_key) for the first image cell of that letter, with
-    pieces taken in order and cells from left to right within one image.
+    pieces, then cells within one image, taken from left to right.
     """
-    starts, ends, letters = sub._starts, sub._ends, sub._letters_at
     hits = {}
-    for piece in pmap.pieces:
-        dom_lo, dom_hi = piece.domain.keys
-        part_lo, part_hi = max(lo_key, dom_lo), min(hi_key, dom_hi)
-        if part_lo > part_hi:
-            continue
-        img_lo, img_hi = piece.image_keys(part_lo, part_hi)
-        j = max(bisect_right(starts, img_lo) - 1, 0)
-        while j < len(starts) and starts[j] <= img_hi:
-            if letters[j] not in hits:
-                meet_lo, meet_hi = max(img_lo, starts[j]), min(img_hi, ends[j])
-                if meet_lo <= meet_hi:
-                    hits[letters[j]] = (piece, meet_lo, meet_hi)
-            j += 1
+    for part_lo, part_hi, piece in pmap.table.meeting(lo_key, hi_key):
+        image = piece.image_keys(part_lo, part_hi)
+        for meet_lo, meet_hi, letter in sub.table.meeting(*image):
+            hits.setdefault(letter, (piece, meet_lo, meet_hi))
     return hits
+
+
+def _cuts_inside(cuts, comp):
+    """The sorted cuts strictly inside the component."""
+    return cuts[bisect_right(cuts, comp.lo):bisect_left(cuts, comp.hi)]
 
 
 def _pull_back(piece, y):
@@ -235,10 +216,11 @@ def is_good(sub, pmap):
     """Check both goodness conditions.
 
     Returns a GoodnessCertificate, or a list of GoodnessViolation records
-    with exact witnesses.
+    with exact witnesses.  Raises CorruptMap when pmap fails validation.
     """
     if sub.d != pmap.d:
         raise FieldMismatch("subdivision and map use different field contexts")
+    pmap.require_valid()
     violations = []
 
     for letter in sub.alphabet:
@@ -255,8 +237,7 @@ def is_good(sub, pmap):
     cuts = pmap.discontinuities()          # sorted, as the pieces are
     for letter in sub.alphabet:
         for comp in sub.class_of(letter).components:
-            inside = cuts[bisect_right(cuts, comp.lo):bisect_left(cuts, comp.hi)]
-            for p in inside:
+            for p in _cuts_inside(cuts, comp):
                 left = _first_cells(sub, pmap, comp.lo_key, (p, BELOW))
                 right = _first_cells(sub, pmap, (p, ABOVE), comp.hi_key)
                 color = next((c for c in sub.alphabet if c in left and c in right), None)
@@ -341,14 +322,13 @@ def refine_to_good(sub, pmap):
     """
     if sub.d != pmap.d:
         raise FieldMismatch("subdivision and map use different field contexts")
-    cuts = sorted(pmap.discontinuities())
+    cuts = pmap.discontinuities()          # sorted, as the pieces are
 
     per_letter = {}
     for letter in sub.alphabet:
         segments = []
         for comp in sub.class_of(letter).components:
-            interior = [p for p in cuts if comp.lo < p < comp.hi]
-            segments.extend(_cut_component(comp, interior))
+            segments.extend(_cut_component(comp, _cuts_inside(cuts, comp)))
         per_letter[letter] = segments
 
     names = [

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ietwords import cli, code, parse_spec
 from ietwords.cli import main
 
 GOLDEN = {
@@ -68,6 +69,26 @@ def test_generate_wraps_long_words(capsys, golden_spec):
     assert rc == 0
     lines = out.strip("\n").split("\n")
     assert [len(line.split()) for line in lines] == [80, 80, 40]
+
+
+@pytest.mark.parametrize("length", [1, 79, 80, 81, 160])
+def test_generate_text_streams_the_wrapped_word(capsys, golden_spec, monkeypatch, length):
+    spec = parse_spec(json.dumps(GOLDEN))
+    expected = code(spec.pmap, spec.sub, spec.x0, length).text(wrap=80) + "\n"
+
+    def no_whole_word(*args):
+        raise AssertionError("the text path builds the whole word")
+
+    monkeypatch.setattr(cli, "code", no_whole_word)
+    rc, out, _ = run(capsys, "generate", golden_spec, "--length", str(length))
+    assert rc == 0 and out == expected
+
+
+def test_nonpositive_lengths_are_errors(capsys, golden_spec):
+    for command in ("generate", "roundtrip", "analyze"):
+        for length in ("0", "-3"):
+            rc, out, err = run(capsys, command, golden_spec, "--length", length)
+            assert (rc, out, err) == (1, "", "error: need n >= 1\n"), (command, length)
 
 
 # -------------------------------------------------------------- check-good
@@ -189,12 +210,14 @@ def test_exit_2_on_bad_json(capsys, tmp_path):
 
 
 def test_exit_2_on_schema_error(capsys, tmp_path):
-    doc = json.loads(json.dumps(GOLDEN))
-    doc["map"]["pieces"][0]["slope"] = 2
-    path = tmp_path / "slope.json"
-    path.write_text(json.dumps(doc))
-    rc, _, err = run(capsys, "generate", str(path))
-    assert rc == 2 and "/map/pieces/0/slope" in err
+    # 1.0 and true compare equal to 1 but are not integer slopes
+    for slope in (2, 1.0, True):
+        doc = json.loads(json.dumps(GOLDEN))
+        doc["map"]["pieces"][1]["slope"] = slope
+        path = tmp_path / "slope.json"
+        path.write_text(json.dumps(doc))
+        rc, _, err = run(capsys, "generate", str(path))
+        assert rc == 2 and "/map/pieces/1/slope" in err, slope
 
 
 def test_exit_1_on_domain_error(capsys, tmp_path):
@@ -236,6 +259,16 @@ def test_exit_2_on_oversized_radicands(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     rc, _, err = run(capsys, "generate", str(path))
     assert rc == 2 and "/field_d" in err
+
+
+def test_exit_2_on_overlong_digit_runs(capsys, tmp_path):
+    # int() refuses strings of more than 4300 digits with a bare ValueError
+    doc = json.loads(json.dumps(GOLDEN))
+    doc["x0"] = "1/" + "1" * 5000
+    path = tmp_path / "x0.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "generate", str(path))
+    assert rc == 2 and "/x0" in err and "digits" in err
 
 
 def test_exit_2_when_spec_missing(capsys):

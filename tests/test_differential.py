@@ -1,25 +1,32 @@
-"""is_good and PiecewiseMap.validate against set-algebra references.
+"""The sorted cell tables against linear and set-algebra references.
 
-The library decides partitions, map validity and condition 2 with one
-sorted-key walk over [0, 1).  The references below decide the same things
-the direct way, from public BoundarySet operations only: condition 2 by
+The library locates points, decides partitions, map validity and
+condition 2 with one sorted cell table per tiling of [0, 1).  The
+references below decide the same things the direct way, from public
+BoundarySet operations and scans over the pieces only: condition 2 by
 intersecting and transforming each side of every interior discontinuity,
-and bijectivity by pairwise intersection plus a union.  Verdicts,
-violation records and witnesses must agree exactly.
+bijectivity by pairwise intersection plus a union, piece_at by a scan for
+the last piece starting at or before the point, and color_of by asking
+every class.  Verdicts, violation records, witnesses and located pieces
+must agree exactly.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from ietwords import (
     AffinePiece,
     BoundarySet,
     Component,
+    CorruptMap,
     ExactScalar,
     GoodnessCertificate,
     GoodnessViolation,
     HalfOpenInterval,
     PiecewiseMap,
+    PointOutsideDomain,
     Subdivision,
     interval,
     is_good,
@@ -137,6 +144,31 @@ def reference_validate(pmap):
     return ValidationReport(tuple(violations), bijective)
 
 
+def _outside(x):
+    return not ExactScalar.zero(x.d) <= x < ExactScalar.one(x.d)
+
+
+def reference_piece_at(pmap, x):
+    """The piece with the greatest start at or before x (the last one on a
+    tie), if it reaches past x."""
+    if _outside(x):
+        raise PointOutsideDomain(f"{x} outside [0, 1)")
+    found = None
+    for piece in pmap.pieces:
+        if piece.domain.lo <= x and (found is None or piece.domain.lo >= found.domain.lo):
+            found = piece
+    if found is None or not x < found.domain.hi:
+        raise CorruptMap(f"no piece contains {x}")
+    return found
+
+
+def reference_color_of(sub, x):
+    if _outside(x):
+        raise PointOutsideDomain(f"{x} outside [0, 1)")
+    (letter,) = [c for c in sub.alphabet if sub.class_of(c).contains(x)]
+    return letter
+
+
 # ------------------------------------------------------------- generators
 
 
@@ -243,3 +275,56 @@ def test_validate_matches_reference_on_instances_and_invalid_maps():
         bijective += report.bijective
     assert kinds == {"coverage-gap", "domain-overlap", "image-escape"}
     assert 0 < bijective < len(maps)
+
+
+def outcome(locate, *args):
+    try:
+        return locate(*args)
+    except (PointOutsideDomain, CorruptMap) as e:
+        return type(e)
+
+
+def probes(d, bounds):
+    """Every cell endpoint, a point inside every cell, 1 and -alpha."""
+    points = [ExactScalar.one(d), -golden_alpha() if d == 5 else q(-1, 3, d)]
+    for lo, hi in bounds:
+        points += [lo, (lo + hi) * Fraction(1, 2), hi]
+    return points
+
+
+def domain_bounds(pmap):
+    return [(p.domain.lo, p.domain.hi) for p in pmap.pieces]
+
+
+def test_point_location_matches_linear_scans():
+    rng = random.Random(14)
+    instances = []
+    for _ in range(40):
+        instances.append(random_instance(rng, rng.choice((0, 5)))[:2])
+        instances.append(random_rational_instance(rng)[:2])
+    for pmap, sub in instances:
+        class_bounds = [(c.lo, c.hi) for bset in sub.classes.values() for c in bset]
+        for x in probes(pmap.d, domain_bounds(pmap) + class_bounds):
+            assert outcome(pmap.piece_at, x) is outcome(reference_piece_at, pmap, x)
+            assert outcome(sub.color_of, x) == outcome(reference_color_of, sub, x)
+
+    kinds = set()
+    maps = [random_map(rng) for _ in range(300)]
+    maps += [perturbed_translation_map(rng) for _ in range(100)]
+    for pmap in maps:
+        for x in probes(pmap.d, domain_bounds(pmap)):
+            located = outcome(pmap.piece_at, x)
+            assert located is outcome(reference_piece_at, pmap, x), (pmap, x)
+            kinds.add(located if isinstance(located, type) else AffinePiece)
+    assert kinds == {AffinePiece, CorruptMap, PointOutsideDomain}
+
+
+def test_is_good_rejects_maps_that_fail_validation():
+    sub = Subdivision({"A": [Component(q(0), True, q(1), False)]})
+    overlapping = [(q(0), q(2, 3)), (q(1, 2), q(1))]
+    gapped = [(q(0), q(1, 3)), (q(1, 2), q(1))]
+    for domains in (overlapping, gapped):
+        pmap = PiecewiseMap(AffinePiece(HalfOpenInterval(lo, hi), 1, q(0))
+                            for lo, hi in domains)
+        with pytest.raises(CorruptMap):
+            is_good(sub, pmap)

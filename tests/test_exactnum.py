@@ -180,6 +180,18 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as e:
         parse_scalar("0+1*sqrt(10000000000000000000009)", d=5)
     assert e.value.position == 9
+    # digit runs stop at MAX_DIGITS, below int()'s own string limit
+    longest = "9" * exactnum.MAX_DIGITS
+    assert parse_scalar(f"1/{longest}").rational_part == Fraction(1, int(longest))
+    for text, position in (("1/" + "1" * 5000, 2), ("1" * 5000, 0),
+                           ("0+1*sqrt(" + "1" * 5000 + ")", 9)):
+        with pytest.raises(ParseError) as e:
+            parse_scalar(text)
+        assert e.value.position == position
+    # only ASCII digits are digits: int() refuses "²" and reads "٣" as 3
+    for text in ("²", "1/²", "٣"):
+        with pytest.raises(ParseError):
+            parse_scalar(text)
 
 
 def test_parse_with_field_context():

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from ietwords import intervalmap, intervalsets
 from ietwords import (
     IET,
     AffinePiece,
@@ -44,8 +47,10 @@ def test_halfopen_interval_validation():
 
 
 def test_slope_must_be_unit():
-    with pytest.raises(ValueError):
-        AffinePiece(HalfOpenInterval(q(0), q(1)), 2, q(0))
+    # 1.0 and True compare equal to 1 but are not integer slopes
+    for slope in (2, 0, 1.0, -1.0, True, Fraction(1)):
+        with pytest.raises(ValueError):
+            AffinePiece(HalfOpenInterval(q(0), q(1)), slope, q(0))
 
 
 def test_validate_reports_gap_overlap_escape():
@@ -91,6 +96,8 @@ def test_apply_and_domain_errors():
         m.apply(q(1))
     with pytest.raises(PointOutsideDomain):
         m.apply(q(-1, 5))
+    assert PointOutsideDomain is intervalmap.PointOutsideDomain
+    assert PointOutsideDomain is intervalsets.PointOutsideDomain
 
 
 def test_rotation_basics():
