@@ -1,5 +1,11 @@
 """Finite-prefix word analytics: complexity, recurrence windows, periods.
 
+Factor complexity and recurrence windows for every n come from one suffix
+automaton of the word (Blumer et al., TCS 1985): a state is a class of
+factors with the same end positions, covering a range of lengths, so one
+pass over the states answers all n at once.  Periods come from one
+Z-array of the reversed word.
+
 Everything here is evidence at a scale: the verdict sentinels say
 "...AT_SCALE" because a finite prefix can never certify an infinite-word
 property, only fail to falsify it.
@@ -8,6 +14,9 @@ property, only fail to falsify it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import accumulate, islice
+from operator import sub
 
 
 class PrefixTooShort(ValueError):
@@ -86,10 +95,11 @@ class RecurrenceProfile:
 
 
 def complexity(word, n_max):
-    """Distinct-factor counts p(1..n_max) by direct enumeration.
+    """Distinct-factor counts p(1..n_max), read off one suffix automaton.
 
-    Hash-based set membership with exact equality on the encoded factor
-    strings: fast, and never merges distinct factors.
+    Every factor belongs to exactly one state v, and v holds one factor of
+    each length in (length[link v], length v], so p(n) is the number of
+    states whose range covers n: one difference array over those ranges.
     """
     letters = _letters_of(word)
     length = len(letters)
@@ -97,11 +107,15 @@ def complexity(word, n_max):
         raise ValueError("need n_max >= 1")
     if length < n_max:
         raise PrefixTooShort(f"prefix of length {length} < n_max {n_max}")
-    s = _as_chars(letters)
-    values = []
-    for n in range(1, n_max + 1):
-        values.append((n, len({s[i : i + n] for i in range(length - n + 1)})))
-    return ComplexityProfile(tuple(values), length)
+    link, longest, _ = _automaton(_as_chars(letters))
+    diff = [0] * (n_max + 2)
+    for v in range(1, len(longest)):
+        lo = longest[link[v]] + 1
+        if lo <= n_max:
+            diff[lo] += 1
+            diff[min(longest[v], n_max) + 1] -= 1
+    counts = accumulate(diff[1 : n_max + 1])
+    return ComplexityProfile(tuple(enumerate(counts, 1)), length)
 
 
 def recurrence_window(word, n):
@@ -114,6 +128,8 @@ def recurrence_window(word, n):
     answer is the max of these over all factors.  A factor with fewer than
     two occurrences has an unbounded gap as far as this prefix can tell,
     so the verdict is NOT_RECURRENT_AT_SCALE.
+
+    The factors' occurrences come from one suffix automaton (see _windows).
     """
     letters = _letters_of(word)
     length = len(letters)
@@ -121,26 +137,114 @@ def recurrence_window(word, n):
         raise ValueError("need n >= 1")
     if length < 4 * n:
         raise PrefixTooShort(f"prefix of length {length} < 4n = {4 * n}")
-    s = _as_chars(letters)
-    starts = {}
-    for i in range(length - n + 1):
-        starts.setdefault(s[i : i + n], []).append(i)
-
-    needed = 0
-    for occ in starts.values():
-        if len(occ) < 2:
-            return NOT_RECURRENT_AT_SCALE
-        worst_gap = max(b - a for a, b in zip(occ, occ[1:]))
-        needed = max(needed, occ[0] + n, worst_gap + n - 1, length - occ[-1])
-    return needed
+    return _windows(_as_chars(letters), n)[-1]
 
 
 def recurrence_profile(word, n_max):
     """recurrence_window for every n up to n_max that the prefix supports."""
     letters = _letters_of(word)
     top = min(n_max, len(letters) // 4)
-    values = tuple((n, recurrence_window(letters, n)) for n in range(1, top + 1))
-    return RecurrenceProfile(values, len(letters))
+    windows = _windows(_as_chars(letters), top) if top >= 1 else []
+    return RecurrenceProfile(tuple(enumerate(windows, 1)), len(letters))
+
+
+def _automaton(s):
+    """The suffix automaton of s, built online (Blumer et al., TCS 1985).
+
+    Returns (link, length, ends): the suffix link and the longest factor
+    length of every state (state 0 is the root, with link -1), and ends[i],
+    the state created when s[i] was added, whose end positions include i.
+    The transition dicts are needed only while building, so they die here.
+    """
+    nxt, link, length, ends = [{}], [-1], [0], []
+    last = 0
+    for c in s:
+        cur = len(length)
+        nxt.append({})
+        link.append(0)
+        length.append(length[last] + 1)
+        p = last
+        while p != -1 and c not in nxt[p]:
+            nxt[p][c] = cur
+            p = link[p]
+        if p != -1:
+            q = nxt[p][c]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = len(length)
+                nxt.append(nxt[q].copy())
+                link.append(link[q])
+                length.append(length[p] + 1)
+                while p != -1 and nxt[p].get(c) == q:
+                    nxt[p][c] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        ends.append(cur)
+        last = cur
+    return link, length, ends
+
+
+def _windows(s, top):
+    """Recurrence windows of s for n = 1..top, from one suffix automaton.
+
+    State v holds the factors of lengths (length[link v], length v], all
+    with the end positions E_v.  In end positions, the left-edge term
+    s_1 + n is min E + 1, the right-edge term L - s_m is L - max E + n - 1,
+    and start gaps are end gaps, so v needs max(min E + 1,
+    max(maxgap E, L - max E) + n - 1) at each n it covers, or is
+    NOT_RECURRENT_AT_SCALE when |E| < 2.
+
+    Only states with length[link v] < top cover some n <= top, and their
+    links do too.  Each end position is attached to its deepest such
+    state, and the lists are merged up the links in decreasing length, so
+    they hold at most len(s) * (top + 1) entries in all.
+    """
+    link, length, ends = _automaton(s)
+    total = len(s)
+    by_length = sorted(range(1, len(length)), key=length.__getitem__)
+    deepest = list(range(len(length)))
+    for v in by_length:
+        if length[link[v]] >= top:
+            deepest[v] = deepest[link[v]]
+    occ = [[] for _ in length]
+    for i, v in enumerate(ends):
+        occ[deepest[v]].append(i)
+
+    starting = [[] for _ in range(top + 1)]   # by lo: (hi, left, inner term)
+    lonely = [0] * (top + 2)                  # difference array of |E| < 2
+    for v in reversed(by_length):
+        lo = length[link[v]] + 1
+        if lo > top:
+            continue
+        hi = min(length[v], top)
+        e = occ[v]
+        occ[v] = None
+        e.sort()
+        if link[v]:
+            occ[link[v]].extend(e)
+        if len(e) < 2:
+            lonely[lo] += 1
+            lonely[hi + 1] -= 1
+        else:
+            gap = max(map(sub, islice(e, 1, None), e))
+            starting[lo].append((hi, e[0] + 1, max(gap, total - e[-1])))
+
+    windows = []
+    left, inner = [], []                      # max-heaps of (-term, hi)
+    for n, missing in enumerate(accumulate(lonely[1 : top + 1]), 1):
+        for hi, a, b in starting[n]:
+            heappush(left, (-a, hi))
+            heappush(inner, (-b, hi))
+        if missing:
+            windows.append(NOT_RECURRENT_AT_SCALE)
+            continue
+        while left[0][1] < n:
+            heappop(left)
+        while inner[0][1] < n:
+            heappop(inner)
+        windows.append(max(-left[0][0], -inner[0][0] + n - 1))
+    return windows
 
 
 def _z_array(s):

@@ -108,13 +108,19 @@ class Orbit:
 
 
 def iter_orbit(pmap, x0, n=None):
-    """Stream the forward orbit of x0; infinite when n is None."""
+    """Stream the forward orbit of x0; infinite when n is None.
+
+    The map is applied only when another point is asked for, so n points
+    cost n - 1 applies.
+    """
     pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
+    if n is not None and n < 1:
+        return
     x = x0
-    steps = count() if n is None else range(n)
-    for _ in steps:
-        yield x
+    yield x
+    for _ in count() if n is None else range(n - 1):
         x = pmap.apply(x)
+        yield x
 
 
 def orbit(pmap, x0, n):

@@ -64,9 +64,6 @@ class Component:
     def hi_key(self):
         return _hi_key(self.hi, self.hi_in)
 
-    def contains(self, x):
-        return self.lo_key <= (x, AT) <= self.hi_key
-
     def is_singleton(self):
         return self.lo == self.hi
 

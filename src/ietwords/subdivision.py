@@ -318,10 +318,12 @@ def refine_to_good(sub, pmap):
     discontinuity strictly inside it, so the image-color condition holds
     vacuously.  Gluing sends each fresh letter back to the letter it was
     cut from, and the new alphabet has at most (#old components) +
-    (#discontinuities) letters.
+    (#discontinuities) letters.  Raises CorruptMap when pmap fails
+    validation.
     """
     if sub.d != pmap.d:
         raise FieldMismatch("subdivision and map use different field contexts")
+    pmap.require_valid()
     cuts = pmap.discontinuities()          # sorted, as the pieces are
 
     per_letter = {}

@@ -55,6 +55,33 @@ def factor_set(letters, n):
     return {letters[i:i + n] for i in range(len(letters) - n + 1)}
 
 
+def complexity_by_slices(letters, n_max):
+    """[p(1), ..., p(n_max)]: one set of factor slices per length."""
+    letters = tuple(letters)
+    return [len(factor_set(letters, n)) for n in range(1, n_max + 1)]
+
+
+def recurrence_window_by_starts(letters, n):
+    """The occurrence formula over a dict of factor -> ascending starts.
+
+    A factor at starts s_1..s_m needs W >= s_1 + n, W >= gap + n - 1 for
+    each successive gap and W >= L - s_m; the window is the max over all
+    factors, or None when some factor occurs only once.
+    """
+    letters = tuple(letters)
+    length = len(letters)
+    starts = {}
+    for i in range(length - n + 1):
+        starts.setdefault(letters[i:i + n], []).append(i)
+    needed = 0
+    for occ in starts.values():
+        if len(occ) < 2:
+            return None
+        worst_gap = max(b - a for a, b in zip(occ, occ[1:]))
+        needed = max(needed, occ[0] + n, worst_gap + n - 1, length - occ[-1])
+    return needed
+
+
 def recurrence_window_scan(letters, n):
     """Smallest W such that every length-W window holds every length-n factor.
 

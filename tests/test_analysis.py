@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ietwords import (
     APERIODIC_AT_SCALE,
@@ -14,9 +15,11 @@ from ietwords import (
 )
 
 from oracles import (
+    complexity_by_slices,
     eventual_period_scan,
     factor_set,
     fibonacci_word,
+    recurrence_window_by_starts,
     recurrence_window_scan,
 )
 
@@ -25,7 +28,49 @@ def random_word(rng, sigma, length):
     return [chr(ord("a") + rng.randrange(sigma)) for _ in range(length)]
 
 
+@st.composite
+def words(draw):
+    """Random, eventually periodic and Fibonacci words of 1-200 letters."""
+    length = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["random", "periodic", "fibonacci"]))
+    if kind == "fibonacci":
+        shift = draw(st.integers(0, 50))
+        return list(fibonacci_word(length + shift)[shift:])
+    letters = st.sampled_from("abcd"[: draw(st.integers(1, 4))])
+    if kind == "random":
+        return draw(st.lists(letters, min_size=length, max_size=length))
+    block = draw(st.lists(letters, min_size=1, max_size=8))
+    pre = draw(st.lists(letters, max_size=5))
+    return (pre + block * length)[:length]
+
+
+@st.composite
+def words_and_depths(draw):
+    """A word and an n_max in 1..len(word), often len(word) itself."""
+    word = draw(words())
+    n_max = draw(st.one_of(st.just(len(word)), st.integers(1, len(word))))
+    return word, n_max
+
+
+def oracle_profile(word, n_max):
+    """recurrence_profile rows from the dict-of-starts oracle."""
+    rows = []
+    for n in range(1, min(n_max, len(word) // 4) + 1):
+        w = recurrence_window_by_starts(word, n)
+        rows.append((n, NOT_RECURRENT_AT_SCALE if w is None else w))
+    return rows
+
+
 # -------------------------------------------------------------- complexity
+
+@settings(max_examples=150, deadline=None)
+@given(words_and_depths())
+def test_complexity_matches_slice_oracle(case):
+    word, n_max = case
+    prof = complexity(word, n_max)
+    assert prof.prefix_length == len(word)
+    assert prof.rows() == list(enumerate(complexity_by_slices(word, n_max), 1))
+
 
 def test_fibonacci_complexity_is_n_plus_one():
     word = fibonacci_word(1000)
@@ -65,6 +110,46 @@ def test_complexity_accepts_words_and_sequences():
 
 
 # -------------------------------------------------------------- recurrence
+
+@settings(max_examples=150, deadline=None)
+@given(words_and_depths())
+def test_recurrence_profile_matches_starts_oracle(case):
+    word, n_max = case
+    prof = recurrence_profile(word, n_max)
+    assert prof.prefix_length == len(word)
+    assert prof.rows() == oracle_profile(word, n_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words().filter(lambda w: len(w) >= 4), st.data())
+def test_recurrence_window_matches_starts_oracle(word, data):
+    n = data.draw(st.integers(1, len(word) // 4))
+    expect = recurrence_window_by_starts(word, n)
+    got = recurrence_window(word, n)
+    assert got == (NOT_RECURRENT_AT_SCALE if expect is None else expect)
+
+
+def test_recurrence_profile_of_short_words_is_empty():
+    for word in ("a", "ab", "abc"):
+        prof = recurrence_profile(word, 10)
+        assert prof.rows() == []
+        assert prof.prefix_length == len(word)
+
+
+def test_one_letter_word():
+    word = "a" * 40
+    assert [pn for _, pn in complexity(word, 40).values] == [1] * 40
+    # a^n starts at every position, so the edges set the window: W = n
+    assert recurrence_profile(word, 40).rows() == [(n, n) for n in range(1, 11)]
+
+
+def test_recurrence_verdict_changes_with_n():
+    word = "aab" + "ab" * 8      # "aa" occurs once, every letter often
+    rows = recurrence_profile(word, 10).rows()
+    assert rows == oracle_profile(word, 10)
+    assert isinstance(rows[0][1], int)
+    assert all(w is NOT_RECURRENT_AT_SCALE for _, w in rows[1:])
+
 
 def test_recurrence_window_of_periodic_word():
     # in "ABABAB...", every length-1 factor recurs within any 2 letters

@@ -7,6 +7,7 @@ import pytest
 from ietwords import (
     OK,
     BoundarySet,
+    PiecewiseMap,
     Component,
     ExactScalar,
     FieldMismatch,
@@ -63,6 +64,27 @@ def test_iter_orbit_is_lazy_and_unbounded():
     assert first[:3] == [q(0), q(1, 3), q(2, 3)]
     assert first[3] == q(0)  # period three
     assert first == list(islice(iter_orbit(R, q(0)), 7))
+
+
+def test_n_points_cost_n_minus_one_applies(monkeypatch):
+    calls = []
+    real_apply = PiecewiseMap.apply
+
+    def counting_apply(self, x):
+        calls.append(x)
+        return real_apply(self, x)
+
+    monkeypatch.setattr(PiecewiseMap, "apply", counting_apply)
+    R, sub = third_rotation()
+    for run in (lambda n: orbit(R, q(0), n),
+                lambda n: list(iter_orbit(R, q(0), n)),
+                lambda n: code(R, sub, q(0), n),
+                lambda n: roundtrip_check(R, sub, q(0), n)):
+        for n in (1, 2, 10):
+            calls.clear()
+            run(n)
+            assert len(calls) == n - 1
+    assert list(iter_orbit(R, q(0), 0)) == []
 
 
 def test_orbit_denominators_do_not_grow(rng):

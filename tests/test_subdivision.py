@@ -1,14 +1,18 @@
 import pytest
 
 from ietwords import (
+    AffinePiece,
     BoundarySet,
     Component,
+    CorruptMap,
     CoverageGapError,
     ExactScalar,
     FieldMismatch,
     GluingMap,
     GoodnessCertificate,
+    HalfOpenInterval,
     OverlapError,
+    PiecewiseMap,
     PointOutsideDomain,
     Subdivision,
     UnknownLetter,
@@ -252,6 +256,18 @@ def test_refine_splits_disconnected_classes():
     assert sorted(refined.alphabet) == ["A0", "A1", "B0", "B1"]
     assert gluing.mapping == {"A0": "A", "A1": "A", "B0": "B", "B1": "B"}
     assert isinstance(is_good(refined, identity_map(0)), GoodnessCertificate)
+
+
+def test_refine_rejects_a_map_that_fails_validation():
+    # two domains start at 1/2: validation reports the overlap, where the
+    # component cutting used to raise a bare ValueError
+    pieces = [(q(0), q(1, 2), q(1, 2)), (q(1, 2), q(3, 4), q(1, 4)),
+              (q(1, 2), q(1), q(-1, 2))]
+    pmap = PiecewiseMap(AffinePiece(HalfOpenInterval(lo, hi), 1, c)
+                        for lo, hi, c in pieces)
+    sub = Subdivision({"A": [Component(q(0), True, q(1), False)]})
+    with pytest.raises(CorruptMap):
+        refine_to_good(sub, pmap)
 
 
 def test_alphabet_bound(rng):
