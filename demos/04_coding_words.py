@@ -44,8 +44,9 @@ print("coded through the refinement:", refined_word.text(wrap=40).split("\n")[0]
 print("glued back equals the original:", glued == word.letters)
 print()
 
-# roundtrip_check does that comparison in one fused orbit walk; 10^4
-# steps on the golden rotation take well under a second.
+# roundtrip_check does that comparison in one orbit walk, looking each
+# point up in both subdivisions; 10^4 steps on the golden rotation take
+# well under a second.
 print("roundtrip over 10^4 steps:", roundtrip_check(R, natural, alpha, 10_000))
 
 # A start point with a different future gives a different word, but the

@@ -15,7 +15,7 @@ import sys
 from itertools import islice
 
 from .analysis import complexity, detect_period, recurrence_profile
-from .coding import code, iter_code
+from .coding import WordOrigin, code, iter_code
 from .exactnum import format_scalar
 from .intervalmap import to_iet
 from .jsonio import (
@@ -25,7 +25,7 @@ from .jsonio import (
     iet_to_json,
     parse_spec,
     subdivision_to_json,
-    word_to_json,
+    write_word_json,
 )
 from .selftest import run_selftest
 from .subdivision import GoodnessCertificate, is_good, refine_to_good
@@ -75,13 +75,14 @@ def _length(spec, args):
 
 def _cmd_generate(spec, args, out):
     length = _length(spec, args)
-    if args.as_json:
-        out.write(dumps(word_to_json(code(spec.pmap, spec.sub, spec.x0, length))))
-        return 0
     if length < 1:
         raise ValueError("need n >= 1")
-    # the text is written 80 letters a line as the orbit is walked
-    letters = islice(iter_code(spec.pmap, spec.sub, spec.x0), length)
+    # the word is written as the orbit is walked, never held whole
+    letters = iter_code(spec.pmap, spec.sub, spec.x0, length)
+    if args.as_json:
+        origin = WordOrigin(spec.pmap.content_id(), spec.sub.content_id(), spec.x0, length)
+        write_word_json(out, letters, origin)
+        return 0
     while line := list(islice(letters, 80)):
         out.write(" ".join(line) + "\n")
     return 0

@@ -2,15 +2,26 @@
 
 The word of x0 under a map T and subdivision S is the color sequence of
 T^0 x0, T^1 x0, T^2 x0, ...  Batch and streaming generation share one code
-path, and the glue-back round trip is checked in a single fused orbit walk.
+path, and the glue-back round trip is checked in a single orbit walk.
+
+iter_orbit and orbit step through PiecewiseMap.apply on ExactScalar
+values.  iter_code, code and roundtrip_check walk the same orbit on the
+integer lattice (1/den)(Z + Z sqrt d): a step is two integer updates and
+each lookup goes through an intervalsets.LatticeTable, whose float filter
+decides only what a certified error bound allows and sends every close
+case to exact integer signs.  Both walks give the same letters, verdicts
+and exceptions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import count, islice
+from math import lcm
 
 from .exactnum import ExactScalar, FieldMismatch
+from .intervalmap import CorruptMap
+from .intervalsets import LatticeTable
 from .subdivision import refine_to_good
 
 
@@ -91,22 +102,6 @@ class SymbolicWord:
         return f"SymbolicWord({len(self._letters)} letters: {shown})"
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """Forward orbit segment: points[k+1] = map(points[k])."""
-
-    points: tuple
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
-
-
 def iter_orbit(pmap, x0, n=None):
     """Stream the forward orbit of x0; infinite when n is None.
 
@@ -127,15 +122,61 @@ def orbit(pmap, x0, n):
     """The first n orbit points of x0, exactly."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return Orbit(tuple(iter_orbit(pmap, x0, n)))
+    return tuple(iter_orbit(pmap, x0, n))
+
+
+class _LatticeOrbit:
+    """The orbit of x0 on the lattice (1/den)(Z + Z sqrt d), with the tables
+    that code it compiled onto the same lattice.
+
+    den is the lcm of the denominators of x0, every intercept and every
+    cell endpoint.  Every slope is +1 or -1, so each orbit point is
+    (A + B sqrt d) / den with integers A, B, and a step through a piece
+    with intercept (C + D sqrt d) / den is A, B = s*A + C, s*B + D.
+    """
+
+    def __init__(self, pmap, x0, *tables):
+        pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
+        x0 = x0 + ExactScalar.zero(pmap.d)     # lifts int and Fraction starts
+        tables = (pmap.table, *tables)
+        den = lcm(x0.denominator, *(p.intercept.denominator for p in pmap.pieces),
+                  *(key[0].denominator for t in tables for cell in t.cells
+                    for key in cell[:2]))
+        self._map, *self.tables = (LatticeTable(t, den) for t in tables)
+        self._moves = [(p.slope, *p.intercept.on_lattice(den)) for p in self._map.values]
+        self._start = x0.on_lattice(den)
+
+    def points(self, n=None):
+        """The first n orbit points (all when n is None), as LatticeTable.index
+        takes them; the map is looked up only when another point is asked for."""
+        if n is not None and n < 1:
+            return
+        pieces, point, moves = self._map, self._map.point, self._moves
+        A, B = self._start
+        for _ in count() if n is None else range(n - 1):
+            here = point(A, B)
+            yield here
+            i = pieces.index(here)
+            if i is None:
+                raise CorruptMap(f"no piece contains {pieces.scalar(A, B)}")
+            s, C, D = moves[i]
+            A, B = s * A + C, s * B + D
+        yield point(A, B)
 
 
 def iter_code(pmap, sub, x0, n=None):
-    """Stream the coding letters of x0's orbit; constant memory."""
+    """Stream the coding letters of x0's orbit; constant memory.
+
+    The orbit is walked on the integer lattice of _LatticeOrbit; the
+    letters are those of sub.color_of on iter_orbit(pmap, x0, n).
+    """
     if sub.d != pmap.d:
         raise FieldMismatch("subdivision and map use different field contexts")
-    for x in iter_orbit(pmap, x0, n):
-        yield sub.color_of(x)
+    walk = _LatticeOrbit(pmap, x0, sub.table)
+    (cells,) = walk.tables
+    letters, index = cells.values, cells.index
+    for point in walk.points(n):
+        yield letters[index(point)]
 
 
 def code(pmap, sub, x0, n):
@@ -168,15 +209,19 @@ def roundtrip_check(pmap, sub, x0, n):
     """Does gluing the refined coding recover the original coding?
 
     Computes (refined, gluing) = refine_to_good(sub, pmap), then walks one
-    orbit coding each point against both subdivisions; the glued refined
-    letter must equal the original letter at every index.  Equivalent to
-    comparing glue_word(code(pmap, refined, x0, n)) with
-    code(pmap, sub, x0, n), but in a single pass.
+    orbit on the integer lattice, looking each point up in both
+    subdivisions' tables independently; the glued refined letter must
+    equal the original letter at every index.  Equivalent to comparing
+    glue_word(code(pmap, refined, x0, n)) with code(pmap, sub, x0, n), but
+    in a single pass.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     refined, gluing = refine_to_good(sub, pmap)
-    for k, x in enumerate(iter_orbit(pmap, x0, n)):
-        if gluing(refined.color_of(x)) != sub.color_of(x):
+    walk = _LatticeOrbit(pmap, x0, refined.table, sub.table)
+    fine, coarse = walk.tables
+    glued = [gluing(letter) for letter in fine.values]
+    for k, point in enumerate(walk.points(n)):
+        if glued[fine.index(point)] != coarse.values[coarse.index(point)]:
             return RoundtripResult(False, k)
     return OK

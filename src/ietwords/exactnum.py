@@ -158,6 +158,21 @@ class ExactScalar:
     def radical_part(self):
         return Fraction(self._b, self._q)
 
+    @property
+    def denominator(self):
+        """The common denominator q of the canonical form (a + b*sqrt(d)) / q."""
+        return self._q
+
+    def on_lattice(self, den):
+        """Integers (A, B) with self == (A + B*sqrt(d)) / den.
+
+        den must be a multiple of the denominator.
+        """
+        k, rem = divmod(den, self._q)
+        if rem:
+            raise ValueError(f"{den} is not a multiple of the denominator {self._q}")
+        return self._a * k, self._b * k
+
     def is_rational(self):
         return self._b == 0
 

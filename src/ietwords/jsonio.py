@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 from .exactnum import (
     MAX_RADICAND,
@@ -25,6 +26,10 @@ from .exactnum import (
 from .intervalsets import BoundarySet, Component
 from .intervalmap import IET, AffinePiece, HalfOpenInterval, PiecewiseMap
 from .subdivision import GluingMap, Subdivision
+
+
+# letters written per call while streaming a word
+_CHUNK = 4096
 
 
 class SpecError(ValueError):
@@ -92,17 +97,34 @@ def gluing_to_json(gluing):
     return gluing.mapping
 
 
+def _origin_to_json(origin):
+    if origin is None:
+        return None
+    return {
+        "map_id": origin.map_id,
+        "subdivision_id": origin.subdivision_id,
+        "x0": format_scalar(origin.x0),
+        "length": origin.length,
+        "projected": origin.projected,
+    }
+
+
 def word_to_json(word):
-    origin = None
-    if word.origin is not None:
-        origin = {
-            "map_id": word.origin.map_id,
-            "subdivision_id": word.origin.subdivision_id,
-            "x0": format_scalar(word.origin.x0),
-            "length": word.origin.length,
-            "projected": word.origin.projected,
-        }
-    return {"letters": list(word.letters), "origin": origin}
+    return {"letters": list(word.letters), "origin": _origin_to_json(word.origin)}
+
+
+def write_word_json(out, letters, origin):
+    """Write dumps(word_to_json(word)) for the word with these letters and
+    origin, reading the letters as they come; there must be at least one."""
+    # "letters" sorts first, so the first null is the placeholder letter
+    head, tail = dumps({"letters": [None], "origin": _origin_to_json(origin)}).split("null", 1)
+    comma = "," + head[head.rindex("\n"):]
+    out.write(head)
+    sep = ""
+    while chunk := list(islice(letters, _CHUNK)):
+        out.write(sep + json.dumps(chunk, ensure_ascii=False, separators=(comma, ": "))[1:-1])
+        sep = comma
+    out.write(tail)
 
 
 def instance_to_json(spec):
@@ -251,7 +273,9 @@ def parse_spec(document):
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
+            # besides syntax errors: integer literals past Python's digit
+            # limit, nesting past the recursion limit, bytes not in UTF-8
             raise SpecError("/", f"invalid JSON: {e}") from e
     if not isinstance(document, dict):
         raise SpecError("/", "expected a JSON object")

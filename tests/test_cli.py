@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ietwords import cli, code, parse_spec
+from ietwords import cli, code, dumps, parse_spec, word_to_json
 from ietwords.cli import main
 
 GOLDEN = {
@@ -82,6 +82,24 @@ def test_generate_text_streams_the_wrapped_word(capsys, golden_spec, monkeypatch
     monkeypatch.setattr(cli, "code", no_whole_word)
     rc, out, _ = run(capsys, "generate", golden_spec, "--length", str(length))
     assert rc == 0 and out == expected
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 10_000])
+def test_generate_json_streams_the_word(capsys, tmp_path, monkeypatch, length):
+    # 10^4 letters cross the chunk of letters written at once and the
+    # stream's buffer; the second document's letters need escaping
+    quoted = json.loads(json.dumps(GOLDEN))
+    classes = quoted["subdivision"]["classes"]
+    classes['a"b'], classes["ö"] = classes.pop("0"), classes.pop("1")
+    for doc in (GOLDEN, quoted):
+        spec = parse_spec(json.dumps(doc))
+        expected = dumps(word_to_json(code(spec.pmap, spec.sub, spec.x0, length)))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "code", None)
+            rc, out, _ = run(capsys, "generate", str(path), "--length", str(length), "--json")
+        assert rc == 0 and out == expected
 
 
 def test_nonpositive_lengths_are_errors(capsys, golden_spec):
@@ -203,10 +221,13 @@ def test_exit_2_on_missing_file(capsys, tmp_path):
 
 
 def test_exit_2_on_bad_json(capsys, tmp_path):
+    # besides a syntax error: an integer literal past Python's 4300-digit
+    # limit, and nesting past the recursion limit
     path = tmp_path / "bad.json"
-    path.write_text("{broken")
-    rc, _, err = run(capsys, "generate", str(path))
-    assert rc == 2 and "spec error" in err
+    for text in ("{broken", '{"field_d": ' + "1" * 5000 + "}", "[" * 100_000):
+        path.write_text(text)
+        rc, _, err = run(capsys, "generate", str(path))
+        assert rc == 2 and err.startswith("spec error: /: invalid JSON"), text[:20]
 
 
 def test_exit_2_on_schema_error(capsys, tmp_path):

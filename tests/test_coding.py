@@ -25,6 +25,7 @@ from ietwords import (
     roundtrip_check,
 )
 from ietwords.instances import random_instance, random_translation_map
+from ietwords.intervalsets import LatticeTable
 
 from conftest import as_fraction, q
 from oracles import fibonacci_word
@@ -67,23 +68,34 @@ def test_iter_orbit_is_lazy_and_unbounded():
 
 
 def test_n_points_cost_n_minus_one_applies(monkeypatch):
-    calls = []
-    real_apply = PiecewiseMap.apply
+    # the exact path steps through PiecewiseMap.apply; code and
+    # roundtrip_check step on the lattice, one lookup in the map's table
+    # per step, and never call apply
+    applies, lookups = [], []
+    real_apply, real_index = PiecewiseMap.apply, LatticeTable.index
+    R, sub = third_rotation()
 
     def counting_apply(self, x):
-        calls.append(x)
+        applies.append(x)
         return real_apply(self, x)
 
+    def counting_index(self, point):
+        if self.values == list(R.pieces):
+            lookups.append(point)
+        return real_index(self, point)
+
     monkeypatch.setattr(PiecewiseMap, "apply", counting_apply)
-    R, sub = third_rotation()
-    for run in (lambda n: orbit(R, q(0), n),
-                lambda n: list(iter_orbit(R, q(0), n)),
-                lambda n: code(R, sub, q(0), n),
-                lambda n: roundtrip_check(R, sub, q(0), n)):
+    monkeypatch.setattr(LatticeTable, "index", counting_index)
+    for steps, run in ((applies, lambda n: orbit(R, q(0), n)),
+                       (applies, lambda n: list(iter_orbit(R, q(0), n))),
+                       (lookups, lambda n: code(R, sub, q(0), n)),
+                       (lookups, lambda n: roundtrip_check(R, sub, q(0), n))):
         for n in (1, 2, 10):
-            calls.clear()
+            applies.clear()
+            lookups.clear()
             run(n)
-            assert len(calls) == n - 1
+            assert len(steps) == n - 1
+            assert len(applies) + len(lookups) == n - 1
     assert list(iter_orbit(R, q(0), 0)) == []
 
 

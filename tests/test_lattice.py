@@ -1,0 +1,307 @@
+"""The lattice orbit walk against the exact walk.
+
+code, iter_code and roundtrip_check step orbits on the integer lattice
+(1/den)(Z + Z sqrt d) and locate points through LatticeTable, whose float
+filter must send every close case to exact integer signs.  iter_orbit,
+color_of and class_of keep the ExactScalar path and are the oracle here:
+letters, verdicts, exceptions and the number of letters before an
+exception must agree exactly.
+"""
+
+import random
+from fractions import Fraction
+from functools import reduce
+from itertools import islice
+from math import isqrt, lcm
+from operator import mul
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import ietwords.intervalsets as intervalsets
+from ietwords import (
+    IET,
+    OK,
+    AffinePiece,
+    Component,
+    CorruptMap,
+    ExactScalar,
+    HalfOpenInterval,
+    PiecewiseMap,
+    PointOutsideDomain,
+    RoundtripResult,
+    Subdivision,
+    code,
+    iet_to_map,
+    iter_code,
+    iter_orbit,
+    make_scalar,
+    mod1,
+    refine_to_good,
+    rotation,
+    roundtrip_check,
+)
+from ietwords.instances import (
+    golden_alpha,
+    random_instance,
+    random_rational_instance,
+    random_subdivision,
+    random_translation_instance,
+)
+from ietwords.intervalsets import LatticeTable
+
+from test_differential import perturbed_translation_map, random_map
+
+FIELDS = (0, 2, 5, 4000037)
+STEPS = 300
+
+# ------------------------------------------------------------ references
+
+
+def exact_letters(pmap, sub, x0, n):
+    """Letters until the walk stops, and the type of what stopped it."""
+    letters = []
+    try:
+        for x in iter_orbit(pmap, x0, n):
+            letters.append(sub.color_of(x))
+    except (CorruptMap, PointOutsideDomain) as e:
+        return letters, type(e)
+    return letters, None
+
+
+def lattice_letters(pmap, sub, x0, n):
+    letters = []
+    try:
+        for letter in iter_code(pmap, sub, x0, n):
+            letters.append(letter)
+    except (CorruptMap, PointOutsideDomain) as e:
+        return letters, type(e)
+    return letters, None
+
+
+def exact_roundtrip(pmap, sub, x0, n):
+    refined, gluing = refine_to_good(sub, pmap)
+    for k, x in enumerate(iter_orbit(pmap, x0, n)):
+        if gluing(refined.color_of(x)) != sub.color_of(x):
+            return RoundtripResult(False, k)
+    return OK
+
+
+def assert_walks_agree(pmap, sub, x0, n=STEPS):
+    expected = exact_letters(pmap, sub, x0, n)
+    assert lattice_letters(pmap, sub, x0, n) == expected
+    if expected[1] is None:
+        assert code(pmap, sub, x0, n) == tuple(expected[0])
+        assert roundtrip_check(pmap, sub, x0, n) == exact_roundtrip(pmap, sub, x0, n)
+
+
+# ------------------------------------------------------------ generators
+
+
+def frac_sqrt(d):
+    """sqrt(d) - floor(sqrt(d)), irrational in (0, 1) for d in FIELDS."""
+    return make_scalar(-isqrt(d), 1, 1, 1, d)
+
+
+def field_points(rng, d):
+    """Sorted distinct points of (0, 1): rationals and multiples of frac(sqrt d)."""
+    points = {ExactScalar.from_rational(Fraction(rng.randint(1, den - 1), den), d)
+              for den in (rng.randint(2, 40) for _ in range(12))}
+    if d > 1:
+        x = ExactScalar.zero(d)
+        for _ in range(8):
+            x = mod1(x + frac_sqrt(d))
+            points.add(x)
+    return sorted(points)
+
+
+def quadratic_instance(rng, d):
+    """An IET and a subdivision whose cuts are drawn from field_points, with
+    random endpoint flags, and a start among those points."""
+    pool = field_points(rng, d)
+    zero, one = ExactScalar.zero(d), ExactScalar.one(d)
+    bounds = [zero, *sorted(rng.sample(pool, rng.randint(1, 4))), one]
+    lengths = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    perm = list(range(len(lengths)))
+    rng.shuffle(perm)
+    pmap = iet_to_map(IET(lengths, tuple(perm)))
+    cuts = [zero, *sorted(rng.sample(pool, rng.randint(1, 5))), one]
+    classes = {}
+    closed = [rng.random() < 0.5 for _ in cuts]     # the cut joins its left cell
+    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        comp = Component(lo, i == 0 or not closed[i], hi, i + 2 < len(cuts) and closed[i + 1])
+        classes.setdefault(rng.choice("ABC"), []).append(comp)
+    return pmap, Subdivision(classes), rng.choice([zero, *pool])
+
+
+def scattered_domains(rng, d):
+    """The table of a map whose domains, drawn from field_points, overlap
+    and leave gaps."""
+    pool = [ExactScalar.zero(d), *field_points(rng, d), ExactScalar.one(d)]
+    domains = (HalfOpenInterval(*sorted(rng.sample(pool, 2))) for _ in range(rng.randint(2, 6)))
+    return PiecewiseMap(AffinePiece(dom, 1, ExactScalar.zero(d)) for dom in domains).table
+
+
+@st.composite
+def instances(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("piecewise", "translation", "rational", "quadratic")))
+    d = draw(st.sampled_from(FIELDS))
+    if kind == "piecewise":
+        return random_instance(rng, d)
+    if kind == "translation":
+        return random_translation_instance(rng, d)
+    if kind == "rational":
+        return random_rational_instance(rng)[:3]
+    return quadratic_instance(rng, d)
+
+
+# ------------------------------------------------------------------ tests
+
+
+def outcome(run, *args):
+    try:
+        return run(*args)
+    except (CorruptMap, PointOutsideDomain) as e:
+        return type(e)
+
+
+@pytest.fixture
+def sign_calls(monkeypatch):
+    """The radicand of every exact sign LatticeTable asks for."""
+    calls = []
+    real = intervalsets._sign_of
+
+    def counting(a, b, d):
+        calls.append(d)
+        return real(a, b, d)
+
+    monkeypatch.setattr(intervalsets, "_sign_of", counting)
+    return calls
+
+
+@settings(max_examples=120, deadline=None)
+@given(instances())
+def test_lattice_walk_matches_exact_walk(instance):
+    assert_walks_agree(*instance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.data())
+def test_starts_on_cell_endpoints(instance, data):
+    # 1 is an endpoint too: both walks refuse it before any letter
+    pmap, sub, _ = instance
+    ends = [key[0] for t in (pmap.table, sub.table) for cell in t.cells for key in cell[:2]]
+    assert_walks_agree(pmap, sub, data.draw(st.sampled_from(ends)), 100)
+
+
+def cut_subdivision(bounds, closed_right):
+    """One class per cell between the sorted bounds 0, ..., 1; with
+    closed_right each interior cut belongs to the cell on its left."""
+    classes = {}
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        interior = i + 2 < len(bounds)
+        classes["ABCD"[i]] = [Component(lo, i == 0 or not closed_right,
+                                        hi, closed_right and interior)]
+    return Subdivision(classes)
+
+
+@pytest.mark.parametrize("closed_right", [False, True])
+@pytest.mark.parametrize("d", FIELDS)
+def test_orbits_that_land_on_cuts(d, closed_right):
+    zero, one = ExactScalar.zero(d), ExactScalar.one(d)
+    quarters = [ExactScalar.from_rational(Fraction(k, 4), d) for k in (1, 2, 3)]
+    sub = cut_subdivision([zero, *quarters, one], closed_right)
+    assert_walks_agree(rotation(quarters[0]), sub, zero, 40)
+    word = code(rotation(quarters[0]), sub, zero, 8)
+    assert word == tuple("AABC" * 2 if closed_right else "ABCD" * 2)
+    if d > 1:
+        # cuts at the first three points of the orbit of 0 under frac(sqrt d)
+        R = rotation(frac_sqrt(d))
+        cuts = sorted(islice(iter_orbit(R, zero), 1, 4))
+        assert_walks_agree(R, cut_subdivision([zero, *cuts, one], closed_right), zero, 40)
+
+
+def tiny_steps(d):
+    """10**-20, and alpha**k for alpha = frac(sqrt d) (1/10 when d <= 1):
+    tiny values, the latter with large coefficients, that floats added to
+    an endpoint cannot resolve."""
+    alpha = frac_sqrt(d) if d > 1 else ExactScalar.from_rational(Fraction(1, 10), d)
+    return [ExactScalar.from_rational(Fraction(1, 10**20), d),
+            *(reduce(mul, [alpha] * k) for k in (3, 25, 60))]
+
+
+def assert_lookups_match(table):
+    """LatticeTable.index against CellTable.index at every endpoint, a tiny
+    step either side of it, and its float value read back as a rational."""
+    d = table.d
+    ends = [key[0] for cell in table.cells for key in cell[:2]]
+    probes = ends + [e + sign * t for e in ends for t in tiny_steps(d) for sign in (1, -1)]
+    probes += [ExactScalar.from_rational(Fraction(e.approx()), d) for e in ends]
+    den = lcm(*(x.denominator for x in probes))
+    lattice = LatticeTable(table, den)
+    for x in probes:
+        located = outcome(lattice.index, lattice.point(*x.on_lattice(den)))
+        assert located == outcome(table.index, x), (d, x)
+
+
+def test_lookups_near_cuts_match_cell_table():
+    rng = random.Random(22)
+    for d in FIELDS:
+        zero, one = ExactScalar.zero(d), ExactScalar.one(d)
+        # a cut at alpha**25, whose float value is off by far more than the
+        # distance to a rational read back from it
+        assert_lookups_match(cut_subdivision([zero, tiny_steps(d)[2], one], False).table)
+        for _ in range(4):
+            for pmap, sub, _ in (quadratic_instance(rng, d), random_instance(rng, d)):
+                assert_lookups_match(pmap.table)
+                assert_lookups_match(sub.table)
+        # overlapping domains: a cell ends where the next one starts
+        for _ in range(10):
+            assert_lookups_match(scattered_domains(rng, d))
+
+
+def test_exact_fallback_runs_on_close_cases(sign_calls):
+    alpha = golden_alpha()
+    R = rotation(alpha)
+    cut = ExactScalar.one(5) - alpha
+    sub = cut_subdivision([ExactScalar.zero(5), cut, ExactScalar.one(5)], False)
+    # from the cut 1 - alpha the orbit visits 0 next: two points on cuts
+    assert_walks_agree(R, sub, cut, 2000)
+    assert 0 < len(sign_calls) < 200
+    sign_calls.clear()
+    # a generic orbit stays far from both cuts: the filter decides it all
+    assert_walks_agree(R, sub, mod1(alpha * 3 + Fraction(1, 7)), 2000)
+    assert sign_calls == []
+
+
+@pytest.mark.parametrize("d", [0, 5])
+def test_coefficients_past_float_range(d, sign_calls):
+    # a 401-digit denominator: every lattice coefficient is past float
+    # range, so in Q(sqrt 5) every lookup is decided by exact signs
+    base = golden_alpha() if d == 5 else ExactScalar.from_rational(Fraction(1, 3), d)
+    angle = mod1(base + Fraction(1, 10**400 + 3))
+    half = ExactScalar.from_rational(Fraction(1, 2), d)
+    sub = cut_subdivision([ExactScalar.zero(d), half, ExactScalar.one(d)], False)
+    assert_walks_agree(rotation(angle), sub, angle, 60)
+    assert bool(sign_calls) == (d == 5)
+
+
+def test_invalid_maps_fail_after_the_same_letters():
+    rng = random.Random(21)
+    stops = set()
+    maps = [random_map(rng) for _ in range(200)]
+    maps += [perturbed_translation_map(rng) for _ in range(60)]
+    for pmap in maps:
+        sub = random_subdivision(rng, pmap.d)
+        zero = ExactScalar.zero(pmap.d)
+        for x0 in (zero, *field_points(rng, pmap.d)[:4], ExactScalar.one(pmap.d)):
+            letters, stop = exact_letters(pmap, sub, x0, 60)
+            assert lattice_letters(pmap, sub, x0, 60) == (letters, stop), (pmap, x0)
+            stops.add((stop, len(letters) > 0))
+        assert (outcome(roundtrip_check, pmap, sub, zero, 20)
+                == outcome(exact_roundtrip, pmap, sub, zero, 20))
+    # walks that end cleanly, at a gap after some letters, at an escaping
+    # image after some letters, and at a start outside [0, 1)
+    assert {(None, True), (CorruptMap, True), (PointOutsideDomain, True),
+            (PointOutsideDomain, False)} <= stops
