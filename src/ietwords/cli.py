@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from itertools import islice
 
 from .analysis import complexity, detect_period, recurrence_profile
@@ -41,7 +42,10 @@ COMMANDS = (
 )
 
 
-def _build_parser():
+@cache
+def _parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="iet-words",
         description="Symbolic words from piecewise-affine interval maps, exactly.",
@@ -178,7 +182,7 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     out = sys.stdout
 
     if args.command == "selftest":

@@ -433,15 +433,16 @@ def parse_scalar(text, d=None):
     return value
 
 
-def _format_rat(f):
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _format_rat(num, den):
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def format_scalar(x):
     """Canonical text form; parse_scalar(format_scalar(x)) == x."""
-    a = x.rational_part
-    b = x.radical_part
+    a, b, q = x._a, x._b, x._q
     if b == 0:
-        return _format_rat(a)
+        return _format_rat(a, q)
     sign = "+" if b > 0 else "-"
-    return f"{_format_rat(a)}{sign}{_format_rat(abs(b))}*sqrt({x.d})"
+    return f"{_format_rat(a, q)}{sign}{_format_rat(abs(b), q)}*sqrt({x._d})"

@@ -223,7 +223,7 @@ class CellTable:
     """Cells (lo_key, hi_key, value) in field d, sorted by start key.
 
     Cells with equal starts keep their order.  faults() says whether the
-    cells tile [0, 1); meeting() assumes that they do not overlap.
+    cells tile [0, 1); meeting() assumes that they do.
     """
 
     __slots__ = ("cells", "d", "_starts", "_zero", "_one")
@@ -247,14 +247,16 @@ class CellTable:
 
     def meeting(self, lo_key, hi_key):
         """Each cell meeting the key range, clipped to it, left to right, as
-        (lo_key, hi_key, value)."""
-        first = max(bisect_right(self._starts, lo_key) - 1, 0)
-        for cell_lo, cell_hi, value in self.cells[first:]:
-            if cell_lo > hi_key:
-                return
-            meet_lo, meet_hi = max(lo_key, cell_lo), min(hi_key, cell_hi)
-            if meet_lo <= meet_hi:
-                yield meet_lo, meet_hi, value
+        (lo_key, hi_key, value).  The cells must tile [0, 1) and the range
+        must lie in it: then each cell ends just before the next begins,
+        and the cell holding hi_key is the last one."""
+        cells = self.cells
+        i = bisect_right(self._starts, lo_key) - 1
+        while cells[i][1] < hi_key:
+            yield lo_key, cells[i][1], cells[i][2]
+            i += 1
+            lo_key = cells[i][0]
+        yield lo_key, hi_key, cells[i][2]
 
     def faults(self):
         """Walk the cells across [0, 1) and yield every fault.

@@ -10,18 +10,25 @@ is recovered from the refined one by gluing letters back.
 Everything here reads intervalsets.CellTable: each class component is a
 cell (start key, end key, letter).  Construction walks the cells across
 [0, 1) and rejects the first gap, overlap or cell outside it.  Condition 1
-counts each class's cells.  Condition 2 looks up each side of an interior
-discontinuity in the map's table of pieces, maps the clipped keys, and
-looks the image up in the cells; the first color in alphabet order that
-both sides reach is the violation, witnessed by one point on each side
-whose image has that color.
+counts each class's cells.
+
+Condition 2 and refine_to_good share one sweep (_sweep): it walks the
+cells left to right with one cursor into the map's sorted discontinuities
+and one into its pieces, and gives each cell the cuts strictly inside it
+and the cell clipped to each piece it meets.  refine_to_good cuts the
+cell there.  For condition 2 each part's image is looked up in the cells
+once, and once more from just above each cut for the part that cut
+starts, so a cell with m cuts and n parts costs m + n image lookups.  The
+first color in alphabet order that both sides of a cut reach is the
+violation, witnessed by one point on each side whose image has that color.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
 from .intervalsets import ABOVE, AT, BELOW, BoundarySet, CellTable, _from_keys
@@ -185,25 +192,84 @@ class GoodnessCertificate:
         return f"good for {self.map_id} (subdivision {self.subdivision_id})"
 
 
-def _first_cells(sub, pmap, lo_key, hi_key):
-    """Where the map sends the key range [lo_key, hi_key], letter by letter.
+def _sweep(sub, pmap):
+    """Walk the subdivision's cells across [0, 1), left to right.
 
-    Clips the range to the pieces it meets, maps the clipped keys, and
-    clips each image to the subdivision's cells.  Returns letter ->
-    (piece, lo_key, hi_key) for the first image cell of that letter, with
-    pieces, then cells within one image, taken from left to right.
+    Yields (cell, cuts, parts) for each cell (lo_key, hi_key, letter): the
+    map's discontinuities strictly inside the cell, and the cell clipped to
+    each piece it meets as [lo_key, hi_key, piece], left to right.  One
+    cursor runs over the sorted discontinuities and one over the pieces,
+    so the walk makes O(cells + cuts + pieces) comparisons.  The pieces
+    must tile [0, 1), as they do in a valid map: then the first piece a
+    cell meets holds its start and the last one its end.
     """
+    cuts = pmap.discontinuities()          # sorted, as the pieces are
+    pieces = pmap.table.cells              # (lo_key, hi_key, piece)
+    i = j = 0
+    for cell in sub.table.cells:
+        lo_key, hi_key, _ = cell
+        while i < len(cuts) and cuts[i] <= lo_key[0]:
+            i += 1
+        first = i
+        while i < len(cuts) and cuts[i] < hi_key[0]:
+            i += 1
+        k = j + 1
+        while k < len(pieces) and pieces[k][0] <= hi_key:
+            k += 1
+        parts = [list(entry) for entry in pieces[j:k]]
+        parts[0][0], parts[-1][1] = lo_key, hi_key
+        yield cell, cuts[first:i], parts
+        # the next cell starts just after this one ends
+        j = k if pieces[k - 1][1] == hi_key else k - 1
+
+
+def _image_hits(sub, lo_key, hi_key, piece):
+    """Letter -> (piece, lo_key, hi_key) of the first cell of that letter
+    the image of [lo_key, hi_key] meets, cells taken from left to right."""
     hits = {}
-    for part_lo, part_hi, piece in pmap.table.meeting(lo_key, hi_key):
-        image = piece.image_keys(part_lo, part_hi)
-        for meet_lo, meet_hi, letter in sub.table.meeting(*image):
-            hits.setdefault(letter, (piece, meet_lo, meet_hi))
+    for meet_lo, meet_hi, letter in sub.table.meeting(*piece.image_keys(lo_key, hi_key)):
+        hits.setdefault(letter, (piece, meet_lo, meet_hi))
     return hits
 
 
-def _cuts_inside(cuts, comp):
-    """The sorted cuts strictly inside the component."""
-    return cuts[bisect_right(cuts, comp.lo):bisect_left(cuts, comp.hi)]
+def _shared_colors(sub, rank, cuts, parts):
+    """The cuts inside one cell whose two sides reach a common color.
+
+    The left side of a cut p is the parts before the one p starts; the
+    right side is that part from just above p, then the parts after it.
+    Every part's image is looked up once, and once more from just above p
+    for the part p starts, so m cuts and n parts cost m + n lookups.  A
+    color reaches the left side of the cut at part s when its first part
+    comes before s, and the right side when its last part comes after s
+    or the part from just above p reaches it.  A heap by alphabet rank
+    holds the colors already seen, each dropped once its last part is
+    passed.  Yields (p, color, left_hit, right_hit) with the lowest-ranked
+    such color, hits as _image_hits gives them.
+    """
+    hits = [_image_hits(sub, *part) for part in parts]
+    seen = {}                              # letter -> the parts reaching it
+    for s, part_hits in enumerate(hits):
+        for letter in part_hits:
+            seen.setdefault(letter, []).append(s)
+    heap, t = [], 0
+    for s, (part_lo, part_hi, piece) in enumerate(parts):
+        if t < len(cuts) and part_lo == (cuts[t], AT):
+            p = cuts[t]
+            t += 1
+            while heap and seen[heap[0][1]][-1] <= s:
+                heappop(heap)
+            above = _image_hits(sub, (p, ABOVE), part_hi, piece)
+            reached = [(rank[c], c) for c in above if seen[c][0] < s]
+            if heap:
+                reached.append(heap[0])
+            if reached:
+                color = min(reached)[1]
+                at = seen[color]
+                right = above.get(color) or hits[at[bisect_right(at, s)]][color]
+                yield p, color, hits[at[0]][color], right
+        for letter in hits[s]:
+            if seen[letter][0] == s:
+                heappush(heap, (rank[letter], letter))
 
 
 def _pull_back(piece, y):
@@ -216,7 +282,8 @@ def is_good(sub, pmap):
     """Check both goodness conditions.
 
     Returns a GoodnessCertificate, or a list of GoodnessViolation records
-    with exact witnesses.  Raises CorruptMap when pmap fails validation.
+    with exact witnesses, ordered by letter, then component, then cut.
+    Raises CorruptMap when pmap fails validation.
     """
     if sub.d != pmap.d:
         raise FieldMismatch("subdivision and map use different field contexts")
@@ -234,23 +301,22 @@ def is_good(sub, pmap):
                 )
             )
 
-    cuts = pmap.discontinuities()          # sorted, as the pieces are
-    for letter in sub.alphabet:
-        for comp in sub.class_of(letter).components:
-            for p in _cuts_inside(cuts, comp):
-                left = _first_cells(sub, pmap, comp.lo_key, (p, BELOW))
-                right = _first_cells(sub, pmap, (p, ABOVE), comp.hi_key)
-                color = next((c for c in sub.alphabet if c in left and c in right), None)
-                if color is None:
-                    continue
-                a, b = (_pull_back(piece, _from_keys(lo, hi).sample_point())
-                        for piece, lo, hi in (left[color], right[color]))
-                violations.append(
-                    GoodnessViolation(
-                        "shared-image-color", letter, point=p,
-                        color=color, witness=(a, b),
-                    )
+    rank = {letter: r for r, letter in enumerate(sub.alphabet)}
+    shared = {letter: [] for letter in sub.alphabet}
+    for (_, _, letter), cuts, parts in _sweep(sub, pmap):
+        if not cuts:
+            continue
+        for p, color, *sides in _shared_colors(sub, rank, cuts, parts):
+            a, b = (_pull_back(piece, _from_keys(lo, hi).sample_point())
+                    for piece, lo, hi in sides)
+            shared[letter].append(
+                GoodnessViolation(
+                    "shared-image-color", letter, point=p,
+                    color=color, witness=(a, b),
                 )
+            )
+    for letter in sub.alphabet:
+        violations.extend(shared[letter])
 
     if violations:
         return violations
@@ -299,14 +365,13 @@ class GluingMap:
         return f"GluingMap({inner})"
 
 
-def _cut_component(comp, points):
-    """Split a component at interior points; each point joins its right piece."""
+def _cut_keys(lo_key, hi_key, points):
+    """Split a key range at interior points; each point joins its right piece."""
     segments = []
-    current = comp
     for p in points:
-        segments.append(_from_keys(current.lo_key, (p, BELOW)))
-        current = _from_keys((p, AT), current.hi_key)
-    segments.append(current)
+        segments.append(_from_keys(lo_key, (p, BELOW)))
+        lo_key = (p, AT)
+    segments.append(_from_keys(lo_key, hi_key))
     return segments
 
 
@@ -324,14 +389,10 @@ def refine_to_good(sub, pmap):
     if sub.d != pmap.d:
         raise FieldMismatch("subdivision and map use different field contexts")
     pmap.require_valid()
-    cuts = pmap.discontinuities()          # sorted, as the pieces are
 
-    per_letter = {}
-    for letter in sub.alphabet:
-        segments = []
-        for comp in sub.class_of(letter).components:
-            segments.extend(_cut_component(comp, _cuts_inside(cuts, comp)))
-        per_letter[letter] = segments
+    per_letter = {letter: [] for letter in sub.alphabet}
+    for (lo_key, hi_key, letter), cuts, _ in _sweep(sub, pmap):
+        per_letter[letter].extend(_cut_keys(lo_key, hi_key, cuts))
 
     names = [
         (f"{letter}{i}", letter, seg)

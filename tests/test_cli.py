@@ -317,6 +317,18 @@ def test_outputs_are_byte_deterministic(capsys, golden_spec):
     assert pairs[2] == pairs[3]
 
 
+def test_back_to_back_calls_start_from_the_defaults(capsys, golden_spec):
+    # one parser serves every call in a process; no flag may carry over
+    _, as_json, _ = run(capsys, "check-good", golden_spec, "--json")
+    _, text, _ = run(capsys, "check-good", golden_spec)
+    assert json.loads(as_json)["good"] is True
+    assert text.startswith("good for ")
+    _, short, _ = run(capsys, "generate", golden_spec, "--length", "5")
+    _, default, _ = run(capsys, "generate", golden_spec)
+    assert short.split() == list("01001")
+    assert len(default.split()) == GOLDEN["length"]
+
+
 def test_selftest_passes(capsys):
     rc, out, _ = run(capsys, "selftest")
     assert rc == 0

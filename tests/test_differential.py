@@ -6,9 +6,10 @@ references below decide the same things the direct way, from public
 BoundarySet operations and scans over the pieces only: condition 2 by
 intersecting and transforming each side of every interior discontinuity,
 bijectivity by pairwise intersection plus a union, piece_at by a scan for
-the last piece starting at or before the point, and color_of by asking
-every class.  Verdicts, violation records, witnesses and located pieces
-must agree exactly.
+the last piece starting at or before the point, color_of by asking
+every class, and refinement by cutting each component at the
+discontinuities a scan finds inside it.  Verdicts, violation records,
+witnesses, refinements and located pieces must agree exactly.
 """
 
 import random
@@ -22,6 +23,7 @@ from ietwords import (
     Component,
     CorruptMap,
     ExactScalar,
+    GluingMap,
     GoodnessCertificate,
     GoodnessViolation,
     HalfOpenInterval,
@@ -30,6 +32,7 @@ from ietwords import (
     Subdivision,
     interval,
     is_good,
+    refine_to_good,
 )
 from ietwords.instances import (
     golden_alpha,
@@ -95,6 +98,29 @@ def reference_is_good(sub, pmap):
     if violations:
         return violations
     return GoodnessCertificate(sub.content_id(), pmap.content_id())
+
+
+def reference_refine(sub, pmap):
+    """Each component cut at the discontinuities a linear scan finds
+    strictly inside it, each cut point joining the right-hand segment."""
+    cuts = pmap.discontinuities()
+    segments = []
+    for letter in sub.alphabet:
+        mine = []
+        for c in sub.class_of(letter).components:
+            lo, lo_in = c.lo, c.lo_in
+            for p in cuts:
+                if c.lo < p < c.hi:
+                    mine.append(Component(lo, lo_in, p, False))
+                    lo, lo_in = p, True
+            mine.append(Component(lo, lo_in, c.hi, c.hi_in))
+        segments += [(letter, i, seg) for i, seg in enumerate(mine)]
+    for sep in ("", "_"):
+        names = [f"{letter}{sep}{i}" for letter, i, _ in segments]
+        if len(set(names)) == len(names):
+            break
+    refined = Subdivision({name: [seg] for name, (_, _, seg) in zip(names, segments)})
+    return refined, GluingMap({name: letter for name, (letter, _, _) in zip(names, segments)})
 
 
 def reference_validate(pmap):
@@ -198,6 +224,49 @@ def cuts_inside_classes(rng):
     return pmap, Subdivision(classes)
 
 
+def several_cuts_per_component(rng):
+    """A map with a one- or two-class subdivision, so that one component
+    holds several discontinuities.
+
+    About half the pieces have slope -1, and many of those start at a
+    discontinuity.  Some pieces are split in two with the same formula, a
+    continuous junction that is no discontinuity.  Class boundaries are
+    drawn from the piece boundaries, the images of piece ends and points
+    between them, and each boundary point joins the class on its left or
+    on its right, so components end closed or open, on cuts and off them.
+    """
+    if rng.random() < 0.5:
+        d = rng.choice((0, 5))
+        pieces = random_piecewise_map(rng, d, max_pieces=8).pieces
+    else:
+        d = 0
+        pieces = random_rational_instance(rng)[0].pieces
+    zero, one = ExactScalar.zero(d), ExactScalar.one(d)
+    split = []
+    for p in pieces:
+        lo, hi = p.domain.lo, p.domain.hi
+        if rng.random() < 0.3:
+            mid = lo + (hi - lo) * Fraction(rng.randint(1, 3), 4)
+            split.append(AffinePiece(HalfOpenInterval(lo, mid), p.slope, p.intercept))
+            lo = mid
+        split.append(AffinePiece(HalfOpenInterval(lo, hi), p.slope, p.intercept))
+    pmap = PiecewiseMap(split).require_valid()
+
+    ends = {x for p in split for x in (p.domain.lo, p(p.domain.lo), p(p.domain.hi))}
+    ends = sorted(x for x in ends | {zero, one} if zero <= x <= one)
+    pool = sorted({*ends, *((a + b) * Fraction(1, 2) for a, b in zip(ends, ends[1:]))}
+                  - {zero, one})
+    bounds = sorted(rng.sample(pool, rng.choice((0, 0, 1, 2, 3))))
+    letters = rng.sample("AB", 2)
+    classes = {}
+    lo, lo_in = zero, True
+    for i, x in enumerate([*bounds, one]):
+        hi_in = x != one and rng.random() < 0.5
+        classes.setdefault(letters[i % 2], []).append(Component(lo, lo_in, x, hi_in))
+        lo, lo_in = x, not hi_in
+    return pmap, Subdivision(classes)
+
+
 def random_map(rng):
     """Pieces on random grid domains: gaps, overlaps and escapes are common."""
     d = rng.choice((0, 5))
@@ -235,7 +304,13 @@ def perturbed_translation_map(rng):
 
 
 def assert_same_goodness(sub, pmap):
-    assert is_good(sub, pmap) == reference_is_good(sub, pmap)
+    verdict = is_good(sub, pmap)
+    assert verdict == reference_is_good(sub, pmap)
+    refined, gluing = refine_to_good(sub, pmap)
+    ref_refined, ref_gluing = reference_refine(sub, pmap)
+    assert refined.content_id() == ref_refined.content_id()
+    assert gluing == ref_gluing
+    return verdict
 
 
 def test_goodness_matches_reference_on_seeded_instances():
@@ -255,11 +330,23 @@ def test_goodness_matches_reference_when_cuts_sit_inside_classes():
     fired = 0
     for _ in range(150):
         pmap, sub = cuts_inside_classes(rng)
-        verdict = is_good(sub, pmap)
-        assert verdict == reference_is_good(sub, pmap)
+        verdict = assert_same_goodness(sub, pmap)
         if isinstance(verdict, list):
             fired += any(v.kind == "shared-image-color" for v in verdict)
     assert fired > 50
+
+
+def test_goodness_matches_reference_with_several_cuts_per_component():
+    rng = random.Random(13)
+    most = 0
+    for _ in range(300):
+        pmap, sub = several_cuts_per_component(rng)
+        assert_same_goodness(sub, pmap)
+        cuts = pmap.discontinuities()
+        most = max(most, *(sum(c.lo < p < c.hi for p in cuts)
+                           for letter in sub.alphabet
+                           for c in sub.class_of(letter).components))
+    assert most >= 5
 
 
 def test_validate_matches_reference_on_instances_and_invalid_maps():

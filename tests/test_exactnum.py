@@ -215,6 +215,27 @@ def test_format_parse_roundtrip_random(rng):
         assert format_scalar(y) == text
 
 
+def fraction_format(x):
+    """format_scalar written over Fractions, as the reference."""
+    def rat(f):
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+    a, b = x.rational_part, x.radical_part
+    if b == 0:
+        return rat(a)
+    return f"{rat(a)}{'+' if b > 0 else '-'}{rat(abs(b))}*sqrt({x.d})"
+
+
+def test_format_scalar_matches_a_fraction_reference(rng):
+    for _ in range(3000):
+        d = rng.choice((0, 2, 5))
+        big = rng.choice((1, 9, 99, 10**40))
+        nums = [rng.choice((0, rng.randint(-big, big))) for _ in range(2)]
+        dens = [rng.choice((1, rng.randint(1, big))) for _ in range(2)]
+        x = make_scalar(nums[0], dens[0], nums[1], dens[1], d)
+        assert format_scalar(x) == fraction_format(x)
+
+
 @given(
     a=st.integers(-200, 200), b=st.integers(1, 200),
     c=st.integers(-200, 200), e=st.integers(1, 200),

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ietwords import (
@@ -11,19 +13,23 @@ from ietwords import (
     GluingMap,
     GoodnessCertificate,
     HalfOpenInterval,
+    IET,
     OverlapError,
     PiecewiseMap,
     PointOutsideDomain,
     Subdivision,
     UnknownLetter,
     glue_word,
+    iet_to_map,
     identity_map,
     is_good,
     make_scalar,
+    mod1,
     refine_to_good,
     rotation,
 )
 from ietwords.instances import random_instance, random_point
+from ietwords.intervalsets import CellTable
 
 from conftest import q
 
@@ -219,6 +225,38 @@ def test_certificate_is_map_specific():
     cert2 = is_good(sub, other)
     assert isinstance(cert2, GoodnessCertificate)
     assert cert.map_id != cert2.map_id
+
+
+def shuffled_iet(k, seed=0):
+    """A k-interval exchange over Q(sqrt 5): cut at the first k - 1
+    multiples of alpha mod 1, intervals in a seeded random order."""
+    x, cuts = ZERO5, []
+    for _ in range(k - 1):
+        x = mod1(x + ALPHA)
+        cuts.append(x)
+    bounds = [ZERO5, *sorted(cuts), ONE5]
+    permutation = list(range(k))
+    random.Random(seed).shuffle(permutation)
+    return iet_to_map(IET([b - a for a, b in zip(bounds, bounds[1:])], permutation))
+
+
+@pytest.mark.parametrize("k", [50, 100, 200])
+def test_one_class_costs_linearly_many_image_lookups(k, monkeypatch):
+    # every interior cut of the one component makes a violation; each
+    # piece's image is looked up once, plus once more per cut
+    pmap, sub = shuffled_iet(k), whole_interval()
+    lookups = []
+    meeting = CellTable.meeting
+
+    def counted(table, lo_key, hi_key):
+        if table is sub.table:
+            lookups.append(lo_key)
+        return meeting(table, lo_key, hi_key)
+
+    monkeypatch.setattr(CellTable, "meeting", counted)
+    violations = is_good(sub, pmap)
+    assert len(violations) == len(pmap.discontinuities()) > k // 2
+    assert len(lookups) <= 3 * k
 
 
 # --------------------------------------------------------- refine_to_good
