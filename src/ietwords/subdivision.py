@@ -302,21 +302,20 @@ def is_good(sub, pmap):
             )
 
     rank = {letter: r for r, letter in enumerate(sub.alphabet)}
-    shared = {letter: [] for letter in sub.alphabet}
+    shared = []                            # in position order
     for (_, _, letter), cuts, parts in _sweep(sub, pmap):
         if not cuts:
             continue
         for p, color, *sides in _shared_colors(sub, rank, cuts, parts):
             a, b = (_pull_back(piece, _from_keys(lo, hi).sample_point())
                     for piece, lo, hi in sides)
-            shared[letter].append(
+            shared.append(
                 GoodnessViolation(
                     "shared-image-color", letter, point=p,
                     color=color, witness=(a, b),
                 )
             )
-    for letter in sub.alphabet:
-        violations.extend(shared[letter])
+    violations.extend(sorted(shared, key=lambda v: rank[v.letter]))
 
     if violations:
         return violations
