@@ -61,37 +61,31 @@ def _as_chars(letters):
 
 
 @dataclass(frozen=True)
-class ComplexityProfile:
+class _Profile:
+    values: tuple          # ((n, value), ...)
+    prefix_length: int
+
+    def _at(self, n):
+        """The value recorded for n; KeyError when the profile has none."""
+        for m, value in self.values:
+            if m == n:
+                return value
+        raise KeyError(n)
+
+    def rows(self):
+        return list(self.values)
+
+
+class ComplexityProfile(_Profile):
     """p(n) for 1 <= n <= n_max, measured on a specific prefix length."""
 
-    values: tuple          # ((n, p_n), ...)
-    prefix_length: int
-
-    def p(self, n):
-        for m, pn in self.values:
-            if m == n:
-                return pn
-        raise KeyError(n)
-
-    def rows(self):
-        return list(self.values)
+    p = _Profile._at
 
 
-@dataclass(frozen=True)
-class RecurrenceProfile:
+class RecurrenceProfile(_Profile):
     """Smallest all-factors window per n, or NOT_RECURRENT_AT_SCALE."""
 
-    values: tuple          # ((n, window-or-verdict), ...)
-    prefix_length: int
-
-    def window(self, n):
-        for m, w in self.values:
-            if m == n:
-                return w
-        raise KeyError(n)
-
-    def rows(self):
-        return list(self.values)
+    window = _Profile._at
 
 
 def complexity(word, n_max):

@@ -4,13 +4,12 @@ The word of x0 under a map T and subdivision S is the color sequence of
 T^0 x0, T^1 x0, T^2 x0, ...  Batch and streaming generation share one code
 path, and the glue-back round trip is checked in a single orbit walk.
 
-iter_orbit and orbit step through PiecewiseMap.apply on ExactScalar
-values.  iter_code, code and roundtrip_check walk the same orbit on the
-integer lattice (1/den)(Z + Z sqrt d): a step is two integer updates and
-each lookup goes through an intervalsets.LatticeTable, whose float filter
-decides only what a certified error bound allows and sends every close
-case to exact integer signs.  Both walks give the same letters, verdicts
-and exceptions.
+Every orbit is walked on the integer lattice (1/den)(Z + Z sqrt d): a
+step is two integer updates and each lookup goes through an
+intervalsets.LatticeTable, whose float filter decides only what a
+certified error bound allows and sends every close case to exact integer
+signs.  iter_orbit and orbit hand the points out as ExactScalar values;
+iter_code, code and roundtrip_check read letters off the same walk.
 """
 
 from __future__ import annotations
@@ -103,19 +102,15 @@ class SymbolicWord:
 
 
 def iter_orbit(pmap, x0, n=None):
-    """Stream the forward orbit of x0; infinite when n is None.
+    """Stream the forward orbit of x0 as ExactScalars; infinite when n is None.
 
-    The map is applied only when another point is asked for, so n points
-    cost n - 1 applies.
+    The map is looked up only when another point is asked for, so n points
+    cost n - 1 lookups.
     """
-    pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
-    if n is not None and n < 1:
-        return
-    x = x0
-    yield x
-    for _ in count() if n is None else range(n - 1):
-        x = pmap.apply(x)
-        yield x
+    walk = _LatticeOrbit(pmap, x0)
+    scalar = walk.map.scalar
+    for A, B, _, _ in walk.points(n):
+        yield scalar(A, B)
 
 
 def orbit(pmap, x0, n):
@@ -142,8 +137,8 @@ class _LatticeOrbit:
         den = lcm(x0.denominator, *(p.intercept.denominator for p in pmap.pieces),
                   *(key[0].denominator for t in tables for cell in t.cells
                     for key in cell[:2]))
-        self._map, *self.tables = (LatticeTable(t, den) for t in tables)
-        self._moves = [(p.slope, *p.intercept.on_lattice(den)) for p in self._map.values]
+        self.map, *self.tables = (LatticeTable(t, den) for t in tables)
+        self._moves = [(p.slope, *p.intercept.on_lattice(den)) for p in self.map.values]
         self._start = x0.on_lattice(den)
 
     def points(self, n=None):
@@ -151,7 +146,7 @@ class _LatticeOrbit:
         takes them; the map is looked up only when another point is asked for."""
         if n is not None and n < 1:
             return
-        pieces, point, moves = self._map, self._map.point, self._moves
+        pieces, point, moves = self.map, self.map.point, self._moves
         A, B = self._start
         for _ in count() if n is None else range(n - 1):
             here = point(A, B)
@@ -167,8 +162,7 @@ class _LatticeOrbit:
 def iter_code(pmap, sub, x0, n=None):
     """Stream the coding letters of x0's orbit; constant memory.
 
-    The orbit is walked on the integer lattice of _LatticeOrbit; the
-    letters are those of sub.color_of on iter_orbit(pmap, x0, n).
+    The letters are those of sub.color_of on iter_orbit(pmap, x0, n).
     """
     if sub.d != pmap.d:
         raise FieldMismatch("subdivision and map use different field contexts")
@@ -183,6 +177,7 @@ def code(pmap, sub, x0, n):
     """The length-n coding word of x0 under (pmap, sub)."""
     if n < 1:
         raise ValueError("need n >= 1")
+    x0 = x0 + ExactScalar.zero(pmap.d)     # lifts int and Fraction starts
     letters = tuple(islice(iter_code(pmap, sub, x0), n))
     origin = WordOrigin(pmap.content_id(), sub.content_id(), x0, n)
     return SymbolicWord(letters, origin)

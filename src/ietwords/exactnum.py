@@ -291,12 +291,6 @@ class ExactScalar:
             return self._b == 0 and Fraction(self._a, self._q) == other
         return NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
-
     def __hash__(self):
         if self._b == 0:
             return hash(Fraction(self._a, self._q))

@@ -10,10 +10,10 @@ as lengths plus a permutation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
-from .intervalsets import AT, BELOW, CellTable, PointOutsideDomain
+from .intervalsets import CellTable, Component, PointOutsideDomain, affine_image
 
 
 class CorruptMap(RuntimeError):
@@ -29,30 +29,19 @@ class NotBijective(ValueError):
 
 
 @dataclass(frozen=True)
-class HalfOpenInterval:
+class HalfOpenInterval(Component):
     """[lo, hi) with 0 <= lo < hi <= 1, endpoints in one field context."""
 
-    lo: ExactScalar
-    hi: ExactScalar
+    lo_in: bool = field(default=True, init=False, repr=False)
+    hi_in: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
-        if self.lo.d != self.hi.d:
-            raise FieldMismatch("interval endpoints from different field contexts")
+        # replaces Component's check, which this one implies; endpoints
+        # from different field contexts raise FieldMismatch when compared
         zero = ExactScalar.zero(self.lo.d)
         one = ExactScalar.one(self.lo.d)
         if not (zero <= self.lo < self.hi <= one):
             raise ValueError(f"need 0 <= lo < hi <= 1, got [{self.lo}, {self.hi})")
-
-    @property
-    def keys(self):
-        """The interval as an intervalsets key range."""
-        return (self.lo, AT), (self.hi, BELOW)
-
-    def length(self):
-        return self.hi - self.lo
-
-    def __str__(self):
-        return f"[{self.lo}, {self.hi})"
 
 
 @dataclass(frozen=True)
@@ -74,13 +63,6 @@ class AffinePiece:
         if self.slope == 1:
             return x + self.intercept
         return -x + self.intercept
-
-    def image_keys(self, lo_key, hi_key):
-        """Image of the key range [lo_key, hi_key], as a key range."""
-        c = self.intercept
-        if self.slope == 1:
-            return (lo_key[0] + c, lo_key[1]), (hi_key[0] + c, hi_key[1])
-        return (c - hi_key[0], -hi_key[1]), (c - lo_key[0], -lo_key[1])
 
 
 @dataclass(frozen=True)
@@ -109,7 +91,7 @@ class ValidationReport:
 class PiecewiseMap:
     """Affine pieces sorted by domain start; `table` holds their domains."""
 
-    __slots__ = ("_pieces", "_d", "table", "_report")
+    __slots__ = ("_pieces", "_d", "table", "_report", "_cuts")
 
     def __init__(self, pieces):
         pieces = tuple(pieces)
@@ -119,10 +101,11 @@ class PiecewiseMap:
         for p in pieces:
             if p.domain.lo.d != d:
                 raise FieldMismatch("pieces from different field contexts")
-        self.table = CellTable(((*p.domain.keys, p) for p in pieces), d)
+        self.table = CellTable(((p.domain.lo_key, p.domain.hi_key, p) for p in pieces), d)
         self._pieces = tuple(p for _, _, p in self.table.cells)
         self._d = d
         self._report = None
+        self._cuts = None
 
     @property
     def pieces(self):
@@ -147,14 +130,16 @@ class PiecewiseMap:
     __call__ = apply
 
     def discontinuities(self):
-        """Interior boundaries where the left limit differs from the value."""
-        points = []
-        for left, right in zip(self._pieces, self._pieces[1:]):
-            p = right.domain.lo
-            left_limit = left(p)
-            if left_limit != right(p):
-                points.append(p)
-        return points
+        """Interior boundaries where the left limit differs from the value,
+        computed once per map; each call returns a fresh list."""
+        if self._cuts is None:
+            self._cuts = []
+            for left, right in zip(self._pieces, self._pieces[1:]):
+                p = right.domain.lo
+                left_limit = left(p)
+                if left_limit != right(p):
+                    self._cuts.append(p)
+        return list(self._cuts)
 
     def validate(self):
         """Structural report: overlaps, gaps, escaping images, bijectivity."""
@@ -172,7 +157,7 @@ class PiecewiseMap:
                     "domain-overlap", f"domains overlap from {lo}", witness=lo))
 
         # the images tile [0, 1) exactly when the map is a bijection
-        img = CellTable(((*p.image_keys(lo, hi), i)
+        img = CellTable(((*affine_image(p.slope, p.intercept, lo, hi), i)
                          for i, (lo, hi, p) in enumerate(self.table.cells)), self._d)
         faults = list(img.faults())
         for i in sorted(img.cells[j][2] for kind, j, _, _ in faults if kind == "escape"):

@@ -91,6 +91,15 @@ def _midpoint(a, b):
     return (a + b) * Fraction(1, 2)
 
 
+def affine_image(slope, intercept, lo_key, hi_key):
+    """Image of the key range [lo_key, hi_key] under x -> slope*x + intercept
+    with slope +1 or -1, as a key range.  Slope -1 swaps the two ends and
+    turns "just below" into "just above"."""
+    if slope == 1:
+        return (lo_key[0] + intercept, lo_key[1]), (hi_key[0] + intercept, hi_key[1])
+    return (intercept - hi_key[0], -hi_key[1]), (intercept - lo_key[0], -lo_key[1])
+
+
 def _from_keys(lo_key, hi_key):
     (lo, le), (hi, he) = lo_key, hi_key
     if le == BELOW or he == ABOVE:
@@ -128,15 +137,6 @@ class BoundarySet:
 
     __contains__ = contains
 
-    def length(self):
-        total = None
-        for c in self._components:
-            total = c.length() if total is None else total + c.length()
-        return total
-
-    def union(self, other):
-        return BoundarySet(self._components + other._components)
-
     def intersect(self, other):
         out = []
         for a in self._components:
@@ -147,13 +147,6 @@ class BoundarySet:
                     out.append(_from_keys(lo_key, hi_key))
         return BoundarySet(out)
 
-    def intersects(self, other):
-        for a in self._components:
-            for b in other._components:
-                if max(a.lo_key, b.lo_key) <= min(a.hi_key, b.hi_key):
-                    return True
-        return False
-
     def sample_point(self):
         if self.is_empty():
             raise ValueError("empty set has no points")
@@ -161,17 +154,8 @@ class BoundarySet:
 
     def transform(self, slope, intercept):
         """Image under x -> slope*x + intercept with slope +1 or -1."""
-        out = []
-        for c in self._components:
-            if slope == 1:
-                out.append(
-                    Component(c.lo + intercept, c.lo_in, c.hi + intercept, c.hi_in)
-                )
-            else:
-                out.append(
-                    Component(-c.hi + intercept, c.hi_in, -c.lo + intercept, c.lo_in)
-                )
-        return BoundarySet(out)
+        return BoundarySet(_from_keys(*affine_image(slope, intercept, c.lo_key, c.hi_key))
+                           for c in self._components)
 
     def __eq__(self, other):
         if not isinstance(other, BoundarySet):

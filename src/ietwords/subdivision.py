@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
-from .intervalsets import ABOVE, AT, BELOW, BoundarySet, CellTable, _from_keys
+from .intervalsets import (ABOVE, AT, BELOW, BoundarySet, CellTable, _from_keys,
+                           affine_image)
 
 
 class OverlapError(ValueError):
@@ -227,7 +228,8 @@ def _image_hits(sub, lo_key, hi_key, piece):
     """Letter -> (piece, lo_key, hi_key) of the first cell of that letter
     the image of [lo_key, hi_key] meets, cells taken from left to right."""
     hits = {}
-    for meet_lo, meet_hi, letter in sub.table.meeting(*piece.image_keys(lo_key, hi_key)):
+    image = affine_image(piece.slope, piece.intercept, lo_key, hi_key)
+    for meet_lo, meet_hi, letter in sub.table.meeting(*image):
         hits.setdefault(letter, (piece, meet_lo, meet_hi))
     return hits
 
@@ -393,19 +395,16 @@ def refine_to_good(sub, pmap):
     for (lo_key, hi_key, letter), cuts, _ in _sweep(sub, pmap):
         per_letter[letter].extend(_cut_keys(lo_key, hi_key, cuts))
 
-    names = [
-        (f"{letter}{i}", letter, seg)
-        for letter in sub.alphabet
-        for i, seg in enumerate(per_letter[letter])
-    ]
-    if len({name for name, _, _ in names}) != len(names):
-        # plain concatenation collided (e.g. letters "A" and "A0"); an
-        # underscore keeps names unambiguous while staying deterministic
+    # plain concatenation can collide (e.g. letters "A" and "A0"); an
+    # underscore keeps names unambiguous while staying deterministic
+    for sep in ("", "_"):
         names = [
-            (f"{letter}_{i}", letter, seg)
+            (f"{letter}{sep}{i}", letter, seg)
             for letter in sub.alphabet
             for i, seg in enumerate(per_letter[letter])
         ]
+        if len({name for name, _, _ in names}) == len(names):
+            break
 
     refined = Subdivision({name: BoundarySet([seg]) for name, _, seg in names})
     gluing = GluingMap({name: letter for name, letter, _ in names})

@@ -23,6 +23,7 @@ from ietwords import (
     orbit,
     rotation,
     roundtrip_check,
+    word_to_json,
 )
 from ietwords.instances import random_instance, random_translation_map
 from ietwords.intervalsets import LatticeTable
@@ -68,9 +69,8 @@ def test_iter_orbit_is_lazy_and_unbounded():
 
 
 def test_n_points_cost_n_minus_one_applies(monkeypatch):
-    # the exact path steps through PiecewiseMap.apply; code and
-    # roundtrip_check step on the lattice, one lookup in the map's table
-    # per step, and never call apply
+    # every walk steps on the lattice, one lookup in the map's table per
+    # step, and never calls PiecewiseMap.apply
     applies, lookups = [], []
     real_apply, real_index = PiecewiseMap.apply, LatticeTable.index
     R, sub = third_rotation()
@@ -86,17 +86,30 @@ def test_n_points_cost_n_minus_one_applies(monkeypatch):
 
     monkeypatch.setattr(PiecewiseMap, "apply", counting_apply)
     monkeypatch.setattr(LatticeTable, "index", counting_index)
-    for steps, run in ((applies, lambda n: orbit(R, q(0), n)),
-                       (applies, lambda n: list(iter_orbit(R, q(0), n))),
-                       (lookups, lambda n: code(R, sub, q(0), n)),
-                       (lookups, lambda n: roundtrip_check(R, sub, q(0), n))):
+    for run in (lambda n: orbit(R, q(0), n),
+                lambda n: list(iter_orbit(R, q(0), n)),
+                lambda n: code(R, sub, q(0), n),
+                lambda n: roundtrip_check(R, sub, q(0), n)):
         for n in (1, 2, 10):
             applies.clear()
             lookups.clear()
             run(n)
-            assert len(steps) == n - 1
-            assert len(applies) + len(lookups) == n - 1
+            assert len(lookups) == n - 1
+            assert applies == []
     assert list(iter_orbit(R, q(0), 0)) == []
+
+
+def test_orbit_lifts_int_and_fraction_starts(golden):
+    R = rotation(q(1, 3))
+    for x0 in (0, Fraction(0), q(0)):
+        pts = orbit(R, x0, 3)
+        assert pts == (q(0), q(1, 3), q(2, 3))
+        assert all(type(x) is ExactScalar and x.d == 0 for x in pts)
+    R5, _, alpha = golden
+    pts = orbit(R5, Fraction(1, 3), 2)
+    assert pts == (ExactScalar.from_rational(Fraction(1, 3), 5),
+                   ExactScalar.from_rational(Fraction(1, 3), 5) + alpha)
+    assert all(type(x) is ExactScalar and x.d == 5 for x in pts)
 
 
 def test_orbit_denominators_do_not_grow(rng):
@@ -145,6 +158,17 @@ def test_code_records_origin(golden):
     assert o.map_id == R.content_id()
     assert o.subdivision_id == sub.content_id()
     assert o.x0 == alpha and o.length == 12 and o.projected is False
+
+
+def test_code_lifts_int_and_fraction_starts(golden):
+    R5, sub5, _ = golden
+    R0, sub0 = third_rotation()
+    for pmap, sub in ((R5, sub5), (R0, sub0)):
+        for x0 in (0, Fraction(1, 3)):
+            exact = ExactScalar.from_rational(x0, pmap.d)
+            w = code(pmap, sub, x0, 4)
+            assert type(w.origin.x0) is ExactScalar and w.origin.x0.d == pmap.d
+            assert word_to_json(w) == word_to_json(code(pmap, sub, exact, 4))
 
 
 def test_code_requires_matching_field(golden):

@@ -60,8 +60,8 @@ def _pull_back(piece, y):
 
 
 def _first_hit(parts, cls):
-    return next(((piece, img.intersect(cls)) for piece, img in parts
-                 if img.intersects(cls)), None)
+    meets = ((piece, img.intersect(cls)) for piece, img in parts)
+    return next(((piece, meet) for piece, meet in meets if not meet.is_empty()), None)
 
 
 def reference_is_good(sub, pmap):
@@ -160,12 +160,10 @@ def reference_validate(pmap):
 
     bijective = False
     if len(images) == len(pmap.pieces):
-        bijective = not any(a.intersects(b) for k, a in enumerate(images)
-                            for b in images[k + 1:])
+        bijective = all(a.intersect(b).is_empty() for k, a in enumerate(images)
+                        for b in images[k + 1:])
         if bijective:
-            union = BoundarySet()
-            for image in images:
-                union = union.union(image)
+            union = BoundarySet([c for image in images for c in image])
             bijective = union == interval(zero, one)
     return ValidationReport(tuple(violations), bijective)
 

@@ -6,6 +6,7 @@ from ietwords import intervalmap, intervalsets
 from ietwords import (
     IET,
     AffinePiece,
+    Component,
     CorruptMap,
     ExactScalar,
     FieldMismatch,
@@ -44,6 +45,16 @@ def test_halfopen_interval_validation():
         HalfOpenInterval(q(1, 2), q(5, 4))
     with pytest.raises(FieldMismatch):
         HalfOpenInterval(q(0), ExactScalar.one(5))
+
+
+def test_halfopen_interval_is_a_component():
+    h = HalfOpenInterval(q(1, 4), q(3, 4))
+    c = Component(q(1, 4), True, q(3, 4), False)
+    assert isinstance(h, Component)
+    assert (h.lo_in, h.hi_in) == (True, False)
+    assert str(h) == str(c) == "[1/4, 3/4)"
+    assert (h.lo_key, h.hi_key) == (c.lo_key, c.hi_key)
+    assert h.length() == c.length() == q(1, 2)
 
 
 def test_slope_must_be_unit():
@@ -119,6 +130,24 @@ def test_identity_has_no_discontinuities():
         AffinePiece(HalfOpenInterval(q(1, 2), q(1)), 1, q(0)),
     ])
     assert m.discontinuities() == []
+
+
+def test_discontinuities_are_computed_once(monkeypatch):
+    evaluations = []
+    real_call = AffinePiece.__call__
+
+    def counting_call(self, x):
+        evaluations.append(x)
+        return real_call(self, x)
+
+    monkeypatch.setattr(AffinePiece, "__call__", counting_call)
+    r = rotation(q(1, 3))
+    first = r.discontinuities()
+    assert first == [q(2, 3)] and evaluations
+    evaluations.clear()
+    first.append(q(1, 2))
+    assert r.discontinuities() == [q(2, 3)]
+    assert evaluations == []
 
 
 def test_iet_construction_errors():

@@ -175,6 +175,14 @@ def test_parse_spec_schema_errors(mangle, path):
     assert path_of(e) == path
 
 
+def test_empty_piece_is_a_schema_error():
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    doc["map"]["pieces"][0].update(lo="1/2", hi="1/2")
+    with pytest.raises(SpecError) as e:
+        parse_spec(doc)
+    assert str(e.value) == "/map/pieces/0: need 0 <= lo < hi <= 1, got [1/2, 1/2)"
+
+
 def test_scalar_parse_position_is_reported():
     doc = json.loads(json.dumps(GOLDEN_DOC))
     doc["x0"] = "1/2+"

@@ -2,10 +2,12 @@
 
 code, iter_code and roundtrip_check step orbits on the integer lattice
 (1/den)(Z + Z sqrt d) and locate points through LatticeTable, whose float
-filter must send every close case to exact integer signs.  iter_orbit,
-color_of and class_of keep the ExactScalar path and are the oracle here:
-letters, verdicts, exceptions and the number of letters before an
-exception must agree exactly.
+filter must send every close case to exact integer signs, and so does
+iter_orbit, which hands the lattice points out as ExactScalar values.  An
+orbit stepped through PiecewiseMap.apply and colored by color_of on
+ExactScalar values is the oracle here: points, letters, verdicts,
+exceptions and the number of letters before an exception must agree
+exactly.
 """
 
 import random
@@ -58,36 +60,46 @@ STEPS = 300
 # ------------------------------------------------------------ references
 
 
-def exact_letters(pmap, sub, x0, n):
-    """Letters until the walk stops, and the type of what stopped it."""
-    letters = []
+def exact_orbit(pmap, x0, n):
+    """x0, T x0, ..., T^(n-1) x0, stepped through PiecewiseMap.apply."""
+    if not ExactScalar.zero(pmap.d) <= x0 < ExactScalar.one(pmap.d):
+        raise PointOutsideDomain(f"{x0} outside [0, 1)")
+    x = x0
+    for k in range(n):
+        if k:
+            x = pmap.apply(x)
+        yield x
+
+
+def stopped(walk):
+    """The items of a walk until it stops, and the type of what stopped it."""
+    items = []
     try:
-        for x in iter_orbit(pmap, x0, n):
-            letters.append(sub.color_of(x))
+        for item in walk:
+            items.append(item)
     except (CorruptMap, PointOutsideDomain) as e:
-        return letters, type(e)
-    return letters, None
+        return items, type(e)
+    return items, None
+
+
+def exact_letters(pmap, sub, x0, n):
+    return stopped(sub.color_of(x) for x in exact_orbit(pmap, x0, n))
 
 
 def lattice_letters(pmap, sub, x0, n):
-    letters = []
-    try:
-        for letter in iter_code(pmap, sub, x0, n):
-            letters.append(letter)
-    except (CorruptMap, PointOutsideDomain) as e:
-        return letters, type(e)
-    return letters, None
+    return stopped(iter_code(pmap, sub, x0, n))
 
 
 def exact_roundtrip(pmap, sub, x0, n):
     refined, gluing = refine_to_good(sub, pmap)
-    for k, x in enumerate(iter_orbit(pmap, x0, n)):
+    for k, x in enumerate(exact_orbit(pmap, x0, n)):
         if gluing(refined.color_of(x)) != sub.color_of(x):
             return RoundtripResult(False, k)
     return OK
 
 
 def assert_walks_agree(pmap, sub, x0, n=STEPS):
+    assert stopped(iter_orbit(pmap, x0, n)) == stopped(exact_orbit(pmap, x0, n))
     expected = exact_letters(pmap, sub, x0, n)
     assert lattice_letters(pmap, sub, x0, n) == expected
     if expected[1] is None:
@@ -218,7 +230,7 @@ def test_orbits_that_land_on_cuts(d, closed_right):
     if d > 1:
         # cuts at the first three points of the orbit of 0 under frac(sqrt d)
         R = rotation(frac_sqrt(d))
-        cuts = sorted(islice(iter_orbit(R, zero), 1, 4))
+        cuts = sorted(islice(exact_orbit(R, zero, 4), 1, 4))
         assert_walks_agree(R, cut_subdivision([zero, *cuts, one], closed_right), zero, 40)
 
 
@@ -296,6 +308,7 @@ def test_invalid_maps_fail_after_the_same_letters():
         sub = random_subdivision(rng, pmap.d)
         zero = ExactScalar.zero(pmap.d)
         for x0 in (zero, *field_points(rng, pmap.d)[:4], ExactScalar.one(pmap.d)):
+            assert stopped(iter_orbit(pmap, x0, 60)) == stopped(exact_orbit(pmap, x0, 60))
             letters, stop = exact_letters(pmap, sub, x0, 60)
             assert lattice_letters(pmap, sub, x0, 60) == (letters, stop), (pmap, x0)
             stops.add((stop, len(letters) > 0))
