@@ -1,8 +1,8 @@
 """Orbits and their symbolic codings.
 
 The word of x0 under a map T and subdivision S is the color sequence of
-T^0 x0, T^1 x0, T^2 x0, ...  Batch and streaming generation share one code
-path, and the glue-back round trip is checked in a single orbit walk.
+T^0 x0, T^1 x0, T^2 x0, ...  Batch and streaming generation share one orbit
+walk, and the glue-back round trip is checked in a single pass of it.
 
 Every orbit is walked on the integer lattice (1/den)(Z + Z sqrt d): a
 step is two integer updates and each lookup goes through an
@@ -10,12 +10,20 @@ intervalsets.LatticeTable, whose float filter decides only what a
 certified error bound allows and sends every close case to exact integer
 signs.  iter_orbit and orbit hand the points out as ExactScalar values;
 iter_code, code and roundtrip_check read letters off the same walk.
+
+The walk stops once it comes back to an earlier lattice point.  Brent's
+cycle rule finds that in constant memory, and exactly, since two lattice
+points are equal exactly when their integer pairs are.  An eventually
+periodic orbit then costs O(preperiod + period) steps however long the
+word: roundtrip_check has compared every later point already, code
+repeats the last period, and the streams walk one more period and repeat
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import count, islice
+from itertools import count, cycle, islice
 from math import lcm
 
 from .exactnum import ExactScalar, FieldMismatch
@@ -105,12 +113,12 @@ def iter_orbit(pmap, x0, n=None):
     """Stream the forward orbit of x0 as ExactScalars; infinite when n is None.
 
     The map is looked up only when another point is asked for, so n points
-    cost n - 1 lookups.
+    cost at most n - 1 lookups.  Memory is constant until the orbit
+    repeats, then one period.
     """
     walk = _LatticeOrbit(pmap, x0)
     scalar = walk.map.scalar
-    for A, B, _, _ in walk.points(n):
-        yield scalar(A, B)
+    yield from islice(walk.stream(lambda point: scalar(point[0], point[1])), n)
 
 
 def orbit(pmap, x0, n):
@@ -131,6 +139,8 @@ class _LatticeOrbit:
     """
 
     def __init__(self, pmap, x0, *tables):
+        if any(t.d != pmap.d for t in tables):
+            raise FieldMismatch("subdivision and map use different field contexts")
         pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
         x0 = x0 + ExactScalar.zero(pmap.d)     # lifts int and Fraction starts
         tables = (pmap.table, *tables)
@@ -140,15 +150,25 @@ class _LatticeOrbit:
         self.map, *self.tables = (LatticeTable(t, den) for t in tables)
         self._moves = [(p.slope, *p.intercept.on_lattice(den)) for p in self.map.values]
         self._start = x0.on_lattice(den)
+        self.period = None
 
-    def points(self, n=None):
-        """The first n orbit points (all when n is None), as LatticeTable.index
-        takes them; the map is looked up only when another point is asked for."""
-        if n is not None and n < 1:
-            return
+    def points(self):
+        """The orbit points from the start on, as LatticeTable.index takes
+        them, until the orbit repeats; the map is looked up only when another
+        point is asked for.
+
+        Brent's rule keeps one earlier point as a mark, moved to the newest
+        point at steps 1, 3, 7, 15, ..., and compares each new point with
+        it.  Lattice points are equal exactly when their integer pairs are,
+        so the first equality closes a cycle, and the steps since the mark
+        are the least period.  The walk stops there, before the repeated
+        point: it sets period, and points() goes on from that point.  Every
+        later point is the one period steps back.
+        """
         pieces, point, moves = self.map, self.map.point, self._moves
-        A, B = self._start
-        for _ in count() if n is None else range(n - 1):
+        A, B = mark_A, mark_B = self._start
+        mark, move = 0, 1
+        for k in count(1):
             here = point(A, B)
             yield here
             i = pieces.index(here)
@@ -156,31 +176,53 @@ class _LatticeOrbit:
                 raise CorruptMap(f"no piece contains {pieces.scalar(A, B)}")
             s, C, D = moves[i]
             A, B = s * A + C, s * B + D
-        yield point(A, B)
+            if A == mark_A and B == mark_B:
+                self.period, self._start = k - mark, (A, B)
+                return
+            if k == move:
+                mark_A, mark_B, mark, move = A, B, k, 2 * k + 1
+
+    def stream(self, read):
+        """read(point) for every orbit point, endlessly.  Nothing is kept
+        until the orbit repeats; then the walk goes on for one period, whose
+        values are kept and repeated."""
+        for point in self.points():
+            yield read(point)
+        period = []
+        for point in islice(self.points(), self.period):
+            period.append(read(point))
+            yield period[-1]
+        yield from cycle(period)
 
 
 def iter_code(pmap, sub, x0, n=None):
-    """Stream the coding letters of x0's orbit; constant memory.
+    """Stream the coding letters of x0's orbit; infinite when n is None.
 
     The letters are those of sub.color_of on iter_orbit(pmap, x0, n).
+    Memory is constant until the orbit repeats, then one period.
     """
-    if sub.d != pmap.d:
-        raise FieldMismatch("subdivision and map use different field contexts")
     walk = _LatticeOrbit(pmap, x0, sub.table)
     (cells,) = walk.tables
     letters, index = cells.values, cells.index
-    for point in walk.points(n):
-        yield letters[index(point)]
+    yield from islice(walk.stream(lambda point: letters[index(point)]), n)
 
 
 def code(pmap, sub, x0, n):
-    """The length-n coding word of x0 under (pmap, sub)."""
+    """The length-n coding word of x0 under (pmap, sub).
+
+    Once the orbit repeats, the rest of the word repeats its last period.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     x0 = x0 + ExactScalar.zero(pmap.d)     # lifts int and Fraction starts
-    letters = tuple(islice(iter_code(pmap, sub, x0), n))
+    walk = _LatticeOrbit(pmap, x0, sub.table)
+    (cells,) = walk.tables
+    letters, index = cells.values, cells.index
+    word = [letters[index(point)] for point in islice(walk.points(), n)]
+    if len(word) < n:
+        word += islice(cycle(word[-walk.period:]), n - len(word))
     origin = WordOrigin(pmap.content_id(), sub.content_id(), x0, n)
-    return SymbolicWord(letters, origin)
+    return SymbolicWord(word, origin)
 
 
 @dataclass(frozen=True)
@@ -216,7 +258,9 @@ def roundtrip_check(pmap, sub, x0, n):
     walk = _LatticeOrbit(pmap, x0, refined.table, sub.table)
     fine, coarse = walk.tables
     glued = [gluing(letter) for letter in fine.values]
-    for k, point in enumerate(walk.points(n)):
+    # the walk ends early when the orbit repeats: every later point is one
+    # compared already
+    for k, point in enumerate(islice(walk.points(), n)):
         if glued[fine.index(point)] != coarse.values[coarse.index(point)]:
             return RoundtripResult(False, k)
     return OK

@@ -68,34 +68,53 @@ def test_iter_orbit_is_lazy_and_unbounded():
     assert first == list(islice(iter_orbit(R, q(0)), 7))
 
 
-def test_n_points_cost_n_minus_one_applies(monkeypatch):
+def test_n_points_cost_n_minus_one_applies(monkeypatch, golden):
     # every walk steps on the lattice, one lookup in the map's table per
-    # step, and never calls PiecewiseMap.apply
+    # step, and never calls PiecewiseMap.apply; a walk that comes back to
+    # an earlier point stops looking up
     applies, lookups = [], []
     real_apply, real_index = PiecewiseMap.apply, LatticeTable.index
-    R, sub = third_rotation()
+    counted = []
 
     def counting_apply(self, x):
         applies.append(x)
         return real_apply(self, x)
 
     def counting_index(self, point):
-        if self.values == list(R.pieces):
+        if self.values == list(counted[0].pieces):
             lookups.append(point)
         return real_index(self, point)
 
+    def walks(pmap, sub, x0):
+        counted[:] = [pmap]
+        return (lambda n: orbit(pmap, x0, n),
+                lambda n: list(iter_orbit(pmap, x0, n)),
+                lambda n: code(pmap, sub, x0, n),
+                lambda n: roundtrip_check(pmap, sub, x0, n))
+
+    def lookups_for(run, n):
+        applies.clear()
+        lookups.clear()
+        run(n)
+        assert applies == []
+        return len(lookups)
+
     monkeypatch.setattr(PiecewiseMap, "apply", counting_apply)
     monkeypatch.setattr(LatticeTable, "index", counting_index)
-    for run in (lambda n: orbit(R, q(0), n),
-                lambda n: list(iter_orbit(R, q(0), n)),
-                lambda n: code(R, sub, q(0), n),
-                lambda n: roundtrip_check(R, sub, q(0), n)):
+    # the golden rotation never repeats: n points, n - 1 lookups
+    R5, sub5, alpha = golden
+    for run in walks(R5, sub5, alpha):
+        for n in (1, 2, 10, 1000):
+            assert lookups_for(run, n) == n - 1
+    # the rotation by 1/3 repeats from 0 with period 3.  Brent's mark sits
+    # at 0, then at 1, then at 3, and the walk comes back to it at index 6:
+    # 6 lookups.  orbit and iter_orbit then walk one more period for the
+    # values they repeat, 2 lookups more, so no n costs more than 8
+    R, sub = third_rotation()
+    for run in walks(R, sub, q(0)):
         for n in (1, 2, 10):
-            applies.clear()
-            lookups.clear()
-            run(n)
-            assert len(lookups) == n - 1
-            assert applies == []
+            assert lookups_for(run, n) <= n - 1
+        assert lookups_for(run, 10**4) <= 8
     assert list(iter_orbit(R, q(0), 0)) == []
 
 

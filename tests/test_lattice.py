@@ -7,7 +7,9 @@ iter_orbit, which hands the lattice points out as ExactScalar values.  An
 orbit stepped through PiecewiseMap.apply and colored by color_of on
 ExactScalar values is the oracle here: points, letters, verdicts,
 exceptions and the number of letters before an exception must agree
-exactly.
+exactly.  The walk stops at the first repeated lattice point (Brent's
+rule); the cycle tests compare every walk with the oracle at lengths just
+before, at and after the point where it closes.
 """
 
 import random
@@ -20,6 +22,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ietwords.coding as coding
 import ietwords.intervalsets as intervalsets
 from ietwords import (
     IET,
@@ -39,6 +42,7 @@ from ietwords import (
     iter_orbit,
     make_scalar,
     mod1,
+    orbit,
     refine_to_good,
     rotation,
     roundtrip_check,
@@ -50,7 +54,7 @@ from ietwords.instances import (
     random_subdivision,
     random_translation_instance,
 )
-from ietwords.intervalsets import LatticeTable
+from ietwords.intervalsets import AT, LatticeTable
 
 from test_differential import perturbed_translation_map, random_map
 
@@ -299,12 +303,17 @@ def test_coefficients_past_float_range(d, sign_calls):
     assert bool(sign_calls) == (d == 5)
 
 
+def invalid_maps(rng):
+    """Maps with gaps, overlaps and escaping images, and translation maps
+    with one piece shifted or reflected."""
+    maps = [random_map(rng) for _ in range(200)]
+    return maps + [perturbed_translation_map(rng) for _ in range(60)]
+
+
 def test_invalid_maps_fail_after_the_same_letters():
     rng = random.Random(21)
     stops = set()
-    maps = [random_map(rng) for _ in range(200)]
-    maps += [perturbed_translation_map(rng) for _ in range(60)]
-    for pmap in maps:
+    for pmap in invalid_maps(rng):
         sub = random_subdivision(rng, pmap.d)
         zero = ExactScalar.zero(pmap.d)
         for x0 in (zero, *field_points(rng, pmap.d)[:4], ExactScalar.one(pmap.d)):
@@ -318,3 +327,211 @@ def test_invalid_maps_fail_after_the_same_letters():
     # image after some letters, and at a start outside [0, 1)
     assert {(None, True), (CorruptMap, True), (PointOutsideDomain, True),
             (PointOutsideDomain, False)} <= stops
+
+
+# ---------------------------------------------------------------- cycles
+
+
+def first_repeat(pmap, x0, limit):
+    """(mu, lam) when T^(mu + lam) x0 = T^mu x0 is the first repeat among
+    the first limit exact orbit points; None when they are all distinct."""
+    seen = {}
+    for i, x in enumerate(exact_orbit(pmap, x0, limit)):
+        if x in seen:
+            return seen[x], i - seen[x]
+        seen[x] = i
+    return None
+
+
+def brent_closing(mu, lam):
+    """The index at which Brent's rule closes a cycle of lam after a
+    preperiod of mu: the mark sits at 2**j - 1 for the least j with
+    2**j >= max(mu + 1, lam), and the walk comes back to it lam steps on."""
+    return (1 << (max(mu + 1, lam) - 1).bit_length()) - 1 + lam
+
+
+def lattice_cycle(pmap, x0, limit):
+    """How many points the lattice walk hands out before it closes (at most
+    limit), and the period it reports."""
+    walk = coding._LatticeOrbit(pmap, x0)
+    return sum(1 for _ in islice(walk.points(), limit)), walk.period
+
+
+def closing_lengths(pmap, x0, limit=2000):
+    """k - 1, k, k + 1 and k + lam around the index k where the walk closes
+    a cycle of lam, after checking k and lam against the exact orbit;
+    (STEPS,) when the first limit exact points are all distinct."""
+    repeat = first_repeat(pmap, x0, limit)
+    if repeat is None:
+        assert lattice_cycle(pmap, x0, limit) == (limit, None)
+        return (STEPS,)
+    mu, lam = repeat
+    k = brent_closing(mu, lam)
+    assert lattice_cycle(pmap, x0, 10 * limit) == (k, lam)
+    return tuple(n for n in (k - 1, k, k + 1, k + lam) if n >= 1)
+
+
+def assert_prefixes_agree(pmap, sub, x0, lengths):
+    """orbit, iter_orbit, code, iter_code and roundtrip_check at every length
+    against one exact walk of the longest, and the unbounded streams read
+    through islice."""
+    longest = max(lengths)
+    points = list(exact_orbit(pmap, x0, longest))
+    letters, stop = exact_letters(pmap, sub, x0, longest)
+    assert stop is None
+    verdict = exact_roundtrip(pmap, sub, x0, longest)
+    for n in lengths:
+        assert orbit(pmap, x0, n) == tuple(points[:n]) == tuple(iter_orbit(pmap, x0, n))
+        assert code(pmap, sub, x0, n) == tuple(letters[:n]), n
+        assert tuple(iter_code(pmap, sub, x0, n)) == tuple(letters[:n]), n
+        expected = verdict if verdict.ok or verdict.mismatch_index < n else OK
+        assert roundtrip_check(pmap, sub, x0, n) == expected, n
+    assert list(islice(iter_orbit(pmap, x0), longest)) == points
+    assert list(islice(iter_code(pmap, sub, x0), longest)) == letters
+
+
+def flip_map(h, c):
+    """x + h on [0, 1/2) and c - x on [1/2, 1), for 0 < h < 1/2 and
+    1 + h <= c < 3/2: every orbit climbs by h into [1/2, 1) and ends on the
+    fixed point c/2 or on a two-cycle about it."""
+    d = h.d
+    half, one = ExactScalar.from_rational(Fraction(1, 2), d), ExactScalar.one(d)
+    return PiecewiseMap([AffinePiece(HalfOpenInterval(ExactScalar.zero(d), half), 1, h),
+                         AffinePiece(HalfOpenInterval(half, one), -1, c)])
+
+
+def flip_instances():
+    """(map, subdivision, x0, (mu, lam)) for flip maps in Q and Q(sqrt 5):
+    preperiods, fixed points and starts on a cut."""
+    instances = []
+    for d in (0, 5):
+        r = lambda num, den: ExactScalar.from_rational(Fraction(num, den), d)
+        zero, one = ExactScalar.zero(d), ExactScalar.one(d)
+        cases = [
+            (r(1, 16), r(5, 4), zero, (8, 2)),        # climbs to 1/2, then 1/2 <-> 3/4
+            (r(1, 16), r(5, 4), r(1, 2), (0, 2)),     # a start on the map's cut
+            (r(3, 16), r(5, 4), r(1, 16), (3, 1)),    # climbs onto the fixed point 5/8
+            (r(1, 16), r(5, 4), r(5, 8), (0, 1)),     # a start on the fixed point
+            (r(1, 1000), r(5, 4), zero, (500, 2)),    # a long preperiod
+        ]
+        if d:
+            alpha = golden_alpha()
+            c = one + alpha * Fraction(1, 4)          # fixed point 1/2 + alpha/8
+            cases += [(r(1, 16), r(5, 4), alpha * Fraction(1, 8), (7, 2)),
+                      (r(1, 8), c, alpha * Fraction(1, 8), (4, 1)),
+                      (r(1, 8), c, c * Fraction(1, 2), (0, 1))]
+        for h, c, x0, cycle_shape in cases:
+            # the fixed point c/2 is a cut, and so is the map's cut 1/2
+            bounds = [zero, r(1, 4), r(1, 2), c * Fraction(1, 2), one]
+            for closed_right in (False, True):
+                sub = cut_subdivision(bounds, closed_right)
+                instances.append((flip_map(h, c), sub, x0, cycle_shape))
+    return instances
+
+
+@st.composite
+def cycling_instances(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("rational", "piecewise", "flip")))
+    d = draw(st.sampled_from((0, 5)))
+    if kind == "rational":
+        return random_rational_instance(rng)[:3]
+    if kind == "piecewise":
+        return random_instance(rng, d)
+    r = lambda num, den: ExactScalar.from_rational(Fraction(num, den), d)
+    h = r(1, rng.randint(3, 40))
+    if d and rng.random() < 0.5:
+        share = golden_alpha() * Fraction(1, 2)
+    else:
+        share = r(rng.randint(0, 9), 10)
+    c = ExactScalar.one(d) + h + (r(1, 2) - h) * share      # in [1 + h, 3/2)
+    x0 = rng.choice([ExactScalar.zero(d), r(1, 2), c * Fraction(1, 2), *field_points(rng, d)])
+    return flip_map(h, c), random_subdivision(rng, d), x0
+
+
+@settings(max_examples=80, deadline=None)
+@given(cycling_instances())
+def test_walks_agree_around_the_closing_index(instance):
+    pmap, sub, x0 = instance
+    assert_prefixes_agree(pmap, sub, x0, closing_lengths(pmap, x0))
+
+
+def test_flip_map_cycles_close_where_brent_says():
+    for pmap, sub, x0, (mu, lam) in flip_instances():
+        assert first_repeat(pmap, x0, 2000) == (mu, lam)
+        assert_prefixes_agree(pmap, sub, x0, closing_lengths(pmap, x0))
+
+
+@pytest.mark.parametrize("d", [0, 5])
+def test_ten_thousand_letters_past_a_cycle(d):
+    rng = random.Random(31 + d)
+    rational = [random_rational_instance(rng)[:3]] if d == 0 else []
+    flips = [(pmap, sub, x0) for pmap, sub, x0, _ in flip_instances() if pmap.d == d]
+    for pmap, sub, x0 in [*rational, flips[0], flips[-1]]:
+        assert_prefixes_agree(pmap, sub, x0, (10**4,))
+
+
+def isolating(sub, x, letter):
+    """sub with the point x taken out of its class into a class of its own
+    named letter, and the gluing that sends letter to a different class."""
+    classes = {}
+    for cell_lo, cell_hi, name in sub.table.cells:
+        lo, hi = (key[0] for key in (cell_lo, cell_hi))
+        lo_in, hi_in = cell_lo[1] == AT, cell_hi[1] == AT
+        if not (cell_lo <= (x, AT) <= cell_hi):
+            classes.setdefault(name, []).append(Component(lo, lo_in, hi, hi_in))
+            continue
+        if lo != x:
+            classes.setdefault(name, []).append(Component(lo, lo_in, x, False))
+        if hi != x:
+            classes.setdefault(name, []).append(Component(x, False, hi, hi_in))
+        wrong = next(other for other in sub.alphabet if other != name)
+    classes[letter] = [Component(x, True, x, True)]
+    return Subdivision(classes), lambda l: wrong if l == letter else l
+
+
+def test_roundtrip_mismatch_at_the_last_new_point(monkeypatch):
+    # the refinement is broken at exactly one point, the last new one
+    # before the orbit repeats: the check must compare it before it stops
+    for pmap, sub, x0, (mu, lam) in flip_instances():
+        last_new = list(exact_orbit(pmap, x0, mu + lam))[-1]
+        broken = isolating(sub, last_new, "X")
+        monkeypatch.setattr(coding, "refine_to_good", lambda s, m: broken)
+        monkeypatch.setitem(globals(), "refine_to_good", lambda s, m: broken)
+        mismatch = RoundtripResult(False, mu + lam - 1)
+        assert exact_roundtrip(pmap, sub, x0, mu + lam) == mismatch
+        k = brent_closing(mu, lam)
+        for n in {max(mu + lam - 1, 1), mu + lam, k, k + 1, 10**4}:
+            expected = mismatch if n >= mu + lam else OK
+            assert roundtrip_check(pmap, sub, x0, n) == expected, (x0, n)
+
+
+def test_rotation_with_a_longer_period_never_closes():
+    # the rotation by 3/10007 repeats after 10007 points, past 10**4
+    R = rotation(ExactScalar.from_rational(Fraction(3, 10007), 0))
+    sub = cut_subdivision([ExactScalar.from_rational(Fraction(k, 3), 0) for k in range(4)],
+                          False)
+    x0 = ExactScalar.from_rational(Fraction(1, 5), 0)
+    walk = coding._LatticeOrbit(R, x0)
+    assert sum(1 for _ in islice(walk.points(), 10**4)) == 10**4
+    assert walk.period is None
+    assert_prefixes_agree(R, sub, x0, (10**4,))
+    assert lattice_cycle(R, x0, 10**5) == (brent_closing(0, 10007), 10007)
+
+
+def test_invalid_maps_close_cycles_like_the_exact_walk():
+    rng = random.Random(21)
+    closed = 0
+    for pmap in invalid_maps(rng):
+        sub = random_subdivision(rng, pmap.d)
+        for x0 in (ExactScalar.zero(pmap.d), *field_points(rng, pmap.d)[:4]):
+            points, stop = stopped(exact_orbit(pmap, x0, 200))
+            if stop is not None or len(set(points)) == len(points):
+                continue
+            closed += 1
+            for n in closing_lengths(pmap, x0, 200):
+                assert stopped(iter_orbit(pmap, x0, n)) == stopped(exact_orbit(pmap, x0, n))
+                assert lattice_letters(pmap, sub, x0, n) == exact_letters(pmap, sub, x0, n)
+                assert (outcome(roundtrip_check, pmap, sub, x0, n)
+                        == outcome(exact_roundtrip, pmap, sub, x0, n))
+    assert closed > 100
