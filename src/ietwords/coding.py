@@ -2,7 +2,9 @@
 
 The word of x0 under a map T and subdivision S is the color sequence of
 T^0 x0, T^1 x0, T^2 x0, ...  Batch and streaming generation share one orbit
-walk, and the glue-back round trip is checked in a single pass of it.
+walk, and the glue-back round trip is checked in a single pass of it, with
+one lookup per point in a table of where the glued refined letter is the
+original one.
 
 Every orbit is walked on the integer lattice (1/den)(Z + Z sqrt d): a
 step is two integer updates and each lookup goes through an
@@ -15,9 +17,9 @@ The walk stops once it comes back to an earlier lattice point.  Brent's
 cycle rule finds that in constant memory, and exactly, since two lattice
 points are equal exactly when their integer pairs are.  An eventually
 periodic orbit then costs O(preperiod + period) steps however long the
-word: roundtrip_check has compared every later point already, code
-repeats the last period, and the streams walk one more period and repeat
-it.
+word: code repeats the last period, and the streams walk one more period
+and repeat it.  roundtrip_check walks on past the repeat and looks up all
+n points, so its cost depends on n alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import lcm
 
 from .exactnum import ExactScalar, FieldMismatch
 from .intervalmap import CorruptMap
-from .intervalsets import LatticeTable
+from .intervalsets import CellTable, LatticeTable
 from .subdivision import refine_to_good
 
 
@@ -152,10 +154,10 @@ class _LatticeOrbit:
         self._start = x0.on_lattice(den)
         self.period = None
 
-    def points(self):
+    def points(self, past_repeat=False):
         """The orbit points from the start on, as LatticeTable.index takes
-        them, until the orbit repeats; the map is looked up only when another
-        point is asked for.
+        them, until the orbit repeats (endlessly when past_repeat); the map
+        is looked up only when another point is asked for.
 
         Brent's rule keeps one earlier point as a mark, moved to the newest
         point at steps 1, 3, 7, 15, ..., and compares each new point with
@@ -163,7 +165,8 @@ class _LatticeOrbit:
         so the first equality closes a cycle, and the steps since the mark
         are the least period.  The walk stops there, before the repeated
         point: it sets period, and points() goes on from that point.  Every
-        later point is the one period steps back.
+        later point is the one period steps back.  A walk past_repeat sets
+        period, takes the repeated point as a new mark and goes on.
         """
         pieces, point, moves = self.map, self.map.point, self._moves
         A, B = mark_A, mark_B = self._start
@@ -178,7 +181,9 @@ class _LatticeOrbit:
             A, B = s * A + C, s * B + D
             if A == mark_A and B == mark_B:
                 self.period, self._start = k - mark, (A, B)
-                return
+                if not past_repeat:
+                    return
+                mark = k
             if k == move:
                 mark_A, mark_B, mark, move = A, B, k, 2 * k + 1
 
@@ -242,25 +247,46 @@ class RoundtripResult:
 OK = RoundtripResult(True)
 
 
+def _agreement(refined, gluing, sub):
+    """The cells of [0, 1) on which the glued refined letter is, or is not,
+    the original letter, valued True or False.
+
+    Both tables tile [0, 1), so their common refinement does, left to
+    right; neighbours with the same value are joined, and a correct
+    refinement gives the single cell [0, 1) valued True.
+    """
+    cells = []
+    for lo_key, hi_key, letter in refined.table.cells:
+        glued = gluing(letter)
+        for lo, hi, original in sub.table.meeting(lo_key, hi_key):
+            same = glued == original
+            if cells and cells[-1][2] == same:
+                cells[-1] = (cells[-1][0], hi, same)
+            else:
+                cells.append((lo, hi, same))
+    return CellTable(cells, sub.d)
+
+
 def roundtrip_check(pmap, sub, x0, n):
     """Does gluing the refined coding recover the original coding?
 
-    Computes (refined, gluing) = refine_to_good(sub, pmap), then walks one
-    orbit on the integer lattice, looking each point up in both
-    subdivisions' tables independently; the glued refined letter must
-    equal the original letter at every index.  Equivalent to comparing
-    glue_word(code(pmap, refined, x0, n)) with code(pmap, sub, x0, n), but
-    in a single pass.
+    Computes (refined, gluing) = refine_to_good(sub, pmap) and the table of
+    where the glued refined letter is the original one, then walks one
+    orbit on the integer lattice and looks each of the n points up in that
+    table.  Equivalent to comparing glue_word(code(pmap, refined, x0, n))
+    with code(pmap, sub, x0, n), but in a single pass with one lookup per
+    point besides the map's.
+
+    Every one of the n points is looked up, also past a repeat of the
+    orbit, so the check costs n steps whatever the orbit.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     refined, gluing = refine_to_good(sub, pmap)
-    walk = _LatticeOrbit(pmap, x0, refined.table, sub.table)
-    fine, coarse = walk.tables
-    glued = [gluing(letter) for letter in fine.values]
-    # the walk ends early when the orbit repeats: every later point is one
-    # compared already
-    for k, point in enumerate(islice(walk.points(), n)):
-        if glued[fine.index(point)] != coarse.values[coarse.index(point)]:
+    walk = _LatticeOrbit(pmap, x0, _agreement(refined, gluing, sub))
+    (agree,) = walk.tables
+    ok, index = agree.values, agree.index
+    for k, point in enumerate(islice(walk.points(past_repeat=True), n)):
+        if not ok[index(point)]:
             return RoundtripResult(False, k)
     return OK

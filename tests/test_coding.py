@@ -71,7 +71,8 @@ def test_iter_orbit_is_lazy_and_unbounded():
 def test_n_points_cost_n_minus_one_applies(monkeypatch, golden):
     # every walk steps on the lattice, one lookup in the map's table per
     # step, and never calls PiecewiseMap.apply; a walk that comes back to
-    # an earlier point stops looking up
+    # an earlier point stops looking up, except roundtrip_check's, which
+    # looks up all n points
     applies, lookups = [], []
     real_apply, real_index = PiecewiseMap.apply, LatticeTable.index
     counted = []
@@ -111,10 +112,13 @@ def test_n_points_cost_n_minus_one_applies(monkeypatch, golden):
     # 6 lookups.  orbit and iter_orbit then walk one more period for the
     # values they repeat, 2 lookups more, so no n costs more than 8
     R, sub = third_rotation()
-    for run in walks(R, sub, q(0)):
+    *stopping, check = walks(R, sub, q(0))
+    for run in stopping:
         for n in (1, 2, 10):
             assert lookups_for(run, n) <= n - 1
         assert lookups_for(run, 10**4) <= 8
+    for n in (1, 2, 10, 10**4):
+        assert lookups_for(check, n) == n - 1
     assert list(iter_orbit(R, q(0), 0)) == []
 
 

@@ -8,8 +8,9 @@ orbit stepped through PiecewiseMap.apply and colored by color_of on
 ExactScalar values is the oracle here: points, letters, verdicts,
 exceptions and the number of letters before an exception must agree
 exactly.  The walk stops at the first repeated lattice point (Brent's
-rule); the cycle tests compare every walk with the oracle at lengths just
-before, at and after the point where it closes.
+rule), except in roundtrip_check, which walks on past it; the cycle tests
+compare every walk with the oracle at lengths just before, at and after
+the point where it closes.
 """
 
 import random
@@ -492,7 +493,7 @@ def isolating(sub, x, letter):
 
 def test_roundtrip_mismatch_at_the_last_new_point(monkeypatch):
     # the refinement is broken at exactly one point, the last new one
-    # before the orbit repeats: the check must compare it before it stops
+    # before the orbit repeats: the check must find it there
     for pmap, sub, x0, (mu, lam) in flip_instances():
         last_new = list(exact_orbit(pmap, x0, mu + lam))[-1]
         broken = isolating(sub, last_new, "X")
@@ -504,6 +505,36 @@ def test_roundtrip_mismatch_at_the_last_new_point(monkeypatch):
         for n in {max(mu + lam - 1, 1), mu + lam, k, k + 1, 10**4}:
             expected = mismatch if n >= mu + lam else OK
             assert roundtrip_check(pmap, sub, x0, n) == expected, (x0, n)
+
+
+def test_agreement_is_one_true_cell_unless_a_point_is_broken():
+    rng = random.Random(23)
+    for d in (0, 5):
+        for _ in range(10):
+            pmap, sub, x0 = random_instance(rng, d)
+            refined, gluing = refine_to_good(sub, pmap)
+            table = coding._agreement(refined, gluing, sub)
+            assert [value for _, _, value in table.cells] == [True]
+            assert list(table.faults()) == []
+    for pmap, sub, x0, (mu, lam) in flip_instances():
+        x = list(exact_orbit(pmap, x0, mu + lam))[-1]
+        broken, gluing = isolating(sub, x, "X")
+        table = coding._agreement(broken, gluing, sub)
+        assert list(table.faults()) == []
+        false = [(lo, hi) for lo, hi, value in table.cells if not value]
+        assert false == [((x, AT), (x, AT))]
+        assert [value for _, _, value in table.cells] in (
+            [False, True], [True, False], [True, False, True])
+
+
+def test_walk_past_a_repeat_goes_on_like_the_exact_walk():
+    for pmap, sub, x0, (mu, lam) in flip_instances():
+        n = brent_closing(mu, lam) + 3 * lam + 1
+        walk = coding._LatticeOrbit(pmap, x0)
+        points = [walk.map.scalar(A, B)
+                  for A, B, _, _ in islice(walk.points(past_repeat=True), n)]
+        assert points == list(exact_orbit(pmap, x0, n))
+        assert walk.period == lam
 
 
 def test_rotation_with_a_longer_period_never_closes():
