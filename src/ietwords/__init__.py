@@ -6,6 +6,8 @@ coloring is good for a map, refine any coloring into a good one, and glue
 the refined coding back — all in exact arithmetic over Q(sqrt(d)).
 """
 
+from types import ModuleType as _ModuleType
+
 from .exactnum import (
     EQ,
     GT,
@@ -45,7 +47,6 @@ from .subdivision import (
     OverlapError,
     Subdivision,
     UnknownLetter,
-    glue_word,
     is_good,
     refine_to_good,
 )
@@ -55,6 +56,7 @@ from .coding import (
     SymbolicWord,
     WordOrigin,
     code,
+    glue_word,
     iter_code,
     iter_orbit,
     orbit,
@@ -89,76 +91,6 @@ from .jsonio import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "APERIODIC_AT_SCALE",
-    "AffinePiece",
-    "BoundarySet",
-    "ComplexityProfile",
-    "Component",
-    "CorruptMap",
-    "CoverageGapError",
-    "EQ",
-    "ExactScalar",
-    "FieldMismatch",
-    "GT",
-    "GluingMap",
-    "GoodnessCertificate",
-    "GoodnessViolation",
-    "HalfOpenInterval",
-    "IET",
-    "InstanceSpec",
-    "LT",
-    "NOT_RECURRENT_AT_SCALE",
-    "NonSquarefreeRadicand",
-    "NotBijective",
-    "NotTranslationPiecewise",
-    "OK",
-    "OutOfExpectedRange",
-    "OverlapError",
-    "ParseError",
-    "PiecewiseMap",
-    "PointOutsideDomain",
-    "PrefixTooShort",
-    "RecurrenceProfile",
-    "RoundtripResult",
-    "SpecError",
-    "Subdivision",
-    "SymbolicWord",
-    "UnknownLetter",
-    "WordOrigin",
-    "ZeroDenominator",
-    "cmp",
-    "code",
-    "complexity",
-    "detect_period",
-    "dumps",
-    "format_scalar",
-    "glue_word",
-    "gluing_from_json",
-    "gluing_to_json",
-    "identity_map",
-    "iet_to_json",
-    "iet_to_map",
-    "instance_to_json",
-    "interval",
-    "is_good",
-    "iter_code",
-    "iter_orbit",
-    "make_scalar",
-    "map_from_json",
-    "map_to_json",
-    "mod1",
-    "orbit",
-    "parse_scalar",
-    "parse_spec",
-    "recurrence_profile",
-    "recurrence_window",
-    "refine_to_good",
-    "rotation",
-    "roundtrip_check",
-    "singleton",
-    "subdivision_from_json",
-    "subdivision_to_json",
-    "to_iet",
-    "word_to_json",
-]
+# pydoc lists what __all__ names: every public name imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -4,7 +4,8 @@ Factor complexity and recurrence windows for every n come from one suffix
 automaton of the word (Blumer et al., TCS 1985): a state is a class of
 factors with the same end positions, covering a range of lengths, so one
 pass over the states answers all n at once.  Periods come from one
-Z-array of the reversed word.
+Z-array of the reversed word.  Both read the letters as they are: they
+only hash letters and compare them for equality.
 
 Everything here is evidence at a scale: the verdict sentinels say
 "...AT_SCALE" because a finite prefix can never certify an infinite-word
@@ -49,17 +50,6 @@ def _letters_of(word):
     return letters
 
 
-def _as_chars(letters):
-    """Encode letters as single characters so slicing stays C-speed.
-
-    Factor identity only needs injectivity of the encoding; collisions are
-    impossible because distinct letters get distinct code points.
-    """
-    alphabet = sorted(set(letters))
-    table = {letter: chr(0x21 + i) for i, letter in enumerate(alphabet)}
-    return "".join(table[l] for l in letters)
-
-
 @dataclass(frozen=True)
 class _Profile:
     values: tuple          # ((n, value), ...)
@@ -101,7 +91,7 @@ def complexity(word, n_max):
         raise ValueError("need n_max >= 1")
     if length < n_max:
         raise PrefixTooShort(f"prefix of length {length} < n_max {n_max}")
-    link, longest, _ = _automaton(_as_chars(letters))
+    link, longest, _ = _automaton(letters)
     diff = [0] * (n_max + 2)
     for v in range(1, len(longest)):
         lo = longest[link[v]] + 1
@@ -131,14 +121,14 @@ def recurrence_window(word, n):
         raise ValueError("need n >= 1")
     if length < 4 * n:
         raise PrefixTooShort(f"prefix of length {length} < 4n = {4 * n}")
-    return _windows(_as_chars(letters), n)[-1]
+    return _windows(letters, n)[-1]
 
 
 def recurrence_profile(word, n_max):
     """recurrence_window for every n up to n_max that the prefix supports."""
     letters = _letters_of(word)
     top = min(n_max, len(letters) // 4)
-    windows = _windows(_as_chars(letters), top) if top >= 1 else []
+    windows = _windows(letters, top) if top >= 1 else []
     return RecurrenceProfile(tuple(enumerate(windows, 1)), len(letters))
 
 
@@ -277,7 +267,7 @@ def detect_period(word):
     """
     letters = _letters_of(word)
     length = len(letters)
-    z = _z_array(_as_chars(letters)[::-1])
+    z = _z_array(letters[::-1])
     half = length // 2
     for q in range(1, half + 1):
         common_suffix = z[q]

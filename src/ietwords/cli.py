@@ -16,7 +16,7 @@ from functools import cache
 from itertools import islice
 
 from .analysis import complexity, detect_period, recurrence_profile
-from .coding import WordOrigin, code, iter_code
+from .coding import WordOrigin, code, iter_code, roundtrip_check
 from .exactnum import format_scalar
 from .intervalmap import to_iet
 from .jsonio import (
@@ -123,8 +123,6 @@ def _cmd_refine(spec, args, out):
 
 
 def _cmd_roundtrip(spec, args, out):
-    from .coding import roundtrip_check
-
     result = roundtrip_check(spec.pmap, spec.sub, spec.x0, _length(spec, args))
     if args.as_json:
         out.write(dumps({"ok": result.ok, "mismatch_index": result.mismatch_index}))

@@ -12,20 +12,22 @@ intervalsets.LatticeTable, whose float filter decides only what a
 certified error bound allows and sends every close case to exact integer
 signs.  iter_orbit and orbit hand the points out as ExactScalar values;
 iter_code, code and roundtrip_check read letters off the same walk.
+glue_word sends a word's letters through a gluing.
 
-The walk stops once it comes back to an earlier lattice point.  Brent's
-cycle rule finds that in constant memory, and exactly, since two lattice
-points are equal exactly when their integer pairs are.  An eventually
-periodic orbit then costs O(preperiod + period) steps however long the
-word: code repeats the last period, and the streams walk one more period
-and repeat it.  roundtrip_check walks on past the repeat and looks up all
-n points, so its cost depends on n alone.
+The walk itself never stops.  The stream that iter_orbit, iter_code and
+code read stops walking at the first return to an earlier lattice point:
+Brent's cycle rule finds it in constant memory, and exactly, since two
+lattice points are equal exactly when their integer pairs are.  It then
+walks one more period and repeats it, so an eventually periodic orbit
+costs O(preperiod + period) steps however long the word.  roundtrip_check
+reads the walk itself and looks up all n points, so its cost depends on n
+alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import count, cycle, islice
+from itertools import chain, cycle, islice
 from math import lcm
 
 from .exactnum import ExactScalar, FieldMismatch
@@ -111,6 +113,15 @@ class SymbolicWord:
         return f"SymbolicWord({len(self._letters)} letters: {shown})"
 
 
+def glue_word(word, gluing):
+    """Apply the gluing letterwise; SymbolicWord in, SymbolicWord out."""
+    if isinstance(word, SymbolicWord):
+        return word.projected(tuple(gluing(l) for l in word.letters))
+    if isinstance(word, str):
+        word = word.split()
+    return tuple(gluing(l) for l in word)
+
+
 def iter_orbit(pmap, x0, n=None):
     """Stream the forward orbit of x0 as ExactScalars; infinite when n is None.
 
@@ -151,27 +162,16 @@ class _LatticeOrbit:
                     for key in cell[:2]))
         self.map, *self.tables = (LatticeTable(t, den) for t in tables)
         self._moves = [(p.slope, *p.intercept.on_lattice(den)) for p in self.map.values]
-        self._start = x0.on_lattice(den)
+        self.x0, self._start = x0, x0.on_lattice(den)
         self.period = None
 
-    def points(self, past_repeat=False):
-        """The orbit points from the start on, as LatticeTable.index takes
-        them, until the orbit repeats (endlessly when past_repeat); the map
-        is looked up only when another point is asked for.
-
-        Brent's rule keeps one earlier point as a mark, moved to the newest
-        point at steps 1, 3, 7, 15, ..., and compares each new point with
-        it.  Lattice points are equal exactly when their integer pairs are,
-        so the first equality closes a cycle, and the steps since the mark
-        are the least period.  The walk stops there, before the repeated
-        point: it sets period, and points() goes on from that point.  Every
-        later point is the one period steps back.  A walk past_repeat sets
-        period, takes the repeated point as a new mark and goes on.
-        """
+    def points(self):
+        """The orbit points from the start on, endlessly, as
+        LatticeTable.index takes them; the map is looked up only when
+        another point is asked for."""
         pieces, point, moves = self.map, self.map.point, self._moves
-        A, B = mark_A, mark_B = self._start
-        mark, move = 0, 1
-        for k in count(1):
+        A, B = self._start
+        while True:
             here = point(A, B)
             yield here
             i = pieces.index(here)
@@ -179,23 +179,32 @@ class _LatticeOrbit:
                 raise CorruptMap(f"no piece contains {pieces.scalar(A, B)}")
             s, C, D = moves[i]
             A, B = s * A + C, s * B + D
-            if A == mark_A and B == mark_B:
-                self.period, self._start = k - mark, (A, B)
-                if not past_repeat:
-                    return
-                mark = k
-            if k == move:
-                mark_A, mark_B, mark, move = A, B, k, 2 * k + 1
 
     def stream(self, read):
-        """read(point) for every orbit point, endlessly.  Nothing is kept
-        until the orbit repeats; then the walk goes on for one period, whose
-        values are kept and repeated."""
-        for point in self.points():
-            yield read(point)
+        """read(point) for every orbit point, endlessly.
+
+        Brent's rule keeps one earlier point as a mark, moved to the newest
+        point at steps 0, 1, 3, 7, 15, ..., and compares each new point with
+        it.  Lattice points are equal exactly when their integer pairs are,
+        so the first equality closes a cycle, and the steps since the mark
+        are the least period, kept as period.  Nothing is kept until then;
+        from there the walk reads one more period, whose values are kept
+        and repeated.
+        """
+        points = self.points()
+        mark_A = mark_B = None
+        mark = move = 0
+        for k, here in enumerate(points):
+            A, B, _, _ = here
+            if A == mark_A and B == mark_B:
+                self.period = k - mark
+                break
+            if k == move:
+                mark_A, mark_B, mark, move = A, B, k, 2 * k + 1
+            yield read(here)
         period = []
-        for point in islice(self.points(), self.period):
-            period.append(read(point))
+        for here in islice(chain((here,), points), self.period):
+            period.append(read(here))
             yield period[-1]
         yield from cycle(period)
 
@@ -219,15 +228,11 @@ def code(pmap, sub, x0, n):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    x0 = x0 + ExactScalar.zero(pmap.d)     # lifts int and Fraction starts
     walk = _LatticeOrbit(pmap, x0, sub.table)
     (cells,) = walk.tables
     letters, index = cells.values, cells.index
-    word = [letters[index(point)] for point in islice(walk.points(), n)]
-    if len(word) < n:
-        word += islice(cycle(word[-walk.period:]), n - len(word))
-    origin = WordOrigin(pmap.content_id(), sub.content_id(), x0, n)
-    return SymbolicWord(word, origin)
+    word = islice(walk.stream(lambda point: letters[index(point)]), n)
+    return SymbolicWord(word, WordOrigin(pmap.content_id(), sub.content_id(), walk.x0, n))
 
 
 @dataclass(frozen=True)
@@ -286,7 +291,7 @@ def roundtrip_check(pmap, sub, x0, n):
     walk = _LatticeOrbit(pmap, x0, _agreement(refined, gluing, sub))
     (agree,) = walk.tables
     ok, index = agree.values, agree.index
-    for k, point in enumerate(islice(walk.points(past_repeat=True), n)):
+    for k, point in enumerate(islice(walk.points(), n)):
         if not ok[index(point)]:
             return RoundtripResult(False, k)
     return OK

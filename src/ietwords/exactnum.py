@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, sqrt
 
 
 class ZeroDenominator(ValueError):
@@ -300,8 +300,6 @@ class ExactScalar:
 
     def approx(self):
         """Float approximation for display only, never for predicates."""
-        from math import sqrt
-
         return self._a / self._q + (self._b / self._q) * sqrt(self._d)
 
     def __repr__(self):

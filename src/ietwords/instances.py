@@ -20,6 +20,7 @@ from .intervalmap import (
     iet_to_map,
     rotation,
 )
+from .jsonio import InstanceSpec
 from .subdivision import Subdivision
 
 
@@ -53,8 +54,6 @@ def fibonacci_partition():
 
 def fibonacci_instance(length):
     """A ready-to-run instance whose coding is the Fibonacci word prefix."""
-    from .jsonio import InstanceSpec
-
     return InstanceSpec(5, golden_rotation(), fibonacci_partition(),
                         golden_alpha(), length)
 

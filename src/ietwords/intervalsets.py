@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from math import nan, sqrt
 
 from .exactnum import ExactScalar, _sign_of
@@ -86,8 +87,6 @@ class Component:
 
 
 def _midpoint(a, b):
-    from fractions import Fraction
-
     return (a + b) * Fraction(1, 2)
 
 

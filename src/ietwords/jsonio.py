@@ -24,7 +24,8 @@ from .exactnum import (
     parse_scalar,
 )
 from .intervalsets import BoundarySet, Component
-from .intervalmap import IET, AffinePiece, HalfOpenInterval, PiecewiseMap
+from .intervalmap import (IET, AffinePiece, HalfOpenInterval, PiecewiseMap,
+                          PointOutsideDomain, iet_to_map)
 from .subdivision import GluingMap, Subdivision
 
 
@@ -219,8 +220,6 @@ def map_from_json(obj, d, path="/map"):
         perm = [
             _read_int(v, f"{path}/permutation/{i}") for i, v in enumerate(perm_obj)
         ]
-        from .intervalmap import iet_to_map
-
         try:
             iet = IET(tuple(lengths), tuple(perm))
         except ValueError as e:
@@ -294,9 +293,6 @@ def parse_spec(document):
     length = _read_int(_require(document, "length", "/"), "/length", minimum=1)
 
     pmap.require_valid()
-
-    from .intervalmap import PointOutsideDomain
-
     zero, one = ExactScalar.zero(d), ExactScalar.one(d)
     if not (zero <= x0 < one):
         raise PointOutsideDomain(f"x0 = {x0} outside [0, 1)")

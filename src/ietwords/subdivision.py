@@ -410,14 +410,3 @@ def refine_to_good(sub, pmap):
     gluing = GluingMap({name: letter for name, letter, _ in names})
     return refined, gluing
 
-
-def glue_word(word, gluing):
-    """Apply the gluing letterwise; SymbolicWord in, SymbolicWord out."""
-    from .coding import SymbolicWord
-
-    if isinstance(word, SymbolicWord):
-        letters = tuple(gluing(l) for l in word.letters)
-        return word.projected(letters)
-    if isinstance(word, str):
-        word = word.split()
-    return tuple(gluing(l) for l in word)

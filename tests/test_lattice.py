@@ -16,7 +16,7 @@ the point where it closes.
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import islice, takewhile
 from math import isqrt, lcm
 from operator import mul
 
@@ -352,10 +352,11 @@ def brent_closing(mu, lam):
 
 
 def lattice_cycle(pmap, x0, limit):
-    """How many points the lattice walk hands out before it closes (at most
-    limit), and the period it reports."""
+    """How many values the walk's stream hands out before it closes a cycle
+    (at most limit), and the period it reports."""
     walk = coding._LatticeOrbit(pmap, x0)
-    return sum(1 for _ in islice(walk.points(), limit)), walk.period
+    values = islice(walk.stream(lambda point: point), limit)
+    return sum(1 for _ in takewhile(lambda _: walk.period is None, values)), walk.period
 
 
 def closing_lengths(pmap, x0, limit=2000):
@@ -531,10 +532,9 @@ def test_walk_past_a_repeat_goes_on_like_the_exact_walk():
     for pmap, sub, x0, (mu, lam) in flip_instances():
         n = brent_closing(mu, lam) + 3 * lam + 1
         walk = coding._LatticeOrbit(pmap, x0)
-        points = [walk.map.scalar(A, B)
-                  for A, B, _, _ in islice(walk.points(past_repeat=True), n)]
+        points = [walk.map.scalar(A, B) for A, B, _, _ in islice(walk.points(), n)]
         assert points == list(exact_orbit(pmap, x0, n))
-        assert walk.period == lam
+        assert lattice_cycle(pmap, x0, n)[1] == lam
 
 
 def test_rotation_with_a_longer_period_never_closes():
@@ -543,9 +543,7 @@ def test_rotation_with_a_longer_period_never_closes():
     sub = cut_subdivision([ExactScalar.from_rational(Fraction(k, 3), 0) for k in range(4)],
                           False)
     x0 = ExactScalar.from_rational(Fraction(1, 5), 0)
-    walk = coding._LatticeOrbit(R, x0)
-    assert sum(1 for _ in islice(walk.points(), 10**4)) == 10**4
-    assert walk.period is None
+    assert lattice_cycle(R, x0, 10**4) == (10**4, None)
     assert_prefixes_agree(R, sub, x0, (10**4,))
     assert lattice_cycle(R, x0, 10**5) == (brent_closing(0, 10007), 10007)
 
