@@ -44,6 +44,10 @@ APERIODIC_AT_SCALE = _Verdict("APERIODIC_AT_SCALE")
 
 
 def _letters_of(word):
+    """The letters of a SymbolicWord, a sequence of letters, or a str of
+    whitespace-separated letters, the form SymbolicWord.text() writes."""
+    if isinstance(word, str):
+        word = word.split()
     letters = word.letters if hasattr(word, "letters") else tuple(word)
     if not letters:
         raise ValueError("empty word")
@@ -51,31 +55,31 @@ def _letters_of(word):
 
 
 @dataclass(frozen=True)
-class _Profile:
-    values: tuple          # ((n, value), ...)
+class ComplexityProfile:
+    """p(n) for 1 <= n <= n_max, measured on a specific prefix length."""
+
+    values: tuple          # ((n, p(n)), ...)
     prefix_length: int
 
-    def _at(self, n):
-        """The value recorded for n; KeyError when the profile has none."""
-        for m, value in self.values:
-            if m == n:
-                return value
-        raise KeyError(n)
+    def p(self, n):
+        return dict(self.values)[n]     # KeyError when n has no value
 
     def rows(self):
         return list(self.values)
 
 
-class ComplexityProfile(_Profile):
-    """p(n) for 1 <= n <= n_max, measured on a specific prefix length."""
-
-    p = _Profile._at
-
-
-class RecurrenceProfile(_Profile):
+@dataclass(frozen=True)
+class RecurrenceProfile:
     """Smallest all-factors window per n, or NOT_RECURRENT_AT_SCALE."""
 
-    window = _Profile._at
+    values: tuple          # ((n, window), ...)
+    prefix_length: int
+
+    def window(self, n):
+        return dict(self.values)[n]     # KeyError when n has no value
+
+    def rows(self):
+        return list(self.values)
 
 
 def complexity(word, n_max):

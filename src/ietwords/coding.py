@@ -2,9 +2,8 @@
 
 The word of x0 under a map T and subdivision S is the color sequence of
 T^0 x0, T^1 x0, T^2 x0, ...  Batch and streaming generation share one orbit
-walk, and the glue-back round trip is checked in a single pass of it, with
-one lookup per point in a table of where the glued refined letter is the
-original one.
+walk.  The glue-back round trip is decided on a table of where the glued
+refined letter is the original one, and walks only to locate a mismatch.
 
 Every orbit is walked on the integer lattice (1/den)(Z + Z sqrt d): a
 step is two integer updates and each lookup goes through an
@@ -14,14 +13,12 @@ signs.  iter_orbit and orbit hand the points out as ExactScalar values;
 iter_code, code and roundtrip_check read letters off the same walk.
 glue_word sends a word's letters through a gluing.
 
-The walk itself never stops.  The stream that iter_orbit, iter_code and
-code read stops walking at the first return to an earlier lattice point:
-Brent's cycle rule finds it in constant memory, and exactly, since two
-lattice points are equal exactly when their integer pairs are.  It then
-walks one more period and repeats it, so an eventually periodic orbit
-costs O(preperiod + period) steps however long the word.  roundtrip_check
-reads the walk itself and looks up all n points, so its cost depends on n
-alone.
+Every walk reads one stream, which stops walking at the first return to
+an earlier lattice point: Brent's cycle rule finds it in constant memory,
+and exactly, since two lattice points are equal exactly when their
+integer pairs are.  It then walks one more period and repeats it, so an
+eventually periodic orbit costs O(preperiod + period) steps however long
+the word.
 """
 
 from __future__ import annotations
@@ -275,15 +272,15 @@ def _agreement(refined, gluing, sub):
 def roundtrip_check(pmap, sub, x0, n):
     """Does gluing the refined coding recover the original coding?
 
-    Computes (refined, gluing) = refine_to_good(sub, pmap) and the table of
-    where the glued refined letter is the original one, then walks one
-    orbit on the integer lattice and looks each of the n points up in that
-    table.  Equivalent to comparing glue_word(code(pmap, refined, x0, n))
-    with code(pmap, sub, x0, n), but in a single pass with one lookup per
-    point besides the map's.
-
-    Every one of the n points is looked up, also past a repeat of the
-    orbit, so the check costs n steps whatever the orbit.
+    Equivalent to comparing glue_word(code(pmap, refined, x0, n)) with
+    code(pmap, sub, x0, n) for (refined, gluing) = refine_to_good(sub, pmap).
+    The answer is read off the table of where the glued refined letter is
+    the original one.  refine_to_good has validated the map, so every orbit
+    stays in [0, 1), and a table that is the single cell [0, 1) valued True
+    proves the round trip for every start and length without a walk.
+    Otherwise the orbit is walked to the first point in a False cell; a
+    point past the first repeat repeats an earlier one, so the walk stops
+    at the cycle like every other.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -291,7 +288,9 @@ def roundtrip_check(pmap, sub, x0, n):
     walk = _LatticeOrbit(pmap, x0, _agreement(refined, gluing, sub))
     (agree,) = walk.tables
     ok, index = agree.values, agree.index
-    for k, point in enumerate(islice(walk.points(), n)):
-        if not ok[index(point)]:
+    if ok == [True]:
+        return OK
+    for k, same in enumerate(islice(walk.stream(lambda point: ok[index(point)]), n)):
+        if not same:
             return RoundtripResult(False, k)
     return OK

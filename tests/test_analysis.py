@@ -83,7 +83,7 @@ def test_fibonacci_complexity_is_n_plus_one():
 
 
 def test_complexity_of_periodic_word_is_bounded():
-    prof = complexity("AB" * 20, 8)
+    prof = complexity(list("AB" * 20), 8)
     assert [pn for _, pn in prof.values] == [2] * 8
 
 
@@ -97,16 +97,27 @@ def test_complexity_counts_match_direct_enumeration(rng):
 
 def test_complexity_input_validation():
     with pytest.raises(PrefixTooShort):
-        complexity("abc", 4)
+        complexity(list("abc"), 4)
     with pytest.raises(ValueError):
-        complexity("abc", 0)
+        complexity(list("abc"), 0)
     with pytest.raises(ValueError):
-        complexity("", 1)
+        complexity(list(""), 1)
 
 
 def test_complexity_accepts_words_and_sequences():
     w = SymbolicWord("a b a b".split())
-    assert complexity(w, 2).rows() == complexity("abab", 2).rows()
+    assert complexity(w, 2).rows() == complexity(list("abab"), 2).rows()
+
+
+def test_str_words_are_read_as_text_writes_them():
+    # a str is whitespace-separated letters, as SymbolicWord.text() writes
+    # and glue_word reads, so refined letters such as A0 stay whole
+    word = SymbolicWord(["A0", "A1", "B0"] * 10 + ["A0"])
+    for text in (word.text(), word.text(wrap=7)):
+        assert complexity(text, 5) == complexity(word, 5)
+        assert recurrence_profile(text, 5) == recurrence_profile(word, 5)
+        assert detect_period(text) == detect_period(word) == (0, 3)
+    assert complexity(word, 1).p(1) == 3
 
 
 # -------------------------------------------------------------- recurrence
@@ -130,21 +141,21 @@ def test_recurrence_window_matches_starts_oracle(word, data):
 
 
 def test_recurrence_profile_of_short_words_is_empty():
-    for word in ("a", "ab", "abc"):
+    for word in (list("a"), list("ab"), list("abc")):
         prof = recurrence_profile(word, 10)
         assert prof.rows() == []
         assert prof.prefix_length == len(word)
 
 
 def test_one_letter_word():
-    word = "a" * 40
+    word = list("a" * 40)
     assert [pn for _, pn in complexity(word, 40).values] == [1] * 40
     # a^n starts at every position, so the edges set the window: W = n
     assert recurrence_profile(word, 40).rows() == [(n, n) for n in range(1, 11)]
 
 
 def test_recurrence_verdict_changes_with_n():
-    word = "aab" + "ab" * 8      # "aa" occurs once, every letter often
+    word = list("aab" + "ab" * 8)      # "aa" occurs once, every letter often
     rows = recurrence_profile(word, 10).rows()
     assert rows == oracle_profile(word, 10)
     assert isinstance(rows[0][1], int)
@@ -153,8 +164,8 @@ def test_recurrence_verdict_changes_with_n():
 
 def test_recurrence_window_of_periodic_word():
     # in "ABABAB...", every length-1 factor recurs within any 2 letters
-    assert recurrence_window("AB" * 10, 1) == 2
-    assert recurrence_window("AB" * 10, 2) == 3
+    assert recurrence_window(list("AB" * 10), 1) == 2
+    assert recurrence_window(list("AB" * 10), 2) == 3
 
 
 def test_recurrence_requires_two_occurrences():
@@ -186,7 +197,7 @@ def test_fibonacci_recurrence_windows_match_scan():
 
 def test_recurrence_prefix_guard():
     with pytest.raises(PrefixTooShort):
-        recurrence_window("abcabc", 2)  # needs length >= 8
+        recurrence_window(list("abcabc"), 2)  # needs length >= 8
 
 
 def test_recurrence_profile_caps_depth():
@@ -202,13 +213,13 @@ def test_recurrence_profile_caps_depth():
 # ----------------------------------------------------------------- periods
 
 def test_detect_period_examples():
-    assert detect_period("AAB" * 10) == (0, 3)
-    assert detect_period("A" * 12) == (0, 1)
-    assert detect_period("x" + "ab" * 20) == (1, 2)
+    assert detect_period(list("AAB" * 10)) == (0, 3)
+    assert detect_period(list("A" * 12)) == (0, 1)
+    assert detect_period(list("x" + "ab" * 20)) == (1, 2)
 
 
 def test_detect_period_accepts_exactly_three_periods():
-    assert detect_period("xyz" * 3) == (0, 3)
+    assert detect_period(list("xyz" * 3)) == (0, 3)
 
 
 def test_fibonacci_prefix_reads_as_aperiodic():

@@ -7,10 +7,9 @@ iter_orbit, which hands the lattice points out as ExactScalar values.  An
 orbit stepped through PiecewiseMap.apply and colored by color_of on
 ExactScalar values is the oracle here: points, letters, verdicts,
 exceptions and the number of letters before an exception must agree
-exactly.  The walk stops at the first repeated lattice point (Brent's
-rule), except in roundtrip_check, which walks on past it; the cycle tests
-compare every walk with the oracle at lengths just before, at and after
-the point where it closes.
+exactly.  Every walk stops at the first repeated lattice point (Brent's
+rule); the cycle tests compare every walk with the oracle at lengths just
+before, at and after the point where it closes.
 """
 
 import random
@@ -492,20 +491,77 @@ def isolating(sub, x, letter):
     return Subdivision(classes), lambda l: wrong if l == letter else l
 
 
+@pytest.fixture
+def map_lookups(monkeypatch):
+    """The points LatticeTable.index locates in a map's table."""
+    points = []
+    real = LatticeTable.index
+
+    def counting(self, point):
+        if isinstance(self.values[0], AffinePiece):
+            points.append(point)
+        return real(self, point)
+
+    monkeypatch.setattr(LatticeTable, "index", counting)
+    return points
+
+
+def breaking(monkeypatch, broken):
+    """Make coding's roundtrip_check and exact_roundtrip here both take
+    broken for the refinement."""
+    monkeypatch.setattr(coding, "refine_to_good", lambda s, m: broken)
+    monkeypatch.setitem(globals(), "refine_to_good", lambda s, m: broken)
+
+
 def test_roundtrip_mismatch_at_the_last_new_point(monkeypatch):
     # the refinement is broken at exactly one point, the last new one
     # before the orbit repeats: the check must find it there
     for pmap, sub, x0, (mu, lam) in flip_instances():
         last_new = list(exact_orbit(pmap, x0, mu + lam))[-1]
-        broken = isolating(sub, last_new, "X")
-        monkeypatch.setattr(coding, "refine_to_good", lambda s, m: broken)
-        monkeypatch.setitem(globals(), "refine_to_good", lambda s, m: broken)
+        breaking(monkeypatch, isolating(sub, last_new, "X"))
         mismatch = RoundtripResult(False, mu + lam - 1)
         assert exact_roundtrip(pmap, sub, x0, mu + lam) == mismatch
         k = brent_closing(mu, lam)
         for n in {max(mu + lam - 1, 1), mu + lam, k, k + 1, 10**4}:
             expected = mismatch if n >= mu + lam else OK
             assert roundtrip_check(pmap, sub, x0, n) == expected, (x0, n)
+
+
+def test_roundtrip_walks_only_to_locate_a_mismatch(monkeypatch, map_lookups):
+    # the rotation by 1/3 visits 0, 1/3, 2/3 from 0.  Broken at 2/3, the
+    # check walks to it, 2 lookups, however long the word.  Broken at 1/2,
+    # which the orbit never visits, it walks to the cycle and one more
+    # period, the same 8 lookups the other walks make there
+    third = lambda k: ExactScalar.from_rational(Fraction(k, 3), 0)
+    R, x0 = rotation(third(1)), third(0)
+    sub = cut_subdivision([third(0), third(2), third(3)], False)
+    half = ExactScalar.from_rational(Fraction(1, 2), 0)
+    cases = [(third(2), (3, 4, 10, 10**4), RoundtripResult(False, 2), 2),
+             (half, (10**4,), OK, 8)]
+    for x, lengths, verdict, lookups in cases:
+        breaking(monkeypatch, isolating(sub, x, "X"))
+        for n in lengths:
+            map_lookups.clear()
+            assert roundtrip_check(R, sub, x0, n) == verdict == exact_roundtrip(R, sub, x0, n)
+            assert len(map_lookups) == lookups, (x, n)
+
+
+def test_roundtrip_mismatch_on_orbits_that_never_close(monkeypatch):
+    # Q(sqrt 5) orbits whose first 2000 exact points are distinct, with the
+    # refinement broken at orbit point j: the first, a middle and the last
+    rng = random.Random(41)
+    found = 0
+    while found < 3:
+        pmap, sub, x0 = random_instance(rng, 5)
+        if first_repeat(pmap, x0, 2000) is not None:
+            continue
+        found += 1
+        points = list(exact_orbit(pmap, x0, 2000))
+        for j in (0, rng.randrange(1, 1999), 1999):
+            breaking(monkeypatch, isolating(sub, points[j], "X"))
+            assert exact_roundtrip(pmap, sub, x0, 2000) == RoundtripResult(False, j)
+            for n in {j, j + 1, 2000} - {0}:
+                assert roundtrip_check(pmap, sub, x0, n) == exact_roundtrip(pmap, sub, x0, n)
 
 
 def test_agreement_is_one_true_cell_unless_a_point_is_broken():

@@ -39,6 +39,11 @@ def test_pydoc_lists_every_public_name():
     text = pydoc.render_doc(ietwords, renderer=pydoc.plaintext)
     for name in names:
         assert re.search(rf"^    (class )?{name}\b", text, re.M), name
+    # nor does it show a private name in the class tree or as a base class
+    tree = text.split("\nCLASSES\n", 1)[1].split("\n    class ", 1)[0]
+    assert "ietwords.analysis.ComplexityProfile" in tree
+    assert not re.search(r"[\s.(]_", tree), tree
+    assert not re.search(r"^    class \w+\([^)]*\b_", text, re.M)
 
 
 def test_readme_tour_runs():
