@@ -5,8 +5,11 @@ T^0 x0, T^1 x0, T^2 x0, ...  Batch and streaming generation share one orbit
 walk.  The glue-back round trip is decided on a table of where the glued
 refined letter is the original one, and walks only to locate a mismatch.
 
-Every orbit is walked on the integer lattice (1/den)(Z + Z sqrt d): a
-step is two integer updates and each lookup goes through an
+Every walk requires a map whose validation report is clean: its orbits
+then stay in [0, 1) and every table the walk compiles tiles [0, 1), and a
+broken map raises CorruptMap before any point is walked.  Every orbit is
+walked on the integer lattice (1/den)(Z + Z sqrt d): a step is two
+integer updates and each lookup goes through an
 intervalsets.LatticeTable, whose float filter decides only what a
 certified error bound allows and sends every close case to exact integer
 signs.  iter_orbit and orbit hand the points out as ExactScalar values;
@@ -28,7 +31,6 @@ from itertools import chain, cycle, islice
 from math import lcm
 
 from .exactnum import ExactScalar, FieldMismatch
-from .intervalmap import CorruptMap
 from .intervalsets import CellTable, LatticeTable
 from .subdivision import refine_to_good
 
@@ -124,7 +126,9 @@ def iter_orbit(pmap, x0, n=None):
 
     The map is looked up only when another point is asked for, so n points
     cost at most n - 1 lookups.  Memory is constant until the orbit
-    repeats, then one period.
+    repeats, then one period.  Raises CorruptMap, before any point, when
+    pmap fails validation, and PointOutsideDomain when x0 lies outside
+    [0, 1).
     """
     walk = _LatticeOrbit(pmap, x0)
     scalar = walk.map.scalar
@@ -146,11 +150,13 @@ class _LatticeOrbit:
     cell endpoint.  Every slope is +1 or -1, so each orbit point is
     (A + B sqrt d) / den with integers A, B, and a step through a piece
     with intercept (C + D sqrt d) / den is A, B = s*A + C, s*B + D.
+    The tables must tile [0, 1), as subdivision and agreement tables do.
     """
 
     def __init__(self, pmap, x0, *tables):
         if any(t.d != pmap.d for t in tables):
             raise FieldMismatch("subdivision and map use different field contexts")
+        pmap.require_valid()           # its domains tile [0, 1), its orbits stay there
         pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
         x0 = x0 + ExactScalar.zero(pmap.d)     # lifts int and Fraction starts
         tables = (pmap.table, *tables)
@@ -166,15 +172,12 @@ class _LatticeOrbit:
         """The orbit points from the start on, endlessly, as
         LatticeTable.index takes them; the map is looked up only when
         another point is asked for."""
-        pieces, point, moves = self.map, self.map.point, self._moves
+        index, point, moves = self.map.index, self.map.point, self._moves
         A, B = self._start
         while True:
             here = point(A, B)
             yield here
-            i = pieces.index(here)
-            if i is None:
-                raise CorruptMap(f"no piece contains {pieces.scalar(A, B)}")
-            s, C, D = moves[i]
+            s, C, D = moves[index(here)]
             A, B = s * A + C, s * B + D
 
     def stream(self, read):
@@ -280,7 +283,7 @@ def roundtrip_check(pmap, sub, x0, n):
     proves the round trip for every start and length without a walk.
     Otherwise the orbit is walked to the first point in a False cell; a
     point past the first repeat repeats an earlier one, so the walk stops
-    at the cycle like every other.
+    once the cycle closes, when every distinct point has been read.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -293,4 +296,6 @@ def roundtrip_check(pmap, sub, x0, n):
     for k, same in enumerate(islice(walk.stream(lambda point: ok[index(point)]), n)):
         if not same:
             return RoundtripResult(False, k)
+        if walk.period is not None:
+            break
     return OK

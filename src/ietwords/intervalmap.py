@@ -2,8 +2,9 @@
 
 A PiecewiseMap is a finite list of affine pieces with slope +1 or -1 whose
 half-open domains tile [0, 1).  Validation is report-style: invalid maps
-can be built and inspected, but the dynamic operations assume a map whose
-report is clean.  An IET is the translation-bijection special case, stored
+can be built and inspected, and apply and piece_at answer single points
+of any map, but every orbit walk, is_good and refine_to_good check the
+report first and raise CorruptMap unless it is clean.  An IET is the translation-bijection special case, stored
 as lengths plus a permutation.
 """
 

@@ -10,9 +10,10 @@ standing for "just below x", "x itself", "just above x".  A component is
 the key range [lo_key, hi_key]; unions, intersections and adjacency checks
 reduce to tuple comparisons on keys.  A CellTable holds key ranges sorted
 by start: map domains, map images and subdivision cells are each one
-table, and every point lookup, range lookup and tiling check on [0, 1)
-goes through it.  A LatticeTable is a CellTable compiled onto the integer
-lattice of one orbit walk, where keys are integers and floats only filter.
+table, and every single-point lookup, range lookup and tiling check on
+[0, 1) goes through it.  A LatticeTable is a CellTable that tiles [0, 1),
+compiled onto the integer lattice of one orbit walk, where keys are
+integers and floats only filter; every orbit walk looks its points up there.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ class CellTable:
 #   |xf - (af + bf)| <= u(|af| + |bf|),
 # and |A| <= |af|/(1 - u), |B| sqrt d <= |bf|/(1 - u)**3 give
 #   |xf - x| <= 4.001 u m,  with m = |af| + |bf|.
-# Cell starts and limits s are approximated the same way (sf, m_s).  The
+# Cell starts and ends s are approximated the same way (sf, m_s).  The
 # filter accepts s < x when D = fl(xf - sf) exceeds T = fl(e_x + e_s),
 # with e = K * fl(m) (K is a power of two, so that product is exact).
 # Then T >= K (1 - u)**2 (m + m_s) and xf - sf >= D/(1 + u), so
@@ -291,47 +292,38 @@ _FILTER = 2.0**-49
 
 
 class LatticeTable:
-    """A CellTable compiled onto the lattice (1/den)(Z + Z sqrt d).
+    """A CellTable that tiles [0, 1), compiled onto the lattice
+    (1/den)(Z + Z sqrt d).
 
     den must be a multiple of the denominator of every cell endpoint, and
-    the cells must lie in [0, 1), as map domains and subdivision cells do.
-    A point x = (A + B sqrt d) / den is handed to index() in the form
-    point(A, B) gives, and index() decides exactly what CellTable.index(x)
-    decides.  Each cell is compiled to its start key and its limit key: its
-    end, or the key just below the next start when that comes first (only
-    overlapping tables differ), so that start <= x <= limit picks the cell.
+    the cells must tile [0, 1), as the domains of a valid map and the
+    cells of a subdivision do.  A point x = (A + B sqrt d) / den in [0, 1)
+    is handed to index() in the form point(A, B) gives, and index() gives
+    the cell that holds x, as CellTable.index(x) does.
 
     For d in {0, 1} every B is 0 and a key (E, eps) is the integer
     3E + eps, which orders keys as tuples do; the point's key is 3A, and a
     lookup is one bisect over integers.  Otherwise a lookup bisects the
     float starts and keeps the cell only when the filter above certifies
-    start < x < limit; every other case, and every coefficient past float
-    range, is decided by exact integer signs.  Those decisions are kept
-    for points that are endpoints, the close cases that recur.
+    start < x < end; every other case, and every coefficient past float
+    range, is decided by exact integer signs.
     """
 
-    __slots__ = ("values", "_d", "_den", "_root", "_starts", "_limits",
-                 "_lo", "_hi", "_filter", "_ends", "_hits")
+    __slots__ = ("values", "_d", "_den", "_root", "_starts", "_lo", "_filter")
 
     def __init__(self, table, den):
         cells = table.cells
         self.values = [value for _, _, value in cells]
         self._d, self._den = table.d, den
         self._root = sqrt(table.d) if table.d < 2**53 else nan
-        limits = [min(hi, _pred(after[0])) for (_, hi, _), after in zip(cells, cells[1:])]
-        limits.append(cells[-1][1])
         self._starts = [(*lo[0].on_lattice(den), lo[1]) for lo, _, _ in cells]
-        self._limits = [(*key[0].on_lattice(den), key[1]) for key in limits]
         if table.d <= 1:
             self._lo = [3 * E + eps for E, _, eps in self._starts]
-            self._hi = [3 * E + eps for E, _, eps in self._limits]
         else:
             lo = [self.point(E, F)[2:] for E, F, _ in self._starts]
-            hi = [self.point(E, F)[2:] for E, F, _ in self._limits]
+            hi = [self.point(*end[0].on_lattice(den))[2:] for _, end, _ in cells]
             self._lo = [sf for sf, _ in lo]
             self._filter = [(*a, *b) for a, b in zip(lo, hi)]
-            self._ends = {(E, F) for E, F, _ in (*self._starts, *self._limits)}
-            self._hits = {}
 
     def point(self, A, B):
         """(A, B, xf, e): the point with its float value and error bound."""
@@ -348,33 +340,19 @@ class LatticeTable:
         return ExactScalar(A, B, self._den, self._d)
 
     def index(self, point):
-        """Index of the last cell starting at or before the point; None if it
-        ends before the point.  Raises PointOutsideDomain outside [0, 1)."""
+        """Index of the cell holding the point, which must lie in [0, 1)."""
         A, B, xf, e = point
         if self._d <= 1:
-            if not 0 <= A < self._den:
-                raise PointOutsideDomain(f"{self.scalar(A, B)} outside [0, 1)")
-            key = 3 * A
-            i = bisect_right(self._lo, key) - 1
-            return i if i >= 0 and key <= self._hi[i] else None
+            return bisect_right(self._lo, 3 * A) - 1
         i = bisect_right(self._lo, xf) - 1
         if i >= 0:
             lo_f, lo_e, hi_f, hi_e = self._filter[i]
             if xf - lo_f > e + lo_e and hi_f - xf > e + hi_e:
                 return i
-        # orbits that sit on endpoints, as periodic ones often do, ask for
-        # the same few points again and again
-        if (A, B) in self._hits:
-            return self._hits[A, B]
-        i = self._exact(A, B)
-        if (A, B) in self._ends:
-            self._hits[A, B] = i
-        return i
+        return self._exact(A, B)
 
     def _exact(self, A, B):
-        d, den = self._d, self._den
-        if _sign_of(A, B, d) < 0 or _sign_of(A - den, B, d) >= 0:
-            raise PointOutsideDomain(f"{self.scalar(A, B)} outside [0, 1)")
+        d = self._d
         lo, hi = 0, len(self._starts)
         while lo < hi:                 # bisect_right over the start keys
             mid = (lo + hi) // 2
@@ -382,8 +360,6 @@ class LatticeTable:
                 hi = mid
             else:
                 lo = mid + 1
-        if lo == 0 or _key_sign(self._limits[lo - 1], A, B, d) < 0:
-            return None
         return lo - 1
 
 

@@ -150,14 +150,6 @@ def quadratic_instance(rng, d):
     return pmap, Subdivision(classes), rng.choice([zero, *pool])
 
 
-def scattered_domains(rng, d):
-    """The table of a map whose domains, drawn from field_points, overlap
-    and leave gaps."""
-    pool = [ExactScalar.zero(d), *field_points(rng, d), ExactScalar.one(d)]
-    domains = (HalfOpenInterval(*sorted(rng.sample(pool, 2))) for _ in range(rng.randint(2, 6)))
-    return PiecewiseMap(AffinePiece(dom, 1, ExactScalar.zero(d)) for dom in domains).table
-
-
 @st.composite
 def instances(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -248,17 +240,18 @@ def tiny_steps(d):
 
 
 def assert_lookups_match(table):
-    """LatticeTable.index against CellTable.index at every endpoint, a tiny
-    step either side of it, and its float value read back as a rational."""
+    """LatticeTable.index against CellTable.index on a table that tiles
+    [0, 1), at every endpoint, a tiny step either side of it, and its float
+    value read back as a rational, wherever those lie in [0, 1)."""
     d = table.d
     ends = [key[0] for cell in table.cells for key in cell[:2]]
     probes = ends + [e + sign * t for e in ends for t in tiny_steps(d) for sign in (1, -1)]
     probes += [ExactScalar.from_rational(Fraction(e.approx()), d) for e in ends]
+    probes = [x for x in probes if ExactScalar.zero(d) <= x < ExactScalar.one(d)]
     den = lcm(*(x.denominator for x in probes))
     lattice = LatticeTable(table, den)
     for x in probes:
-        located = outcome(lattice.index, lattice.point(*x.on_lattice(den)))
-        assert located == outcome(table.index, x), (d, x)
+        assert lattice.index(lattice.point(*x.on_lattice(den))) == table.index(x), (d, x)
 
 
 def test_lookups_near_cuts_match_cell_table():
@@ -272,9 +265,6 @@ def test_lookups_near_cuts_match_cell_table():
             for pmap, sub, _ in (quadratic_instance(rng, d), random_instance(rng, d)):
                 assert_lookups_match(pmap.table)
                 assert_lookups_match(sub.table)
-        # overlapping domains: a cell ends where the next one starts
-        for _ in range(10):
-            assert_lookups_match(scattered_domains(rng, d))
 
 
 def test_exact_fallback_runs_on_close_cases(sign_calls):
@@ -310,23 +300,41 @@ def invalid_maps(rng):
     return maps + [perturbed_translation_map(rng) for _ in range(60)]
 
 
+def assert_walks_refuse(pmap, sub, x0, n):
+    """Every walk raises CorruptMap before it hands anything out."""
+    assert stopped(iter_orbit(pmap, x0, n)) == ([], CorruptMap)
+    assert stopped(iter_code(pmap, sub, x0, n)) == ([], CorruptMap)
+    assert outcome(orbit, pmap, x0, n) is CorruptMap
+    assert outcome(code, pmap, sub, x0, n) is CorruptMap
+    assert outcome(roundtrip_check, pmap, sub, x0, n) is CorruptMap
+
+
 def test_invalid_maps_fail_after_the_same_letters():
+    # a map that fails validation is refused before any point or letter,
+    # also from a start outside [0, 1); the maps with a clean report end
+    # where the exact walk ends
     rng = random.Random(21)
     stops = set()
+    refused = 0
     for pmap in invalid_maps(rng):
         sub = random_subdivision(rng, pmap.d)
         zero = ExactScalar.zero(pmap.d)
-        for x0 in (zero, *field_points(rng, pmap.d)[:4], ExactScalar.one(pmap.d)):
+        starts = (zero, *field_points(rng, pmap.d)[:4], ExactScalar.one(pmap.d))
+        if not pmap.validate().ok:
+            refused += 1
+            for x0 in starts:
+                assert_walks_refuse(pmap, sub, x0, 60)
+            continue
+        for x0 in starts:
             assert stopped(iter_orbit(pmap, x0, 60)) == stopped(exact_orbit(pmap, x0, 60))
             letters, stop = exact_letters(pmap, sub, x0, 60)
             assert lattice_letters(pmap, sub, x0, 60) == (letters, stop), (pmap, x0)
             stops.add((stop, len(letters) > 0))
         assert (outcome(roundtrip_check, pmap, sub, zero, 20)
                 == outcome(exact_roundtrip, pmap, sub, zero, 20))
-    # walks that end cleanly, at a gap after some letters, at an escaping
-    # image after some letters, and at a start outside [0, 1)
-    assert {(None, True), (CorruptMap, True), (PointOutsideDomain, True),
-            (PointOutsideDomain, False)} <= stops
+    assert refused == 222
+    # walks that end cleanly, and starts at 1, refused before any letter
+    assert stops == {(None, True), (PointOutsideDomain, False)}
 
 
 # ---------------------------------------------------------------- cycles
@@ -506,6 +514,21 @@ def map_lookups(monkeypatch):
     return points
 
 
+@pytest.fixture
+def stream_values(monkeypatch):
+    """The values every walk pulls from its stream."""
+    values = []
+    real = coding._LatticeOrbit.stream
+
+    def counting(self, read):
+        for value in real(self, read):
+            values.append(value)
+            yield value
+
+    monkeypatch.setattr(coding._LatticeOrbit, "stream", counting)
+    return values
+
+
 def breaking(monkeypatch, broken):
     """Make coding's roundtrip_check and exact_roundtrip here both take
     broken for the refinement."""
@@ -527,23 +550,28 @@ def test_roundtrip_mismatch_at_the_last_new_point(monkeypatch):
             assert roundtrip_check(pmap, sub, x0, n) == expected, (x0, n)
 
 
-def test_roundtrip_walks_only_to_locate_a_mismatch(monkeypatch, map_lookups):
+def test_roundtrip_walks_only_to_locate_a_mismatch(monkeypatch, map_lookups, stream_values):
     # the rotation by 1/3 visits 0, 1/3, 2/3 from 0.  Broken at 2/3, the
-    # check walks to it, 2 lookups, however long the word.  Broken at 1/2,
-    # which the orbit never visits, it walks to the cycle and one more
-    # period, the same 8 lookups the other walks make there
+    # check walks to it, 2 lookups and 3 values, however long the word.
+    # Broken at 1/2, which the orbit never visits, it walks until the cycle
+    # closes, brent_closing(0, 3) = 6 lookups and 7 values, and stops
+    # there: every distinct point has been read
     third = lambda k: ExactScalar.from_rational(Fraction(k, 3), 0)
     R, x0 = rotation(third(1)), third(0)
     sub = cut_subdivision([third(0), third(2), third(3)], False)
     half = ExactScalar.from_rational(Fraction(1, 2), 0)
-    cases = [(third(2), (3, 4, 10, 10**4), RoundtripResult(False, 2), 2),
-             (half, (10**4,), OK, 8)]
-    for x, lengths, verdict, lookups in cases:
+    cases = [(third(2), (3, 4, 10, 10**4), RoundtripResult(False, 2), (2, 3)),
+             (half, (10**4, 10**6), OK, (brent_closing(0, 3), 7))]
+    for x, lengths, verdict, cost in cases:
         breaking(monkeypatch, isolating(sub, x, "X"))
         for n in lengths:
             map_lookups.clear()
-            assert roundtrip_check(R, sub, x0, n) == verdict == exact_roundtrip(R, sub, x0, n)
-            assert len(map_lookups) == lookups, (x, n)
+            stream_values.clear()
+            # the orbit has period 3: the exact walk's verdict is the same
+            # at 10**4 points as at 10**6
+            assert roundtrip_check(R, sub, x0, n) == verdict
+            assert exact_roundtrip(R, sub, x0, min(n, 10**4)) == verdict
+            assert (len(map_lookups), len(stream_values)) == cost, (x, n)
 
 
 def test_roundtrip_mismatch_on_orbits_that_never_close(monkeypatch):
@@ -605,11 +633,18 @@ def test_rotation_with_a_longer_period_never_closes():
 
 
 def test_invalid_maps_close_cycles_like_the_exact_walk():
+    # the cycle checks run on the maps with a clean report; the others are
+    # refused before any point
     rng = random.Random(21)
     closed = 0
     for pmap in invalid_maps(rng):
         sub = random_subdivision(rng, pmap.d)
-        for x0 in (ExactScalar.zero(pmap.d), *field_points(rng, pmap.d)[:4]):
+        starts = (ExactScalar.zero(pmap.d), *field_points(rng, pmap.d)[:4])
+        if not pmap.validate().ok:
+            for x0 in starts:
+                assert_walks_refuse(pmap, sub, x0, 200)
+            continue
+        for x0 in starts:
             points, stop = stopped(exact_orbit(pmap, x0, 200))
             if stop is not None or len(set(points)) == len(points):
                 continue
