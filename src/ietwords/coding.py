@@ -161,7 +161,7 @@ class _LatticeOrbit:
         x0 = x0 + ExactScalar.zero(pmap.d)     # lifts int and Fraction starts
         tables = (pmap.table, *tables)
         den = lcm(x0.denominator, *(p.intercept.denominator for p in pmap.pieces),
-                  *(key[0].denominator for t in tables for cell in t.cells
+                  *(key[1].denominator for t in tables for cell in t.cells
                     for key in cell[:2]))
         self.map, *self.tables = (LatticeTable(t, den) for t in tables)
         self._moves = [(p.slope, *p.intercept.on_lattice(den)) for p in self.map.values]

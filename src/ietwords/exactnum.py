@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, sqrt
+from math import gcd, isqrt, sqrt
 
 
 class ZeroDenominator(ValueError):
@@ -107,9 +107,10 @@ class ExactScalar:
     The value is kept over one common denominator, which keeps translation
     orbits cheap; rational_part and radical_part give the two coefficients.
     Arithmetic results skip the radicand check, which the operands passed.
+    The order key floor(x * 2**64) is kept once computed (see _floor64).
     """
 
-    __slots__ = ("_a", "_b", "_q", "_d")
+    __slots__ = ("_a", "_b", "_q", "_d", "_k")
 
     def __init__(self, a, b, q, d):
         if q == 0:
@@ -127,6 +128,7 @@ class ExactScalar:
         self._b = b // g
         self._q = q // g
         self._d = d
+        self._k = None
 
     # -- constructors ----------------------------------------------------
 
@@ -319,8 +321,36 @@ def _result(a, b, q, d):
     if g > 1:
         a, b, q = a // g, b // g, q // g
     x = object.__new__(ExactScalar)
-    x._a, x._b, x._q, x._d = a, b, q, d
+    x._a, x._b, x._q, x._d, x._k = a, b, q, d, None
     return x
+
+
+def _floor64(x):
+    """floor(x * 2**64) for an ExactScalar, int or Fraction, in integers only.
+
+    For x = (a + b*sqrt(d)) / q with b != 0, d > 1 is squarefree, so
+    s*sqrt(d) with s = b * 2**64 is irrational and its floor is
+    r = isqrt(s*s*d) when s > 0 and -r - 1 when s < 0.  Then a * 2**64 +
+    s*sqrt(d) lies strictly between t and t + 1 for that floor t, and
+    floor(x * 2**64) = (a * 2**64 + t) // q.  The result is a monotone
+    function of the value, so a smaller key means a smaller value; equal
+    keys say nothing.  A scalar keeps its key in the slot _k.
+    """
+    if isinstance(x, ExactScalar):
+        k = x._k
+        if k is None:
+            t = 0
+            if x._b:
+                s = x._b << 64
+                r = isqrt(s * s * x._d)
+                t = r if s > 0 else -r - 1
+            k = x._k = ((x._a << 64) + t) // x._q
+        return k
+    if isinstance(x, int):
+        return x << 64
+    if isinstance(x, Fraction):
+        return (x.numerator << 64) // x.denominator
+    raise TypeError(f"cannot order {type(x)!r} with exact scalars")
 
 
 # -- spec operation surface ------------------------------------------------

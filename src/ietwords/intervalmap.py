@@ -149,10 +149,10 @@ class PiecewiseMap:
         violations = []
         # domains lie inside [0, 1), so the walk finds only gaps and overlaps
         for kind, _, lo_key, hi_key in self.table.faults():
-            lo = lo_key[0]
+            lo = lo_key[1]
             if kind == "gap":
                 violations.append(MapViolation(
-                    "coverage-gap", f"nothing covers [{lo}, {hi_key[0]})", witness=lo))
+                    "coverage-gap", f"nothing covers [{lo}, {hi_key[1]})", witness=lo))
             else:
                 violations.append(MapViolation(
                     "domain-overlap", f"domains overlap from {lo}", witness=lo))

@@ -5,15 +5,24 @@ each endpoint included iff its flag is set; lo == hi with both flags set is
 a singleton point.  Endpoints are ExactScalar values from one field
 context, so every operation here is decided exactly.
 
-Positions are compared through keys (x, eps) with eps in {-1, 0, +1}
-standing for "just below x", "x itself", "just above x".  A component is
-the key range [lo_key, hi_key]; unions, intersections and adjacency checks
-reduce to tuple comparisons on keys.  A CellTable holds key ranges sorted
-by start: map domains, map images and subdivision cells are each one
-table, and every single-point lookup, range lookup and tiling check on
-[0, 1) goes through it.  A LatticeTable is a CellTable that tiles [0, 1),
-compiled onto the integer lattice of one orbit walk, where keys are
-integers and floats only filter; every orbit walk looks its points up there.
+Positions are compared through keys (k, x, eps) with eps in {-1, 0, +1}
+standing for "just below x", "x itself", "just above x", and k the integer
+floor(x * 2**64), computed exactly in integers (exactnum._floor64); key()
+builds every key.  The floor is monotone, so k(x) < k(y) implies x < y,
+and the tuple order is the order of positions: two keys are settled on
+their integers k alone, and only when the k tie (x and y equal, or closer
+than 2**-64) is x compared exactly, then eps.  Comparing keys therefore
+never checks field contexts or types; the sets and tables here check
+those once per set or point they are given.
+
+A component is the key range [lo_key, hi_key]; unions, intersections and
+adjacency checks reduce to tuple comparisons on keys.  A CellTable holds
+key ranges sorted by start: map domains, map images and subdivision cells
+are each one table, and every single-point lookup, range lookup and
+tiling check on [0, 1) goes through it.  A LatticeTable is a CellTable
+that tiles [0, 1), compiled onto the integer lattice of one orbit walk,
+where keys are integers and floats only filter; every orbit walk looks
+its points up there.
 """
 
 from __future__ import annotations
@@ -21,28 +30,46 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import nan, sqrt
 
-from .exactnum import ExactScalar, _sign_of
+from .exactnum import ExactScalar, FieldMismatch, _floor64, _sign_of
 
 BELOW, AT, ABOVE = -1, 0, 1
 
 
+def key(x, eps):
+    """The key of the position eps (BELOW, AT or ABOVE) at x; TypeError
+    unless x is an ExactScalar, int or Fraction."""
+    return (_floor64(x), x, eps)
+
+
 def _lo_key(lo, lo_in):
-    return (lo, AT if lo_in else ABOVE)
+    return key(lo, AT if lo_in else ABOVE)
 
 
 def _hi_key(hi, hi_in):
-    return (hi, AT if hi_in else BELOW)
+    return key(hi, AT if hi_in else BELOW)
 
 
-def _succ(key):
+def _succ(k):
     # next representable position: x- -> x -> x+
-    return (key[0], key[1] + 1)
+    return key(k[1], k[2] + 1)
 
 
-def _pred(key):
-    return (key[0], key[1] - 1)
+def _pred(k):
+    return key(k[1], k[2] - 1)
+
+
+def _field(x):
+    """The field context of a scalar; None for an int or a Fraction."""
+    return x.d if isinstance(x, ExactScalar) else None
+
+
+def _same_field(d, e):
+    """Raise FieldMismatch for two different field contexts; None fits any."""
+    if d is not None and e is not None and d != e:
+        raise FieldMismatch(f"field contexts differ: sqrt({d}) vs sqrt({e})")
 
 
 @dataclass(frozen=True)
@@ -96,12 +123,12 @@ def affine_image(slope, intercept, lo_key, hi_key):
     with slope +1 or -1, as a key range.  Slope -1 swaps the two ends and
     turns "just below" into "just above"."""
     if slope == 1:
-        return (lo_key[0] + intercept, lo_key[1]), (hi_key[0] + intercept, hi_key[1])
-    return (intercept - hi_key[0], -hi_key[1]), (intercept - lo_key[0], -lo_key[1])
+        return key(lo_key[1] + intercept, lo_key[2]), key(hi_key[1] + intercept, hi_key[2])
+    return key(intercept - hi_key[1], -hi_key[2]), key(intercept - lo_key[1], -lo_key[2])
 
 
 def _from_keys(lo_key, hi_key):
-    (lo, le), (hi, he) = lo_key, hi_key
+    (_, lo, le), (_, hi, he) = lo_key, hi_key
     if le == BELOW or he == ABOVE:
         raise ValueError("keys do not bound a component")
     return Component(lo, le == AT, hi, he == AT)
@@ -111,12 +138,20 @@ class BoundarySet:
     """A canonical finite union of flagged intervals.
 
     Components are pairwise disjoint, sorted and non-adjacent; the empty
-    set is allowed.  Instances are immutable.
+    set is allowed.  Instances are immutable.  The endpoints share one
+    field context, kept as _d (None when every endpoint is an int or a
+    Fraction).
     """
 
-    __slots__ = ("_components",)
+    __slots__ = ("_components", "_d")
 
     def __init__(self, components=()):
+        components = tuple(components)
+        fields = {x.d for c in components for x in (c.lo, c.hi)
+                  if isinstance(x, ExactScalar)}
+        if len(fields) > 1:
+            raise FieldMismatch("components from different field contexts")
+        self._d = next(iter(fields), None)
         self._components = _canonical_components(components)
 
     @property
@@ -127,17 +162,19 @@ class BoundarySet:
         return not self._components
 
     def contains(self, x):
-        key = (x, AT)
+        at = key(x, AT)
+        _same_field(self._d, _field(x))
         for c in self._components:
-            if c.lo_key > key:
+            if c.lo_key > at:
                 return False
-            if key <= c.hi_key:
+            if at <= c.hi_key:
                 return True
         return False
 
     __contains__ = contains
 
     def intersect(self, other):
+        _same_field(self._d, other._d)
         out = []
         for a in self._components:
             for b in other._components:
@@ -199,6 +236,12 @@ def _canonical_components(components):
     return tuple(merged)
 
 
+@lru_cache(maxsize=256)
+def _unit_keys(d):
+    """The keys of 0 and of 1 in field d, built once per field."""
+    return key(ExactScalar.zero(d), AT), key(ExactScalar.one(d), AT)
+
+
 class PointOutsideDomain(ValueError):
     """A point outside [0, 1) was fed to the dynamics."""
 
@@ -210,22 +253,22 @@ class CellTable:
     cells tile [0, 1); meeting() assumes that they do.
     """
 
-    __slots__ = ("cells", "d", "_starts", "_zero", "_one")
+    __slots__ = ("cells", "d", "_starts", "_start", "_end")
 
     def __init__(self, cells, d):
         self.cells = sorted(cells, key=lambda cell: cell[0])
         self.d = d
         self._starts = [cell[0] for cell in self.cells]
-        self._zero = ExactScalar.zero(d)
-        self._one = ExactScalar.one(d)
+        self._start, self._end = _unit_keys(d)
 
     def index(self, x):
         """Index of the last cell starting at or before x; None if it ends before x."""
-        if not self._zero <= x < self._one:
+        at = key(x, AT)
+        _same_field(self.d, _field(x))
+        if not self._start <= at < self._end:
             raise PointOutsideDomain(f"{x} outside [0, 1)")
-        key = (x, AT)
-        i = bisect_right(self._starts, key) - 1
-        if i < 0 or key > self.cells[i][1]:
+        i = bisect_right(self._starts, at) - 1
+        if i < 0 or at > self.cells[i][1]:
             return None
         return i
 
@@ -252,7 +295,7 @@ class CellTable:
         below 0 or up to 1.  The cells tile [0, 1) exactly when nothing is
         yielded.
         """
-        start, end = (self._zero, AT), (self._one, AT)
+        start, end = self._start, self._end
         cursor = start                 # the first key not yet covered
         for i, (lo_key, hi_key, _) in enumerate(self.cells):
             if lo_key < start:
@@ -316,12 +359,12 @@ class LatticeTable:
         self.values = [value for _, _, value in cells]
         self._d, self._den = table.d, den
         self._root = sqrt(table.d) if table.d < 2**53 else nan
-        self._starts = [(*lo[0].on_lattice(den), lo[1]) for lo, _, _ in cells]
+        self._starts = [(*lo[1].on_lattice(den), lo[2]) for lo, _, _ in cells]
         if table.d <= 1:
             self._lo = [3 * E + eps for E, _, eps in self._starts]
         else:
             lo = [self.point(E, F)[2:] for E, F, _ in self._starts]
-            hi = [self.point(*end[0].on_lattice(den))[2:] for _, end, _ in cells]
+            hi = [self.point(*end[1].on_lattice(den))[2:] for _, end, _ in cells]
             self._lo = [sf for sf, _ in lo]
             self._filter = [(*a, *b) for a, b in zip(lo, hi)]
 
@@ -363,7 +406,7 @@ class LatticeTable:
         return lo - 1
 
 
-def _key_sign(key, A, B, d):
-    """Sign of the key (E, F, eps) minus the key (x, AT) of x = A + B sqrt d."""
-    E, F, eps = key
+def _key_sign(start, A, B, d):
+    """Sign of the key (E, F, eps) minus the key of x = A + B sqrt d itself."""
+    E, F, eps = start
     return _sign_of(E - A, F - B, d) or eps

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
-from .intervalsets import (ABOVE, AT, BELOW, BoundarySet, CellTable, _from_keys,
-                           affine_image)
+from .intervalsets import (AT, BoundarySet, CellTable, _from_keys, _pred, _succ,
+                           affine_image, key)
 
 
 class OverlapError(ValueError):
@@ -197,22 +197,23 @@ def _sweep(sub, pmap):
     """Walk the subdivision's cells across [0, 1), left to right.
 
     Yields (cell, cuts, parts) for each cell (lo_key, hi_key, letter): the
-    map's discontinuities strictly inside the cell, and the cell clipped to
-    each piece it meets as [lo_key, hi_key, piece], left to right.  One
-    cursor runs over the sorted discontinuities and one over the pieces,
-    so the walk makes O(cells + cuts + pieces) comparisons.  The pieces
-    must tile [0, 1), as they do in a valid map: then the first piece a
-    cell meets holds its start and the last one its end.
+    keys of the map's discontinuities strictly inside the cell, and the
+    cell clipped to each piece it meets as [lo_key, hi_key, piece], left
+    to right.  One cursor runs over the sorted discontinuities and one
+    over the pieces, so the walk makes O(cells + cuts + pieces) key
+    comparisons.  The pieces must tile [0, 1), as they do in a valid map:
+    then the first piece a cell meets holds its start and the last one its
+    end.
     """
-    cuts = pmap.discontinuities()          # sorted, as the pieces are
+    cuts = [key(p, AT) for p in pmap.discontinuities()]   # sorted, as the pieces are
     pieces = pmap.table.cells              # (lo_key, hi_key, piece)
     i = j = 0
     for cell in sub.table.cells:
         lo_key, hi_key, _ = cell
-        while i < len(cuts) and cuts[i] <= lo_key[0]:
+        while i < len(cuts) and cuts[i] <= lo_key:
             i += 1
         first = i
-        while i < len(cuts) and cuts[i] < hi_key[0]:
+        while i < len(cuts) and cuts[i] < hi_key:
             i += 1
         k = j + 1
         while k < len(pieces) and pieces[k][0] <= hi_key:
@@ -235,7 +236,8 @@ def _image_hits(sub, lo_key, hi_key, piece):
 
 
 def _shared_colors(sub, rank, cuts, parts):
-    """The cuts inside one cell whose two sides reach a common color.
+    """The cuts inside one cell, given as keys, whose two sides reach a
+    common color.
 
     The left side of a cut p is the parts before the one p starts; the
     right side is that part from just above p, then the parts after it.
@@ -255,12 +257,12 @@ def _shared_colors(sub, rank, cuts, parts):
             seen.setdefault(letter, []).append(s)
     heap, t = [], 0
     for s, (part_lo, part_hi, piece) in enumerate(parts):
-        if t < len(cuts) and part_lo == (cuts[t], AT):
-            p = cuts[t]
+        if t < len(cuts) and part_lo == cuts[t]:
+            cut = cuts[t]
             t += 1
             while heap and seen[heap[0][1]][-1] <= s:
                 heappop(heap)
-            above = _image_hits(sub, (p, ABOVE), part_hi, piece)
+            above = _image_hits(sub, _succ(cut), part_hi, piece)
             reached = [(rank[c], c) for c in above if seen[c][0] < s]
             if heap:
                 reached.append(heap[0])
@@ -268,7 +270,7 @@ def _shared_colors(sub, rank, cuts, parts):
                 color = min(reached)[1]
                 at = seen[color]
                 right = above.get(color) or hits[at[bisect_right(at, s)]][color]
-                yield p, color, hits[at[0]][color], right
+                yield cut[1], color, hits[at[0]][color], right
         for letter in hits[s]:
             if seen[letter][0] == s:
                 heappush(heap, (rank[letter], letter))
@@ -366,12 +368,13 @@ class GluingMap:
         return f"GluingMap({inner})"
 
 
-def _cut_keys(lo_key, hi_key, points):
-    """Split a key range at interior points; each point joins its right piece."""
+def _cut_keys(lo_key, hi_key, cuts):
+    """Split a key range at the keys of interior points; each point joins
+    its right piece."""
     segments = []
-    for p in points:
-        segments.append(_from_keys(lo_key, (p, BELOW)))
-        lo_key = (p, AT)
+    for cut in cuts:
+        segments.append(_from_keys(lo_key, _pred(cut)))
+        lo_key = cut
     segments.append(_from_keys(lo_key, hi_key))
     return segments
 

@@ -10,12 +10,18 @@ the last piece starting at or before the point, color_of by asking
 every class, and refinement by cutting each component at the
 discontinuities a scan finds inside it.  Verdicts, violation records,
 witnesses, refinements and located pieces must agree exactly.
+
+Underneath, the tables order positions by keys led by an integer floor;
+that order is checked against the exact comparison of scalars and against
+50-digit decimals.
 """
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ietwords import (
     AffinePiece,
@@ -30,10 +36,13 @@ from ietwords import (
     PiecewiseMap,
     PointOutsideDomain,
     Subdivision,
+    cmp,
     interval,
     is_good,
+    make_scalar,
     refine_to_good,
 )
+from ietwords.exactnum import MAX_RADICAND, _floor64, is_squarefree
 from ietwords.instances import (
     golden_alpha,
     random_instance,
@@ -43,6 +52,9 @@ from ietwords.instances import (
     random_translation_map,
 )
 from ietwords.intervalmap import MapViolation, ValidationReport
+from ietwords.intervalsets import ABOVE, AT, BELOW, key
+
+from oracles import decimal_cmp, decimal_value
 
 # ------------------------------------------------------------- references
 
@@ -413,3 +425,114 @@ def test_is_good_rejects_maps_that_fail_validation():
                             for lo, hi in domains)
         with pytest.raises(CorruptMap):
             is_good(sub, pmap)
+
+
+# ------------------------------------------- the order of position keys
+#
+# A key (floor(x * 2**64), x, eps) must order positions exactly as the
+# exact comparison of x, then eps, does.  The pairs below are drawn to
+# reach every branch of that floor: both signs of the radical part,
+# coefficients past float range, points closer than 2**-64 (whose floors
+# tie), equal values built differently, and int and Fraction points.
+
+NEAR_MAX = MAX_RADICAND - 2                          # 2 * 499999999999
+RADICANDS = (0, 1, 2, 5, 4000037, NEAR_MAX)
+SCALE = 2**64
+
+coefficients = st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6),
+                         st.integers(-10**400, 10**400))
+denominators = st.one_of(st.integers(1, 4), st.integers(1, 10**6), st.integers(1, 10**400))
+
+
+@st.composite
+def scalars(draw, d):
+    if draw(st.booleans()):
+        return ExactScalar(draw(coefficients), draw(coefficients), draw(denominators), d)
+    # on or next to a multiple of 2**-64
+    return ExactScalar.from_rational(Fraction(draw(coefficients), SCALE), d) + draw(tiny(d))
+
+
+@st.composite
+def tiny(draw, d):
+    """A value of absolute size below 2**-64, rational or in field d."""
+    if d > 1 and draw(st.booleans()):
+        b = draw(st.integers(1, 10**6))
+        sign = draw(st.sampled_from((1, -1)))
+        # 0 < b sqrt(d) - isqrt(b*b*d) < 1
+        return ExactScalar(-sign * isqrt(b * b * d), sign * b,
+                           SCALE * draw(st.integers(1, 2**20)), d)
+    m = draw(st.integers(2, 2**40))
+    return Fraction(draw(st.integers(-m + 1, m - 1)), SCALE * m)
+
+
+@st.composite
+def rebuilt(draw, x):
+    """x again, as another object: scaled coefficients, a sum and a
+    difference, or for a rational x its int or Fraction value."""
+    a, b = x.rational_part, x.radical_part
+    how = draw(st.sampled_from(("scaled", "sum", "plain")))
+    if how == "plain" and x.is_rational():
+        return int(a) if a.denominator == 1 else a
+    if how == "sum":
+        z = draw(scalars(x.d))
+        return (x + z) - z
+    m = draw(st.integers(2, 10**6))
+    return make_scalar(a.numerator * m, a.denominator * m,
+                       b.numerator * m, b.denominator * m, x.d)
+
+
+@st.composite
+def pairs(draw):
+    d = draw(st.sampled_from(RADICANDS))
+    x = draw(scalars(d))
+    how = draw(st.sampled_from(("apart", "close", "equal", "plain")))
+    if how == "apart":
+        y = draw(scalars(d))
+    elif how == "close":
+        y = x + draw(tiny(d))
+    elif how == "equal":
+        y = draw(rebuilt(x))
+    else:
+        y = draw(st.one_of(coefficients, st.fractions(max_denominator=10**30)))
+    return x, y
+
+
+def decimal_form(v):
+    """The (a_num, a_den, b_num, b_den, d) form decimal_value evaluates."""
+    if isinstance(v, ExactScalar):
+        a, b = v.rational_part, v.radical_part
+        return a.numerator, a.denominator, b.numerator, b.denominator, v.d
+    f = Fraction(v)
+    return f.numerator, f.denominator, 0, 1, 0
+
+
+def settled_by_decimals(x, y):
+    """Whether 50 digits order x and y: their gap exceeds the rounding of
+    the decimal evaluation, relative to the size of both parts."""
+    fx, fy = decimal_form(x), decimal_form(y)
+    gap = abs(decimal_value(*fx) - decimal_value(*fy))
+    size = sum(decimal_value(abs(a), p, abs(b), r, d) for a, p, b, r, d in (fx, fy))
+    return gap * 10**40 > size
+
+
+def order(u, v):
+    return (u > v) - (u < v)
+
+
+def test_near_max_radicand_is_a_field():
+    assert is_squarefree(NEAR_MAX)
+
+
+@settings(max_examples=600, deadline=None)
+@given(pairs())
+def test_key_order_is_the_exact_order(pair):
+    x, y = pair
+    for v in pair:
+        k = _floor64(v)
+        assert Fraction(k, SCALE) <= v < Fraction(k + 1, SCALE), v
+    exact = cmp(x, y)
+    for ex in (BELOW, AT, ABOVE):
+        for ey in (BELOW, AT, ABOVE):
+            assert order(key(x, ex), key(y, ey)) == (exact or order(ex, ey)), (x, y)
+    if settled_by_decimals(x, y):
+        assert decimal_cmp(decimal_form(x), decimal_form(y)) == exact

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from ietwords import BoundarySet, Component, ExactScalar, interval, singleton
+from ietwords import (BoundarySet, Component, ExactScalar, FieldMismatch, Subdivision,
+                      interval, make_scalar, singleton)
 
 from conftest import q
 
@@ -124,3 +125,67 @@ def test_canonical_equality_and_hash():
                      Component(q(1, 2), True, q(1), False)])
     b = BoundarySet([Component(q(0), True, q(1), False)])
     assert a == b and hash(a) == hash(b)
+
+
+# ------------------------------------------- field and type guards
+#
+# Scalars from different field contexts never mix, and only exact values
+# are ordered: sets and cell tables refuse both, whatever the positions.
+
+ALPHA = make_scalar(-1, 2, 1, 2, 5)                 # (sqrt(5) - 1) / 2
+
+
+def thirds():
+    """The cell table of [0, 1/3) and [1/3, 1) in Q."""
+    return Subdivision({"a": interval(q(0), q(1, 3)), "b": interval(q(1, 3), q(1))}).table
+
+
+def test_sets_refuse_components_from_two_fields():
+    with pytest.raises(FieldMismatch):
+        BoundarySet([Component(q(0), True, q(1, 2), False),
+                     Component(q(1, 2, 5), True, q(1, 1, 5), False)])
+    with pytest.raises(FieldMismatch):              # one inside the other
+        BoundarySet([Component(q(0), True, q(1), False),
+                     Component(q(1, 4, 5), True, q(1, 2, 5), False)])
+    with pytest.raises(FieldMismatch):
+        BoundarySet([Component(q(0, 1, 5), True, ALPHA, False),
+                     Component(q(3, 4), True, q(1), False)])
+
+
+@pytest.mark.parametrize("point", [q(1, 2, 5), ALPHA, q(1, 2, 2)])
+def test_points_from_another_field_are_refused(point):
+    s = interval(q(0), q(1))
+    with pytest.raises(FieldMismatch):
+        s.contains(point)
+    with pytest.raises(FieldMismatch):
+        point in s
+    with pytest.raises(FieldMismatch):
+        thirds().index(point)
+
+
+def test_points_from_the_set_field_or_plain_rationals_are_read():
+    s = interval(q(0, 1, 5), ALPHA)
+    assert s.contains(q(1, 2, 5)) and not s.contains(q(7, 10, 5))
+    assert s.contains(Fraction(1, 2)) and s.contains(0) and not s.contains(1)
+    table = thirds()
+    assert [table.index(x) for x in (0, Fraction(1, 3), q(1, 2))] == [0, 1, 1]
+
+
+@pytest.mark.parametrize("other", [
+    interval(q(1, 4, 5), q(3, 4, 5)),                # overlapping
+    interval(q(1, 4, 5), q(1, 3, 5)),                # inside
+    interval(q(2, 3, 5), q(3, 4, 5)),                # apart
+    interval(q(1, 2, 5), ALPHA),
+])
+def test_intersect_refuses_sets_from_two_fields(other):
+    with pytest.raises(FieldMismatch):
+        interval(q(0), q(1, 2)).intersect(other)
+    with pytest.raises(FieldMismatch):
+        other.intersect(interval(q(0), q(1, 2)))
+
+
+def test_float_points_are_refused():
+    with pytest.raises(TypeError):
+        interval(q(0), q(1)).contains(0.5)
+    with pytest.raises(TypeError):
+        thirds().index(0.5)

@@ -54,7 +54,7 @@ from ietwords.instances import (
     random_subdivision,
     random_translation_instance,
 )
-from ietwords.intervalsets import AT, LatticeTable
+from ietwords.intervalsets import AT, LatticeTable, _from_keys, key
 
 from test_differential import perturbed_translation_map, random_map
 
@@ -199,7 +199,7 @@ def test_lattice_walk_matches_exact_walk(instance):
 def test_starts_on_cell_endpoints(instance, data):
     # 1 is an endpoint too: both walks refuse it before any letter
     pmap, sub, _ = instance
-    ends = [key[0] for t in (pmap.table, sub.table) for cell in t.cells for key in cell[:2]]
+    ends = [*cell_ends(pmap.table), *cell_ends(sub.table)]
     assert_walks_agree(pmap, sub, data.draw(st.sampled_from(ends)), 100)
 
 
@@ -239,12 +239,18 @@ def tiny_steps(d):
             *(reduce(mul, [alpha] * k) for k in (3, 25, 60))]
 
 
+def cell_ends(table):
+    """The endpoint values of every cell of a CellTable, left then right."""
+    return [x for lo, hi, _ in table.cells
+            for cell in [_from_keys(lo, hi)] for x in (cell.lo, cell.hi)]
+
+
 def assert_lookups_match(table):
     """LatticeTable.index against CellTable.index on a table that tiles
     [0, 1), at every endpoint, a tiny step either side of it, and its float
     value read back as a rational, wherever those lie in [0, 1)."""
     d = table.d
-    ends = [key[0] for cell in table.cells for key in cell[:2]]
+    ends = cell_ends(table)
     probes = ends + [e + sign * t for e in ends for t in tiny_steps(d) for sign in (1, -1)]
     probes += [ExactScalar.from_rational(Fraction(e.approx()), d) for e in ends]
     probes = [x for x in probes if ExactScalar.zero(d) <= x < ExactScalar.one(d)]
@@ -485,9 +491,9 @@ def isolating(sub, x, letter):
     named letter, and the gluing that sends letter to a different class."""
     classes = {}
     for cell_lo, cell_hi, name in sub.table.cells:
-        lo, hi = (key[0] for key in (cell_lo, cell_hi))
-        lo_in, hi_in = cell_lo[1] == AT, cell_hi[1] == AT
-        if not (cell_lo <= (x, AT) <= cell_hi):
+        cell = _from_keys(cell_lo, cell_hi)
+        lo, hi, lo_in, hi_in = cell.lo, cell.hi, cell.lo_in, cell.hi_in
+        if not (cell_lo <= key(x, AT) <= cell_hi):
             classes.setdefault(name, []).append(Component(lo, lo_in, hi, hi_in))
             continue
         if lo != x:
@@ -607,7 +613,7 @@ def test_agreement_is_one_true_cell_unless_a_point_is_broken():
         table = coding._agreement(broken, gluing, sub)
         assert list(table.faults()) == []
         false = [(lo, hi) for lo, hi, value in table.cells if not value]
-        assert false == [((x, AT), (x, AT))]
+        assert false == [(key(x, AT), key(x, AT))]
         assert [value for _, _, value in table.cells] in (
             [False, True], [True, False], [True, False, True])
 
