@@ -3,9 +3,11 @@
 Factor complexity and recurrence windows for every n come from one suffix
 automaton of the word (Blumer et al., TCS 1985): a state is a class of
 factors with the same end positions, covering a range of lengths, so one
-pass over the states answers all n at once.  Periods come from one
-Z-array of the reversed word.  Both read the letters as they are: they
-only hash letters and compare them for equality.
+pass over the states answers all n at once.  The last word's automaton
+is kept, so complexity and recurrence_profile on one word build it once.
+Periods come from slice comparisons of the word's letter codes, one per
+candidate period.  Both read the letters as they are: they only hash
+letters and compare them for equality.
 
 Everything here is evidence at a scale: the verdict sentinels say
 "...AT_SCALE" because a finite prefix can never certify an infinite-word
@@ -14,7 +16,9 @@ property, only fail to falsify it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import accumulate, islice
 from operator import sub
@@ -136,13 +140,17 @@ def recurrence_profile(word, n_max):
     return RecurrenceProfile(tuple(enumerate(windows, 1)), len(letters))
 
 
+@lru_cache(maxsize=1)
 def _automaton(s):
-    """The suffix automaton of s, built online (Blumer et al., TCS 1985).
+    """The suffix automaton of the letter tuple s, built online (Blumer et
+    al., TCS 1985).
 
-    Returns (link, length, ends): the suffix link and the longest factor
-    length of every state (state 0 is the root, with link -1), and ends[i],
-    the state created when s[i] was added, whose end positions include i.
-    The transition dicts are needed only while building, so they die here.
+    Returns tuples (link, length, ends): the suffix link and the longest
+    factor length of every state (state 0 is the root, with link -1), and
+    ends[i], the state created when s[i] was added, whose end positions
+    include i.  The transition dicts are needed only while building, so
+    they die here.  The last word's automaton stays alive until a call
+    with another word, and a call with the same word returns it again.
     """
     nxt, link, length, ends = [{}], [-1], [0], []
     last = 0
@@ -170,7 +178,7 @@ def _automaton(s):
                 link[q] = link[cur] = clone
         ends.append(cur)
         last = cur
-    return link, length, ends
+    return tuple(link), tuple(length), tuple(ends)
 
 
 def _windows(s, top):
@@ -190,24 +198,23 @@ def _windows(s, top):
     """
     link, length, ends = _automaton(s)
     total = len(s)
-    by_length = sorted(range(1, len(length)), key=length.__getitem__)
     deepest = list(range(len(length)))
-    for v in by_length:
+    kept = []                                 # states covering some n <= top
+    for v in sorted(range(1, len(length)), key=length.__getitem__):
         if length[link[v]] >= top:
             deepest[v] = deepest[link[v]]
-    occ = [[] for _ in length]
+        else:
+            kept.append(v)
+    occ = {v: [] for v in kept}
     for i, v in enumerate(ends):
         occ[deepest[v]].append(i)
 
     starting = [[] for _ in range(top + 1)]   # by lo: (hi, left, inner term)
     lonely = [0] * (top + 2)                  # difference array of |E| < 2
-    for v in reversed(by_length):
+    for v in reversed(kept):
         lo = length[link[v]] + 1
-        if lo > top:
-            continue
         hi = min(length[v], top)
-        e = occ[v]
-        occ[v] = None
+        e = occ.pop(v)
         e.sort()
         if link[v]:
             occ[link[v]].extend(e)
@@ -235,22 +242,6 @@ def _windows(s, top):
     return windows
 
 
-def _z_array(s):
-    """z[k] = length of the longest common prefix of s and s[k:]."""
-    length = len(s)
-    z = [0] * length
-    z[0] = length
-    left = right = 0
-    for k in range(1, length):
-        if k < right:
-            z[k] = min(right - k, z[k - left])
-        while k + z[k] < length and s[z[k]] == s[k + z[k]]:
-            z[k] += 1
-        if k + z[k] > right:
-            left, right = k, k + z[k]
-    return z
-
-
 def detect_period(word):
     """Smallest eventual period the prefix supports, with its preperiod.
 
@@ -265,17 +256,24 @@ def detect_period(word):
     infinite word.  Returns the pair (preperiod, period) for the smallest
     workable q, else APERIODIC_AT_SCALE.
 
-    The minimal preperiod for a given q comes from one Z-array of the
-    reversed word: s[p:] is q-periodic iff the common suffix of the word
-    and its first L-q letters has length >= L - q - p.
+    The tail s[p:] has period q iff s[p+q:] == s[p:L-q], and then so does
+    every later tail, so each q takes one comparison at the longest
+    preperiod allowed, and the first q that passes a binary search for the
+    least one.  The letters are compared as integer codes through
+    memoryview slices, which compare in C without copying.
     """
     letters = _letters_of(word)
     length = len(letters)
-    z = _z_array(letters[::-1])
-    half = length // 2
-    for q in range(1, half + 1):
-        common_suffix = z[q]
-        preperiod = max(0, length - q - common_suffix)
-        if preperiod <= half and length - preperiod >= 3 * q:
-            return (preperiod, q)
+    codes = {c: i for i, c in enumerate(dict.fromkeys(letters))}
+    s = memoryview(array("Q", map(codes.__getitem__, letters)))
+    for q in range(1, length // 3 + 1):
+        lo, hi = 0, min(length // 2, length - 3 * q)
+        if s[hi + q:] == s[hi : length - q]:
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if s[mid + q:] == s[mid : length - q]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return (lo, q)
     return APERIODIC_AT_SCALE

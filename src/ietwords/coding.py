@@ -288,11 +288,13 @@ def roundtrip_check(pmap, sub, x0, n):
     if n < 1:
         raise ValueError("need n >= 1")
     refined, gluing = refine_to_good(sub, pmap)
-    walk = _LatticeOrbit(pmap, x0, _agreement(refined, gluing, sub))
+    agree = _agreement(refined, gluing, sub)
+    if [value for _, _, value in agree.cells] == [True]:
+        pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
+        return OK
+    walk = _LatticeOrbit(pmap, x0, agree)
     (agree,) = walk.tables
     ok, index = agree.values, agree.index
-    if ok == [True]:
-        return OK
     for k, same in enumerate(islice(walk.stream(lambda point: ok[index(point)]), n)):
         if not same:
             return RoundtripResult(False, k)

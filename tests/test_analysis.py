@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from ietwords import (
     recurrence_profile,
     recurrence_window,
 )
+from ietwords.analysis import _automaton
 
 from oracles import (
     complexity_by_slices,
@@ -118,6 +120,42 @@ def test_str_words_are_read_as_text_writes_them():
         assert recurrence_profile(text, 5) == recurrence_profile(word, 5)
         assert detect_period(text) == detect_period(word) == (0, 3)
     assert complexity(word, 1).p(1) == 3
+
+
+# ------------------------------------------------------- shared automaton
+
+def test_shared_automaton_never_goes_stale(rng):
+    # two words of one length, each as a list, as text and as two
+    # SymbolicWords built separately: whatever ran before, every answer
+    # is the one for the word at hand
+    words = [fibonacci_word(48), tuple(random_word(rng, 3, 48))]
+    forms = [(word, form) for word in words
+             for form in (list(word), " ".join(word), SymbolicWord(word),
+                          SymbolicWord(list(word)))]
+    calls = [
+        (lambda w: complexity(w, 12).rows(),
+         lambda word: list(enumerate(complexity_by_slices(word, 12), 1))),
+        (lambda w: recurrence_profile(w, 12).rows(),
+         lambda word: oracle_profile(word, 12)),
+        (lambda w: recurrence_window(w, 2),
+         lambda word: recurrence_window_by_starts(word, 2) or NOT_RECURRENT_AT_SCALE),
+    ]
+    steps = [(call, word, form) for call, (word, form) in product(calls, forms)]
+    for first, then in product(steps, repeat=2):
+        for (call, oracle), word, form in (first, then):
+            assert call(form) == oracle(word)
+
+
+def test_complexity_then_recurrence_builds_one_automaton():
+    word = SymbolicWord(fibonacci_word(300))
+    _automaton.cache_clear()
+    complexity(word, 50)
+    recurrence_profile(word, 50)
+    recurrence_window(word, 7)
+    info = _automaton.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    complexity(SymbolicWord(fibonacci_word(299)), 50)
+    assert _automaton.cache_info().misses == 2
 
 
 # -------------------------------------------------------------- recurrence
@@ -257,3 +295,32 @@ def test_detect_period_matches_scan_on_noise(rng):
             assert got is APERIODIC_AT_SCALE
         else:
             assert got == expect
+
+
+def planted_words(rng, alphabet):
+    """Words of every length 1-60: a random preperiod, then a random block
+    repeated, cut to length, over the given letters."""
+    for length in range(1, 61):
+        for _ in range(8):
+            q = rng.randint(1, 8)
+            block = [rng.choice(alphabet) for _ in range(q)]
+            pre = [rng.choice(alphabet) for _ in range(rng.randint(0, length))]
+            yield (pre + block * length)[:length]
+
+
+@pytest.mark.parametrize("alphabet", [
+    ["a", "b"],
+    [0, 1, 2, 10, 12],
+    ["A", "A1", "A10", "A0"],           # some letters prefix others
+])
+def test_detect_period_matches_scan_on_planted_words(rng, alphabet):
+    for word in planted_words(rng, alphabet):
+        expect = eventual_period_scan(word)
+        got = detect_period(word)
+        assert got == (APERIODIC_AT_SCALE if expect is None else expect), word
+
+
+def test_detect_period_reads_large_alphabets():
+    # 70000 distinct letters, then a tail of period 2
+    word = list(range(70000)) + [0, 1] * 35000
+    assert detect_period(word) == eventual_period_scan(word) == (70000, 2)

@@ -281,3 +281,24 @@ def test_roundtrip_on_random_instances(rng):
     for _ in range(15):
         pmap, sub, x0 = random_instance(rng)
         assert roundtrip_check(pmap, sub, x0, 300).ok
+
+
+def test_certified_roundtrip_compiles_no_table(monkeypatch, golden):
+    # a certified agreement table answers without a walk, so no lattice
+    # table is compiled, but a bad start still raises as a walk would
+    R, sub, alpha = golden
+
+    def refuse(*args):
+        raise AssertionError("a certified round trip compiled a LatticeTable")
+
+    monkeypatch.setattr("ietwords.coding.LatticeTable", refuse)
+    assert roundtrip_check(R, sub, alpha, 10**6) is OK
+    assert roundtrip_check(R, sub, 0, 1) is OK
+    with pytest.raises(PointOutsideDomain):
+        roundtrip_check(R, sub, 1, 10)
+    with pytest.raises(FieldMismatch):
+        roundtrip_check(R, sub, make_scalar(0, 1, 1, 2, 2), 10)
+    with pytest.raises(TypeError):
+        roundtrip_check(R, sub, "1/2", 10)
+    with pytest.raises(ValueError):
+        roundtrip_check(R, sub, alpha, 0)
