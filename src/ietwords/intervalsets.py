@@ -32,10 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import nan, sqrt
+from operator import attrgetter
 
 from .exactnum import ExactScalar, FieldMismatch, _floor64, _sign_of
 
 BELOW, AT, ABOVE = -1, 0, 1
+_position = attrgetter("lo", "lo_in", "hi", "hi_in")    # of a component
 
 
 def key(x, eps):
@@ -195,9 +197,10 @@ class BoundarySet:
                            for c in self._components)
 
     def __eq__(self, other):
+        # by position, as the hash goes, whatever the Component subclass
         if not isinstance(other, BoundarySet):
             return NotImplemented
-        return self._components == other._components
+        return list(map(_position, self)) == list(map(_position, other))
 
     def __hash__(self):
         return hash(self._components)

@@ -87,9 +87,9 @@ def subdivision_to_json(sub):
                     "lo_in": c.lo_in,
                     "hi_in": c.hi_in,
                 }
-                for c in sub.class_of(letter).components
+                for c in bset.components
             ]
-            for letter in sub.alphabet
+            for letter, bset in sub.classes.items()
         }
     }
 

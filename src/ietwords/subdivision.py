@@ -7,8 +7,9 @@ sits strictly inside a class, the two sides map to color sets that do not
 meet.  Any subdivision can be cut into a good one, and the original coding
 is recovered from the refined one by gluing letters back.
 
-Everything here reads intervalsets.CellTable: each class component is a
-cell (start key, end key, letter).  Construction walks the cells across
+A subdivision is stored only as its intervalsets.CellTable: each class
+component is a cell (start key, end key, letter), and the classes are
+derived from the cells on request.  Construction walks the cells across
 [0, 1) and rejects the first gap, overlap or cell outside it.  Condition 1
 counts each class's cells.
 
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
-from .intervalsets import (AT, BoundarySet, CellTable, _from_keys, _pred, _succ,
-                           affine_image, key)
+from .intervalsets import (AT, BoundarySet, CellTable, _field, _from_keys, _pred,
+                           _succ, affine_image, key)
 
 
 class OverlapError(ValueError):
@@ -69,43 +70,49 @@ class Subdivision:
 
     Construction canonicalizes: each class's intervals are merged and
     sorted, the alphabet is sorted, and the partition property (disjoint,
-    no gaps, exactly [0, 1)) is verified on `table`, the lettered cells.
+    no gaps, exactly [0, 1)) is verified.  Only `table`, the lettered
+    cells, is stored; `classes` and `class_of` are derived from it.
     """
 
-    __slots__ = ("_alphabet", "_classes", "_d", "table")
+    __slots__ = ("_alphabet", "table")
 
     def __init__(self, classes):
         if not classes:
             raise ValueError("a subdivision needs at least one class")
-        canon = {}
+        cells = []
         for letter in sorted(classes):
             bset = classes[letter]
             if not isinstance(bset, BoundarySet):
                 bset = BoundarySet(bset)
             if bset.is_empty():
                 raise ValueError(f"class {letter!r} is empty")
-            canon[str(letter)] = bset
-        self._classes = canon
-        self._alphabet = tuple(canon)
+            cells.extend((c.lo_key, c.hi_key, str(letter)) for c in bset.components)
+        self._tile(cells)
 
-        d = next(iter(canon.values())).components[0].lo.d
-        for bset in canon.values():
-            for c in bset.components:
-                if c.lo.d != d:
-                    raise FieldMismatch("class endpoints from different field contexts")
-        self._d = d
-
-        self.table = CellTable(
-            ((c.lo_key, c.hi_key, letter) for letter in self._alphabet
-             for c in canon[letter].components), d)
+    def _tile(self, cells):
+        """Store the cells (lo_key, hi_key, letter) once they tile [0, 1)."""
+        fields = {_field(x) for lo_key, hi_key, _ in cells for x in (lo_key[1], hi_key[1])}
+        if None in fields:
+            raise TypeError("class endpoints must be ExactScalar values")
+        if len(fields) > 1:
+            raise FieldMismatch("class endpoints from different field contexts")
+        self._alphabet = tuple(sorted({letter for _, _, letter in cells}))
+        self.table = CellTable(cells, fields.pop())
         cells = self.table.cells
-        for kind, i, lo_key, hi_key in self.table.faults():
+        for kind, i, *keys in self.table.faults():
+            witness = _from_keys(*keys).sample_point()
             if kind == "gap":
-                raise CoverageGapError(_from_keys(lo_key, hi_key).sample_point())
+                raise CoverageGapError(witness)
             if kind == "overlap":
-                witness = _from_keys(lo_key, hi_key).sample_point()
                 raise OverlapError(witness, (cells[i - 1][2], cells[i][2]))
             raise ValueError(f"class {cells[i][2]!r} extends beyond [0, 1)")
+
+    def _cells_by_letter(self):
+        """Letter -> its cells, left to right; letters in alphabet order."""
+        by_letter = {letter: [] for letter in self._alphabet}
+        for cell in self.table.cells:
+            by_letter[cell[2]].append(cell)
+        return by_letter
 
     @property
     def alphabet(self):
@@ -113,44 +120,44 @@ class Subdivision:
 
     @property
     def classes(self):
-        return dict(self._classes)
+        return {letter: BoundarySet(_from_keys(lo, hi) for lo, hi, _ in cells)
+                for letter, cells in self._cells_by_letter().items()}
 
     @property
     def d(self):
-        return self._d
+        return self.table.d
 
     def class_of(self, letter):
-        try:
-            return self._classes[letter]
-        except KeyError:
-            raise UnknownLetter(letter) from None
+        if letter not in self._alphabet:
+            raise UnknownLetter(letter)
+        return BoundarySet(_from_keys(lo, hi) for lo, hi, l in self.table.cells if l == letter)
 
     def color_of(self, x):
         return self.table.cells[self.table.index(x)][2]
 
     def component_count(self):
-        return sum(len(bset) for bset in self._classes.values())
+        return len(self.table.cells)
 
     def content_id(self):
         text = ";".join(
             f"{letter}:" + "|".join(
-                f"{format_scalar(c.lo)},{int(c.lo_in)},{format_scalar(c.hi)},{int(c.hi_in)}"
-                for c in self._classes[letter].components
+                f"{format_scalar(lo)},{int(le == AT)},{format_scalar(hi)},{int(he == AT)}"
+                for (_, lo, le), (_, hi, he), _ in cells
             )
-            for letter in self._alphabet
+            for letter, cells in self._cells_by_letter().items()
         )
         return "sub:" + hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def __eq__(self, other):
         if not isinstance(other, Subdivision):
             return NotImplemented
-        return self._classes == other._classes
+        return self.table.cells == other.table.cells
 
     def __hash__(self):
-        return hash(tuple(self._classes.items()))
+        return hash(tuple(self.table.cells))
 
     def __repr__(self):
-        inner = ", ".join(f"{letter}: {bset!r}" for letter, bset in self._classes.items())
+        inner = ", ".join(f"{letter}: {bset!r}" for letter, bset in self.classes.items())
         return f"Subdivision({{{inner}}})"
 
 
@@ -294,14 +301,13 @@ def is_good(sub, pmap):
     pmap.require_valid()
     violations = []
 
-    for letter in sub.alphabet:
-        comps = sub.class_of(letter).components
-        if len(comps) > 1:
+    for letter, cells in sub._cells_by_letter().items():
+        if len(cells) > 1:
             violations.append(
                 GoodnessViolation(
                     "not-convex",
                     letter,
-                    witness=(comps[0].sample_point(), comps[1].sample_point()),
+                    witness=tuple(_from_keys(*cell[:2]).sample_point() for cell in cells[:2]),
                 )
             )
 
@@ -368,17 +374,6 @@ class GluingMap:
         return f"GluingMap({inner})"
 
 
-def _cut_keys(lo_key, hi_key, cuts):
-    """Split a key range at the keys of interior points; each point joins
-    its right piece."""
-    segments = []
-    for cut in cuts:
-        segments.append(_from_keys(lo_key, _pred(cut)))
-        lo_key = cut
-    segments.append(_from_keys(lo_key, hi_key))
-    return segments
-
-
 def refine_to_good(sub, pmap):
     """Cut every class at component boundaries and discontinuities.
 
@@ -394,22 +389,21 @@ def refine_to_good(sub, pmap):
         raise FieldMismatch("subdivision and map use different field contexts")
     pmap.require_valid()
 
-    per_letter = {letter: [] for letter in sub.alphabet}
+    # each cut point joins its right piece; pieces in position order
+    pieces, counts = [], dict.fromkeys(sub.alphabet, 0)
     for (lo_key, hi_key, letter), cuts, _ in _sweep(sub, pmap):
-        per_letter[letter].extend(_cut_keys(lo_key, hi_key, cuts))
+        for lo, hi in zip([lo_key, *cuts], [*map(_pred, cuts), hi_key]):
+            pieces.append((lo, hi, letter, counts[letter]))
+            counts[letter] += 1
 
     # plain concatenation can collide (e.g. letters "A" and "A0"); an
     # underscore keeps names unambiguous while staying deterministic
     for sep in ("", "_"):
-        names = [
-            (f"{letter}{sep}{i}", letter, seg)
-            for letter in sub.alphabet
-            for i, seg in enumerate(per_letter[letter])
-        ]
-        if len({name for name, _, _ in names}) == len(names):
+        gluing = {f"{letter}{sep}{i}": letter
+                  for letter, n in counts.items() for i in range(n)}
+        if len(gluing) == len(pieces):
             break
 
-    refined = Subdivision({name: BoundarySet([seg]) for name, _, seg in names})
-    gluing = GluingMap({name: letter for name, letter, _ in names})
-    return refined, gluing
-
+    refined = object.__new__(Subdivision)
+    refined._tile([(lo, hi, f"{letter}{sep}{i}") for lo, hi, letter, i in pieces])
+    return refined, GluingMap(gluing)

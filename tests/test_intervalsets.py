@@ -127,6 +127,15 @@ def test_canonical_equality_and_hash():
     assert a == b and hash(a) == hash(b)
 
 
+def test_equality_is_by_position_whatever_the_component_class():
+    from ietwords import HalfOpenInterval
+
+    a = BoundarySet([HalfOpenInterval(q(0), q(1, 2))])
+    b = interval(q(0), q(1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert a != interval(q(0), q(1, 2), hi_in=True)
+
+
 # ------------------------------------------- field and type guards
 #
 # Scalars from different field contexts never mix, and only exact values

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from ietwords import (
     glue_word,
     iet_to_map,
     identity_map,
+    interval,
     is_good,
     make_scalar,
     mod1,
@@ -332,22 +334,79 @@ def test_pointwise_gluing_identity(rng):
             assert gluing(refined.color_of(x)) == sub.color_of(x)
 
 
-def test_letter_collision_falls_back_to_underscores():
+def collision_instance():
     # reversal of 12 equal intervals has 11 interior cuts; class "B" then
     # mints "B10", which plain concatenation also mints for class "B1"
-    from ietwords import IET, iet_to_map
-
     twelfth = q(1, 12)
     pmap = iet_to_map(IET((twelfth,) * 12, tuple(range(11, -1, -1))))
     sub = Subdivision({
         "B": [Component(q(0), True, q(23, 24), False)],
         "B1": [Component(q(23, 24), True, q(1), False)],
     })
+    return pmap, sub
+
+
+def test_letter_collision_falls_back_to_underscores():
+    pmap, sub = collision_instance()
     refined, gluing = refine_to_good(sub, pmap)
     assert len(refined.alphabet) == len(set(refined.alphabet)) == 13
     assert "B_10" in refined.alphabet and "B1_0" in refined.alphabet
     assert set(gluing.mapping.values()) == {"B", "B1"}
     assert isinstance(is_good(refined, pmap), GoodnessCertificate)
+
+
+def test_refine_to_good_builds_no_components_or_sets(rng, monkeypatch):
+    instances = [random_instance(rng)[:2] for _ in range(10)] + [collision_instance()]
+    calls = []
+    post_init, init = Component.__post_init__, BoundarySet.__init__
+
+    def counted_post_init(self):
+        calls.append("Component")
+        post_init(self)
+
+    def counted_init(self, components=()):
+        calls.append("BoundarySet")
+        init(self, components)
+
+    monkeypatch.setattr(Component, "__post_init__", counted_post_init)
+    monkeypatch.setattr(BoundarySet, "__init__", counted_init)
+    for pmap, sub in instances:
+        refined, _ = refine_to_good(sub, pmap)
+        assert calls == []
+    refined.classes                        # built on request, and counted
+    assert "Component" in calls and "BoundarySet" in calls
+
+
+# ------------------------------------------------------------ cell table
+
+def test_subdivision_round_trips_through_its_classes(rng):
+    subs = []
+    for pmap, sub in [random_instance(rng)[:2] for _ in range(20)] + [collision_instance()]:
+        subs += [sub, refine_to_good(sub, pmap)[0]]
+    for s in subs:
+        classes = s.classes
+        t = Subdivision(classes)
+        assert t == s and t.table.cells == s.table.cells
+        assert t.alphabet == s.alphabet == tuple(classes)
+        assert t.content_id() == s.content_id() and hash(t) == hash(s)
+        for letter in s.alphabet:
+            assert s.class_of(letter) == classes[letter]
+        with pytest.raises(UnknownLetter):
+            s.class_of("?")
+
+
+def test_endpoints_must_be_exact_scalars():
+    with pytest.raises(TypeError, match="ExactScalar"):
+        Subdivision({"A": interval(0, 1)})
+    with pytest.raises(TypeError, match="ExactScalar"):
+        Subdivision({"A": interval(q(0), Fraction(1, 2)), "B": interval(q(1, 2), q(1))})
+
+
+def test_equality_does_not_depend_on_the_component_class():
+    halves = {"A": (q(0), q(1, 2)), "B": (q(1, 2), q(1))}
+    a = Subdivision({l: [HalfOpenInterval(lo, hi)] for l, (lo, hi) in halves.items()})
+    b = Subdivision({l: [Component(lo, True, hi, False)] for l, (lo, hi) in halves.items()})
+    assert a == b and hash(a) == hash(b) and a.content_id() == b.content_id()
 
 
 # ------------------------------------------------------------- glue_word
