@@ -4,13 +4,15 @@
 
 Commands: generate, check-good, refine, roundtrip, analyze, to-iet,
 selftest.  Exit codes: 0 success/OK, 1 domain violations or Mismatch,
-2 parse errors.  Reports are deterministic: same spec and flags, same
-bytes.
+2 parse errors, 141 stdout closed before the report was written (as by
+`| head`; a shell reports 141 for a process that SIGPIPE ends).  Reports
+are deterministic: same spec and flags, same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from itertools import islice
@@ -181,8 +183,17 @@ _DISPATCH = {
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    out = sys.stdout
+    try:
+        status = _run(args, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest goes to devnull, so the exit-time flush is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
+
+def _run(args, out):
     if args.command == "selftest":
         ok = run_selftest(args.seed, write=lambda line: out.write(line + "\n"))
         return 0 if ok else 1

@@ -8,13 +8,13 @@ refined letter is the original one, and walks only to locate a mismatch.
 Every walk requires a map whose validation report is clean: its orbits
 then stay in [0, 1) and every table the walk compiles tiles [0, 1), and a
 broken map raises CorruptMap before any point is walked.  Every orbit is
-walked on the integer lattice (1/den)(Z + Z sqrt d): a step is two
-integer updates and each lookup goes through an
-intervalsets.LatticeTable, whose float filter decides only what a
-certified error bound allows and sends every close case to exact integer
-signs.  iter_orbit and orbit hand the points out as ExactScalar values;
-iter_code, code and roundtrip_check read letters off the same walk.
-glue_word sends a word's letters through a gluing.
+walked on the integer lattice (1/den)(Z + Z sqrt d), with den taken from
+x0 and the intercepts alone: a step is two integer updates and each
+lookup goes through an intervalsets.LatticeTable, whose float filter
+decides only what a certified error bound allows and sends every close
+case to exact integer signs.  iter_orbit and orbit hand the points out
+as ExactScalar values; iter_code, code and roundtrip_check read letters
+off the same walk.  glue_word sends a word's letters through a gluing.
 
 Every walk reads one stream, which stops walking at the first return to
 an earlier lattice point: Brent's cycle rule finds it in constant memory,
@@ -144,13 +144,14 @@ def orbit(pmap, x0, n):
 
 class _LatticeOrbit:
     """The orbit of x0 on the lattice (1/den)(Z + Z sqrt d), with the tables
-    that code it compiled onto the same lattice.
+    that code it compiled for the same lattice.
 
-    den is the lcm of the denominators of x0, every intercept and every
-    cell endpoint.  Every slope is +1 or -1, so each orbit point is
-    (A + B sqrt d) / den with integers A, B, and a step through a piece
-    with intercept (C + D sqrt d) / den is A, B = s*A + C, s*B + D.
-    The tables must tile [0, 1), as subdivision and agreement tables do.
+    den is the lcm of the denominators of x0 and every intercept, whatever
+    the tables: cell endpoints need not lie on the lattice.  Every slope is
+    +1 or -1, so each orbit point is (A + B sqrt d) / den with integers
+    A, B, and a step through a piece with intercept (C + D sqrt d) / den
+    is A, B = s*A + C, s*B + D.  The tables must tile [0, 1), as
+    subdivision and agreement tables do.
     """
 
     def __init__(self, pmap, x0, *tables):
@@ -159,11 +160,8 @@ class _LatticeOrbit:
         pmap.require_valid()           # its domains tile [0, 1), its orbits stay there
         pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
         x0 = x0 + ExactScalar.zero(pmap.d)     # lifts int and Fraction starts
-        tables = (pmap.table, *tables)
-        den = lcm(x0.denominator, *(p.intercept.denominator for p in pmap.pieces),
-                  *(key[1].denominator for t in tables for cell in t.cells
-                    for key in cell[:2]))
-        self.map, *self.tables = (LatticeTable(t, den) for t in tables)
+        den = lcm(x0.denominator, *(p.intercept.denominator for p in pmap.pieces))
+        self.map, *self.tables = (LatticeTable(t, den) for t in (pmap.table, *tables))
         self._moves = [(p.slope, *p.intercept.on_lattice(den)) for p in self.map.values]
         self.x0, self._start = x0, x0.on_lattice(den)
         self.period = None

@@ -9,9 +9,10 @@ quadratic contexts — never floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .exactnum import ExactScalar, make_scalar, mod1
-from .intervalsets import BoundarySet, Component
+from .intervalsets import AT, BoundarySet, Component, interval, key
 from .intervalmap import (
     IET,
     AffinePiece,
@@ -40,22 +41,24 @@ def fibonacci_partition():
     start point alpha this orients the letters so the coded word matches
     the substitution 0 -> 01, 1 -> 0 read from "0".
     """
-    alpha = golden_alpha()
     one = ExactScalar.one(5)
-    zero = ExactScalar.zero(5)
-    cut = one - alpha
-    return Subdivision(
-        {
-            "1": BoundarySet([Component(zero, True, cut, False)]),
-            "0": BoundarySet([Component(cut, True, one, False)]),
-        }
-    )
+    cut = one - golden_alpha()
+    return Subdivision({"1": interval(ExactScalar.zero(5), cut), "0": interval(cut, one)})
 
 
 def fibonacci_instance(length):
     """A ready-to-run instance whose coding is the Fibonacci word prefix."""
     return InstanceSpec(5, golden_rotation(), fibonacci_partition(),
                         golden_alpha(), length)
+
+
+@cache
+def _golden_points():
+    """The 12 points after 0 on its golden-rotation orbit, all in (0, 1)."""
+    points = [golden_alpha()]
+    while len(points) < 12:
+        points.append(mod1(points[-1] + points[0]))
+    return tuple(points)
 
 
 def _point_pool(rng, d):
@@ -66,13 +69,8 @@ def _point_pool(rng, d):
         num = rng.randint(1, den - 1)
         points.add(ExactScalar.from_rational(Fraction(num, den), d))
     if d == 5:
-        alpha = golden_alpha()
-        x = ExactScalar.zero(5)
-        for _ in range(12):
-            x = mod1(x + alpha)
-            points.add(x)
-    zero, one = ExactScalar.zero(d), ExactScalar.one(d)
-    return sorted(p for p in points if zero < p < one)
+        points.update(_golden_points())
+    return sorted(points, key=lambda p: key(p, AT))
 
 
 def _cuts(rng, d, count):
@@ -151,9 +149,7 @@ def _labelled_subdivision(rng, segments, labels):
 
 
 def random_point(rng, d=5):
-    pool = _point_pool(rng, d)
-    zero = ExactScalar.zero(d)
-    return rng.choice([zero, *pool])
+    return rng.choice([ExactScalar.zero(d), *_point_pool(rng, d)])
 
 
 def random_instance(rng, d=5):

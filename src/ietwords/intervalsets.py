@@ -20,9 +20,9 @@ adjacency checks reduce to tuple comparisons on keys.  A CellTable holds
 key ranges sorted by start: map domains, map images and subdivision cells
 are each one table, and every single-point lookup, range lookup and
 tiling check on [0, 1) goes through it.  A LatticeTable is a CellTable
-that tiles [0, 1), compiled onto the integer lattice of one orbit walk,
-where keys are integers and floats only filter; every orbit walk looks
-its points up there.
+that tiles [0, 1), compiled for the integer lattice of one orbit walk,
+whose points are integer pairs and where floats only filter; every orbit
+walk looks its points up there.
 """
 
 from __future__ import annotations
@@ -323,8 +323,10 @@ class CellTable:
 #   |xf - (af + bf)| <= u(|af| + |bf|),
 # and |A| <= |af|/(1 - u), |B| sqrt d <= |bf|/(1 - u)**3 give
 #   |xf - x| <= 4.001 u m,  with m = |af| + |bf|.
-# Cell starts and ends s are approximated the same way (sf, m_s).  The
-# filter accepts s < x when D = fl(xf - sf) exceeds T = fl(e_x + e_s),
+# A cell start s is A + B sqrt d with A = a den/q, B = b den/q for
+# s = (a + b sqrt d)/q; CPython's int/int true division is correctly
+# rounded, so the same holds word for word (sf, m_s).  The filter
+# accepts s < x when D = fl(xf - sf) exceeds T = fl(e_x + e_s),
 # with e = K * fl(m) (K is a power of two, so that product is exact).
 # Then T >= K (1 - u)**2 (m + m_s) and xf - sf >= D/(1 + u), so
 #   x - s >= D/(1 + u) - 4.001 u (m + m_s)
@@ -333,43 +335,54 @@ class CellTable:
 # a factor of 4 of slack over the derived constant.  fl(A) and fl(B)
 # raise OverflowError past float range, which gives nan for xf and e; a
 # product past it gives inf or nan.  Every comparison with those is false,
-# so such points and cells always go to the exact integer signs.
+# so such points and cells always go to the exact integer signs.  The
+# bounds need results in the normal range, which a start's rational parts
+# can leave: a start with a nonzero part below 2**-900 gets nan too.
 _FILTER = 2.0**-49
 
 
 class LatticeTable:
-    """A CellTable that tiles [0, 1), compiled onto the lattice
-    (1/den)(Z + Z sqrt d).
+    """A CellTable that tiles [0, 1), compiled for the lattice
+    (1/den)(Z + Z sqrt d) of one orbit walk, whatever den is.
 
-    den must be a multiple of the denominator of every cell endpoint, and
-    the cells must tile [0, 1), as the domains of a valid map and the
+    The cells must tile [0, 1), as the domains of a valid map and the
     cells of a subdivision do.  A point x = (A + B sqrt d) / den in [0, 1)
     is handed to index() in the form point(A, B) gives, and index() gives
-    the cell that holds x, as CellTable.index(x) does.
+    the cell that holds x, as CellTable.index(x) does.  A cell start
+    (a + b sqrt d) / q is kept as (a den, b den, q, eps); a cell ends
+    where the next one starts, or at 1.
 
-    For d in {0, 1} every B is 0 and a key (E, eps) is the integer
-    3E + eps, which orders keys as tuples do; the point's key is 3A, and a
-    lookup is one bisect over integers.  Otherwise a lookup bisects the
-    float starts and keeps the cell only when the filter above certifies
-    start < x < end; every other case, and every coefficient past float
-    range, is decided by exact integer signs.
+    For d in {0, 1} every B is 0, each start becomes the least integer A
+    with A/den at or after it, and a lookup is one bisect over those.
+    Otherwise a lookup bisects the float starts and keeps the cell only
+    when the filter above certifies start < x < end; every other case,
+    and every coefficient past float range, is decided by exact signs.
     """
 
     __slots__ = ("values", "_d", "_den", "_root", "_starts", "_lo", "_filter")
 
     def __init__(self, table, den):
-        cells = table.cells
-        self.values = [value for _, _, value in cells]
+        self.values = [value for _, _, value in table.cells]
         self._d, self._den = table.d, den
         self._root = sqrt(table.d) if table.d < 2**53 else nan
-        self._starts = [(*lo[1].on_lattice(den), lo[2]) for lo, _, _ in cells]
+        self._starts = [(*x.on_lattice(den * x.denominator), x.denominator, eps)
+                        for (_, x, eps), _, _ in table.cells]
         if table.d <= 1:
-            self._lo = [3 * E + eps for E, _, eps in self._starts]
+            self._lo = [(a + q - 1 + eps) // q for a, _, q, eps in self._starts]
         else:
-            lo = [self.point(E, F)[2:] for E, F, _ in self._starts]
-            hi = [self.point(*end[1].on_lattice(den))[2:] for _, end, _ in cells]
+            lo = [self._float(a, b, q) for a, b, q, _ in self._starts]
             self._lo = [sf for sf, _ in lo]
-            self._filter = [(*a, *b) for a, b in zip(lo, hi)]
+            self._filter = [(*s, *e) for s, e in zip(lo, [*lo[1:], self._float(den, 0, 1)])]
+
+    def _float(self, a, b, q):
+        """(sf, e) for the start (a + b sqrt d) / q, in units of 1/den."""
+        try:
+            af, bf = a / q, b / q * self._root
+        except OverflowError:
+            return nan, nan
+        if a and abs(af) < 2.0**-900 or b and abs(bf) < 2.0**-900:
+            return nan, nan
+        return af + bf, _FILTER * (abs(af) + abs(bf))
 
     def point(self, A, B):
         """(A, B, xf, e): the point with its float value and error bound."""
@@ -389,7 +402,7 @@ class LatticeTable:
         """Index of the cell holding the point, which must lie in [0, 1)."""
         A, B, xf, e = point
         if self._d <= 1:
-            return bisect_right(self._lo, 3 * A) - 1
+            return bisect_right(self._lo, A) - 1
         i = bisect_right(self._lo, xf) - 1
         if i >= 0:
             lo_f, lo_e, hi_f, hi_e = self._filter[i]
@@ -402,14 +415,10 @@ class LatticeTable:
         lo, hi = 0, len(self._starts)
         while lo < hi:                 # bisect_right over the start keys
             mid = (lo + hi) // 2
-            if _key_sign(self._starts[mid], A, B, d) > 0:
+            a, b, q, eps = self._starts[mid]
+            # the sign of the start's key minus the key of x itself
+            if (_sign_of(a - q * A, b - q * B, d) or eps) > 0:
                 hi = mid
             else:
                 lo = mid + 1
         return lo - 1
-
-
-def _key_sign(start, A, B, d):
-    """Sign of the key (E, F, eps) minus the key of x = A + B sqrt d itself."""
-    E, F, eps = start
-    return _sign_of(E - A, F - B, d) or eps

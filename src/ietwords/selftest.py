@@ -19,7 +19,7 @@ from .instances import (
     fibonacci_instance,
     random_instance,
 )
-from .intervalsets import BoundarySet, Component
+from .intervalsets import interval
 from .intervalmap import rotation
 from .subdivision import GoodnessCertificate, Subdivision, is_good, refine_to_good
 
@@ -66,19 +66,12 @@ def _suite_fibonacci_prefix(seed):
 
 def _suite_rational_periods(seed):
     rng = random.Random(seed)
-    two_classes = None
+    zero, half = ExactScalar.zero(0), ExactScalar.from_rational(Fraction(1, 2), 0)
+    two_classes = Subdivision({"A": interval(zero, half), "B": interval(half, ExactScalar.one(0))})
     for trial in range(10):
         q = rng.randint(3, 30)
         p = rng.choice([v for v in range(1, q) if gcd(v, q) == 1])
         angle = ExactScalar.from_rational(Fraction(p, q), 0)
-        half = ExactScalar.from_rational(Fraction(1, 2), 0)
-        zero, one = ExactScalar.zero(0), ExactScalar.one(0)
-        two_classes = Subdivision(
-            {
-                "A": BoundarySet([Component(zero, True, half, False)]),
-                "B": BoundarySet([Component(half, True, one, False)]),
-            }
-        )
         word = code(rotation(angle), two_classes, zero, 4 * q + 8)
         result = detect_period(word)
         if not isinstance(result, tuple):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ietwords
 from ietwords import cli, code, dumps, parse_spec, word_to_json
 from ietwords.cli import main
 
@@ -301,6 +306,22 @@ def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+def test_closed_stdout_exits_141_quietly(golden_spec):
+    # `iet-words generate ... | head -c 5`: 10**5 letters overflow the pipe,
+    # so the write after the reader has gone fails with a broken pipe
+    package_root = str(Path(ietwords.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": package_root}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from ietwords.cli import main; sys.exit(main())",
+         "generate", golden_spec, "--length", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(5) == b"0 1 0"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 # ------------------------------------------------------------ determinism

@@ -18,6 +18,7 @@ that order is checked against the exact comparison of scalars and against
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from math import isqrt
 
 import pytest
@@ -40,10 +41,12 @@ from ietwords import (
     interval,
     is_good,
     make_scalar,
+    mod1,
     refine_to_good,
 )
 from ietwords.exactnum import MAX_RADICAND, _floor64, is_squarefree
 from ietwords.instances import (
+    _point_pool,
     golden_alpha,
     random_instance,
     random_piecewise_map,
@@ -517,6 +520,33 @@ def settled_by_decimals(x, y):
 
 def order(u, v):
     return (u > v) - (u < v)
+
+
+def exact_point_pool(rng, d):
+    """The draws of instances._point_pool, the direct way: the golden orbit
+    walked again on every call, and the points sorted by exact comparison."""
+    points = set()
+    for _ in range(24):
+        den = rng.randint(2, 64)
+        points.add(ExactScalar.from_rational(Fraction(rng.randint(1, den - 1), den), d))
+    if d == 5:
+        x = ExactScalar.zero(5)
+        for _ in range(12):
+            x = mod1(x + golden_alpha())
+            points.add(x)
+    return sorted(points, key=cmp_to_key(cmp))
+
+
+@pytest.mark.parametrize("d", [0, 2, 5])
+def test_point_pools_match_an_exact_sort(d):
+    # same points in the same order, and the same draws left to come
+    zero, one = ExactScalar.zero(d), ExactScalar.one(d)
+    for seed in range(60):
+        fast, exact = random.Random(seed), random.Random(seed)
+        pool = _point_pool(fast, d)
+        assert pool == exact_point_pool(exact, d)
+        assert all(zero < x < one for x in pool)
+        assert fast.getstate() == exact.getstate()
 
 
 def test_near_max_radicand_is_a_field():

@@ -16,13 +16,14 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import islice, takewhile
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ietwords.coding as coding
+import ietwords.exactnum as exactnum
 import ietwords.intervalsets as intervalsets
 from ietwords import (
     IET,
@@ -245,10 +246,33 @@ def cell_ends(table):
             for cell in [_from_keys(lo, hi)] for x in (cell.lo, cell.hi)]
 
 
+def lattice_probes(table, den):
+    """Points (A, B) of the lattice (1/den)(Z + Z sqrt d) in [0, 1) around
+    every cell endpoint of the table: B within one of the endpoint's
+    radical part times den, and A the two integers on each side of the
+    rest, so that the points straddle each endpoint."""
+    d = table.d
+    zero, one = ExactScalar.zero(d), ExactScalar.one(d)
+    probes = set()
+    for e in cell_ends(table):
+        b0 = floor(e.radical_part * den)
+        for B in {b0 - 1, b0, b0 + 1} if d > 1 else {0}:
+            a0 = exactnum._floor64(e * den - ExactScalar(0, B, 1, d)) >> 64
+            probes.update((A, B) for A in range(a0 - 1, a0 + 3)
+                          if zero <= ExactScalar(A, B, den, d) < one)
+    return probes
+
+
+# den values that are multiples of no endpoint denominator in these tables
+OFF_LATTICE_DENS = (1, 1000003, 10**399 + 7)
+
+
 def assert_lookups_match(table):
     """LatticeTable.index against CellTable.index on a table that tiles
     [0, 1), at every endpoint, a tiny step either side of it, and its float
-    value read back as a rational, wherever those lie in [0, 1)."""
+    value read back as a rational, wherever those lie in [0, 1); then, for
+    each den of OFF_LATTICE_DENS, at the lattice points around every
+    endpoint, which need not lie on the lattice."""
     d = table.d
     ends = cell_ends(table)
     probes = ends + [e + sign * t for e in ends for t in tiny_steps(d) for sign in (1, -1)]
@@ -258,6 +282,11 @@ def assert_lookups_match(table):
     lattice = LatticeTable(table, den)
     for x in probes:
         assert lattice.index(lattice.point(*x.on_lattice(den))) == table.index(x), (d, x)
+    for den in OFF_LATTICE_DENS:
+        lattice = LatticeTable(table, den)
+        for A, B in lattice_probes(table, den):
+            x = lattice.scalar(A, B)
+            assert lattice.index(lattice.point(A, B)) == table.index(x), (d, den, x)
 
 
 def test_lookups_near_cuts_match_cell_table():
@@ -271,6 +300,93 @@ def test_lookups_near_cuts_match_cell_table():
             for pmap, sub, _ in (quadratic_instance(rng, d), random_instance(rng, d)):
                 assert_lookups_match(pmap.table)
                 assert_lookups_match(sub.table)
+
+
+def big_denominator_subdivision(rng, d, orbit_points, letters="ABCDEFGH"):
+    """A subdivision whose cuts carry distinct 300- to 1000-digit
+    denominators: random cuts, and around some orbit points x the cuts
+    x - t, x + t and x + 2t for t = 1/Q with Q of that size, so that the
+    cell [x - t, x + t) holds x alone and the next one no lattice point
+    in Q.  x is a cut too.  Ends are closed at random, and some cuts are
+    singleton classes."""
+    def big():
+        digits = rng.randint(300, 1000)
+        return rng.randrange(10**(digits - 1), 10**digits)
+
+    zero, one = ExactScalar.zero(d), ExactScalar.one(d)
+    cuts = set()
+    for x in rng.sample(orbit_points, 6):
+        tiny = ExactScalar.from_rational(Fraction(1, big()), d)
+        cuts.update(y for y in (x - tiny, x, x + tiny, x + tiny * 2) if zero < y < one)
+    for _ in range(12):
+        q = big()
+        r = ExactScalar.from_rational(Fraction(rng.randrange(1, q), q), d)
+        if d:
+            r = mod1(golden_alpha() * Fraction(rng.randrange(1, q), q) + r)
+        cuts.add(r)
+    cuts = sorted(cuts)
+    classes = {}
+    lo, lo_in = zero, True
+    for cut in cuts:
+        singleton = rng.random() < 0.3
+        closed = not singleton and rng.random() < 0.5      # the cut joins the left cell
+        classes.setdefault(rng.choice(letters), []).append(Component(lo, lo_in, cut, closed))
+        if singleton:
+            classes.setdefault("S", []).append(Component(cut, True, cut, True))
+        lo, lo_in = cut, not closed and not singleton
+    classes.setdefault(rng.choice(letters), []).append(Component(lo, lo_in, one, False))
+    return Subdivision(classes)
+
+
+@pytest.mark.parametrize("d", [0, 5])
+def test_code_with_huge_cell_denominators_matches_exact_walk(d, sign_calls):
+    rng = random.Random(25 + d)
+    if d:
+        pmap, x0 = rotation(golden_alpha()), ExactScalar.zero(5)
+    else:
+        pmap, x0 = (rotation(ExactScalar.from_rational(Fraction(3, 257), 0)),
+                    ExactScalar.from_rational(Fraction(1, 5), 0))
+    points = list(exact_orbit(pmap, x0, 300))
+    for _ in range(3):
+        sub = big_denominator_subdivision(rng, d, points)
+        letters, stop = exact_letters(pmap, sub, x0, 300)
+        assert stop is None and len(set(letters)) > 3
+        assert code(pmap, sub, x0, 300) == tuple(letters)
+        assert tuple(iter_code(pmap, sub, x0, 300)) == tuple(letters)
+    # in Q(sqrt 5) the cuts 1/Q from orbit points are close cases
+    assert bool(sign_calls) == (d == 5)
+
+
+def test_walk_den_is_the_orbits_own():
+    # den is the lcm of the denominators of x0 and the intercepts, however
+    # large the cell denominators are
+    rng = random.Random(26)
+    for d in (0, 5):
+        for _ in range(5):
+            pmap, _, x0 = random_instance(rng, d)
+            points = list(exact_orbit(pmap, x0, 50))
+            sub = big_denominator_subdivision(rng, d, points)
+            den = lcm(x0.denominator, *(p.intercept.denominator for p in pmap.pieces))
+            walk = coding._LatticeOrbit(pmap, x0, sub.table)
+            assert walk.map._den == den
+            assert [table._den for table in walk.tables] == [den]
+            assert den < 10**299
+
+
+def test_starts_below_the_normal_float_range():
+    # a cut s = (q sqrt 5 - p)/c just above 0, with parts far below 2**-1022
+    # that nearly cancel: rounded to floats they can leave s negative, so
+    # such starts must go to exact signs, and 0 stays in the first cell
+    rng = random.Random(27)
+    zero, one = ExactScalar.zero(5), ExactScalar.one(5)
+    R = rotation(ExactScalar.from_rational(Fraction(1, 2), 5))
+    for _ in range(300):
+        q = rng.randint(1, 10**6)
+        c = 3 * 2**rng.randint(1060, 1085) + rng.randint(0, 1)
+        s = make_scalar(-isqrt(5 * q * q), c, q, c, 5)
+        sub = Subdivision({"A": intervalsets.interval(zero, s),
+                           "B": intervalsets.interval(s, one)})
+        assert code(R, sub, zero, 4) == ("A", "B", "A", "B"), s
 
 
 def test_exact_fallback_runs_on_close_cases(sign_calls):
