@@ -18,6 +18,7 @@ bounded by MAX_DIGITS, Python's default limit for int() on a string.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, sqrt
@@ -389,12 +390,13 @@ def mod1(x):
 #
 # scalar := rat | rat ("+"|"-") rat "*sqrt(" uint ")"
 # rat    := ["-"] uint [ "/" uint ]
+# uint   := [0-9]+, ASCII only: \d also matches "٣", which int() reads
+_DIGITS = re.compile(r"[0-9]*")
 
 
 def _parse_uint(text, pos):
     start = pos
-    while pos < len(text) and "0" <= text[pos] <= "9":
-        pos += 1
+    pos = _DIGITS.match(text, pos).end()
     if pos == start:
         raise ParseError("expected a digit", start)
     if pos - start > MAX_DIGITS:
@@ -465,6 +467,6 @@ def format_scalar(x):
     """Canonical text form; parse_scalar(format_scalar(x)) == x."""
     a, b, q = x._a, x._b, x._q
     if b == 0:
-        return _format_rat(a, q)
+        return str(a) if q == 1 else f"{a}/{q}"   # canonical: gcd(a, q) == 1
     sign = "+" if b > 0 else "-"
     return f"{_format_rat(a, q)}{sign}{_format_rat(abs(b), q)}*sqrt({x._d})"

@@ -9,18 +9,19 @@ is recovered from the refined one by gluing letters back.
 
 A subdivision is stored only as its intervalsets.CellTable: each class
 component is a cell (start key, end key, letter), and the classes are
-derived from the cells on request.  Construction walks the cells across
-[0, 1) and rejects the first gap, overlap or cell outside it.  Condition 1
-counts each class's cells.
+derived from the cells on request.  Subdivision(classes) checks endpoint
+types and fields, then walks the cells across [0, 1) and rejects the first
+gap, overlap or cell outside it; refine_to_good stores the cells it cuts
+from a checked subdivision unwalked.  Condition 1 counts each class's cells.
 
 Condition 2 and refine_to_good share one sweep (_sweep): it walks the
 cells left to right with one cursor into the map's sorted discontinuities
 and one into its pieces, and gives each cell the cuts strictly inside it
-and the cell clipped to each piece it meets.  refine_to_good cuts the
-cell there.  For condition 2 each part's image is looked up in the cells
-once, and once more from just above each cut for the part that cut
-starts, so a cell with m cuts and n parts costs m + n image lookups.  The
-first color in alphabet order that both sides of a cut reach is the
+and, if any, the cell clipped to each piece it meets.  refine_to_good
+cuts the cell there.  For condition 2 each part's image is looked up in
+the cells once, and once more from just above each cut for the part that
+cut starts, so a cell with m cuts and n parts costs m + n image lookups.
+The first color in alphabet order that both sides of a cut reach is the
 violation, witnessed by one point on each side whose image has that color.
 """
 
@@ -69,9 +70,11 @@ class Subdivision:
     """A partition of [0, 1) into finitely many lettered color classes.
 
     Construction canonicalizes: each class's intervals are merged and
-    sorted, the alphabet is sorted, and the partition property (disjoint,
-    no gaps, exactly [0, 1)) is verified.  Only `table`, the lettered
-    cells, is stored; `classes` and `class_of` are derived from it.
+    sorted, the alphabet is sorted, and the endpoints (ExactScalar, one
+    field) and partition property (disjoint, no gaps, exactly [0, 1)) are
+    verified; refine_to_good, which only cuts a verified subdivision,
+    skips the checks.  Only `table`, the lettered cells, is stored;
+    `classes` and `class_of` are derived from it.
     """
 
     __slots__ = ("_alphabet", "table")
@@ -87,10 +90,6 @@ class Subdivision:
             if bset.is_empty():
                 raise ValueError(f"class {letter!r} is empty")
             cells.extend((c.lo_key, c.hi_key, str(letter)) for c in bset.components)
-        self._tile(cells)
-
-    def _tile(self, cells):
-        """Store the cells (lo_key, hi_key, letter) once they tile [0, 1)."""
         fields = {_field(x) for lo_key, hi_key, _ in cells for x in (lo_key[1], hi_key[1])}
         if None in fields:
             raise TypeError("class endpoints must be ExactScalar values")
@@ -139,9 +138,12 @@ class Subdivision:
         return len(self.table.cells)
 
     def content_id(self):
+        # neighbouring cells mostly share an endpoint object: format each once
+        ends = {id(k[1]): k[1] for cell in self.table.cells for k in cell[:2]}
+        texts = {i: format_scalar(x) for i, x in ends.items()}
         text = ";".join(
             f"{letter}:" + "|".join(
-                f"{format_scalar(lo)},{int(le == AT)},{format_scalar(hi)},{int(he == AT)}"
+                f"{texts[id(lo)]},{int(le == AT)},{texts[id(hi)]},{int(he == AT)}"
                 for (_, lo, le), (_, hi, he), _ in cells
             )
             for letter, cells in self._cells_by_letter().items()
@@ -206,11 +208,11 @@ def _sweep(sub, pmap):
     Yields (cell, cuts, parts) for each cell (lo_key, hi_key, letter): the
     keys of the map's discontinuities strictly inside the cell, and the
     cell clipped to each piece it meets as [lo_key, hi_key, piece], left
-    to right.  One cursor runs over the sorted discontinuities and one
-    over the pieces, so the walk makes O(cells + cuts + pieces) key
-    comparisons.  The pieces must tile [0, 1), as they do in a valid map:
-    then the first piece a cell meets holds its start and the last one its
-    end.
+    to right, or None for a cell without cuts.  One cursor runs over the
+    sorted discontinuities and one over the pieces, so the walk makes
+    O(cells + cuts + pieces) key comparisons.  The pieces must tile
+    [0, 1), as they do in a valid map: then the first piece a cell meets
+    holds its start and the last one its end.
     """
     cuts = [key(p, AT) for p in pmap.discontinuities()]   # sorted, as the pieces are
     pieces = pmap.table.cells              # (lo_key, hi_key, piece)
@@ -225,8 +227,9 @@ def _sweep(sub, pmap):
         k = j + 1
         while k < len(pieces) and pieces[k][0] <= hi_key:
             k += 1
-        parts = [list(entry) for entry in pieces[j:k]]
-        parts[0][0], parts[-1][1] = lo_key, hi_key
+        parts = [list(entry) for entry in pieces[j:k]] if first < i else None
+        if parts:
+            parts[0][0], parts[-1][1] = lo_key, hi_key
         yield cell, cuts[first:i], parts
         # the next cell starts just after this one ends
         j = k if pieces[k - 1][1] == hi_key else k - 1
@@ -404,6 +407,10 @@ def refine_to_good(sub, pmap):
         if len(gluing) == len(pieces):
             break
 
+    # sub's cells tile [0, 1) in one field (its constructor checked them),
+    # that field is pmap's (checked above), and each cut lies strictly
+    # inside its cell: the pieces tile [0, 1) in it too, unwalked
     refined = object.__new__(Subdivision)
-    refined._tile([(lo, hi, f"{letter}{sep}{i}") for lo, hi, letter, i in pieces])
+    refined._alphabet = tuple(sorted(gluing))
+    refined.table = CellTable([(lo, hi, f"{l}{sep}{i}") for lo, hi, l, i in pieces], sub.d)
     return refined, GluingMap(gluing)

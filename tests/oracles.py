@@ -2,10 +2,12 @@
 
 Everything in this file is deliberately written from first principles and
 kept separate from the library: decimal evaluation for order checks,
-substitution words for golden prefixes, and brute-force scans that double
-check the fast implementations.  None of it imports from ietwords.
+substitution words for golden prefixes, brute-force scans that double
+check the fast implementations, and content ids spelled out from plain
+number tuples.  None of it imports from ietwords.
 """
 
+import hashlib
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -208,3 +210,38 @@ def condition2_brute_force(pieces, classes, denominator):
                 ):
                     failures.add((letter, p))
     return failures
+
+
+def scalar_text(rational, radical, d):
+    """The text of rational + radical*sqrt(d), parts given as Fractions,
+    each part in lowest terms: "p", "p/q", then "+" or "-" and the
+    radical part's absolute value with "*sqrt(d)" unless it is zero."""
+    def rat(f):
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    if radical == 0:
+        return rat(rational)
+    return f"{rat(rational)}{'+' if radical > 0 else '-'}{rat(abs(radical))}*sqrt({d})"
+
+
+def _short_hash(prefix, text):
+    return prefix + hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def subdivision_id(classes):
+    """The content id of a subdivision given as {letter: [(lo, hi), ...]},
+    components left to right, each end a (rational part, radical part, d,
+    closed) tuple: classes in letter order, each component as
+    "lo,closed,hi,closed" with closed 0 or 1."""
+    def end(rational, radical, d, closed):
+        return f"{scalar_text(rational, radical, d)},{int(closed)}"
+    return _short_hash("sub:", ";".join(
+        f"{letter}:" + "|".join(f"{end(*lo)},{end(*hi)}" for lo, hi in comps)
+        for letter, comps in sorted(classes.items())))
+
+
+def map_id(pieces):
+    """The content id of a map given as [(lo, hi, slope, intercept)], left
+    to right, each scalar a (rational part, radical part, d) tuple."""
+    return _short_hash("map:", ";".join(
+        f"{scalar_text(*lo)},{scalar_text(*hi)},{slope},{scalar_text(*c)}"
+        for lo, hi, slope, c in pieces))

@@ -43,6 +43,7 @@ from ietwords import (
     make_scalar,
     mod1,
     refine_to_good,
+    rotation,
 )
 from ietwords.exactnum import MAX_RADICAND, _floor64, is_squarefree
 from ietwords.instances import (
@@ -57,7 +58,7 @@ from ietwords.instances import (
 from ietwords.intervalmap import MapViolation, ValidationReport
 from ietwords.intervalsets import ABOVE, AT, BELOW, key
 
-from oracles import decimal_cmp, decimal_value
+from oracles import decimal_cmp, decimal_value, map_id, scalar_text, subdivision_id
 
 # ------------------------------------------------------------- references
 
@@ -428,6 +429,46 @@ def test_is_good_rejects_maps_that_fail_validation():
                             for lo, hi in domains)
         with pytest.raises(CorruptMap):
             is_good(sub, pmap)
+
+
+# ------------------------------------------------------------ content ids
+
+
+def number_parts(x):
+    return (x.rational_part, x.radical_part, x.d)
+
+
+def oracle_subdivision_id(sub):
+    return subdivision_id({
+        letter: [((*number_parts(c.lo), c.lo_in), (*number_parts(c.hi), c.hi_in))
+                 for c in bset.components]
+        for letter, bset in sub.classes.items()})
+
+
+def oracle_map_id(pmap):
+    return map_id([(number_parts(p.domain.lo), number_parts(p.domain.hi), p.slope,
+                    number_parts(p.intercept)) for p in pmap.pieces])
+
+
+def test_content_ids_match_the_oracle_text():
+    # (2 + sqrt 5)/2 is 1 + (1/2) sqrt 5: its two parts reduce differently
+    assert str(make_scalar(2, 2, 1, 2, 5)) == scalar_text(Fraction(1), Fraction(1, 2), 5)
+    beta = make_scalar(2, 6, 1, 6, 5)                # 1/3 + (1/6) sqrt 5
+    halves = Subdivision({"A": [Component(q(0, 1, 5), True, beta, False)],
+                          "B": [Component(beta, True, q(1, 1, 5), False)]})
+    rng = random.Random(19)
+    instances = [(rotation(beta), halves), (rotation(q(1, 3)), Subdivision(
+        {"x": [Component(q(0), True, q(1, 2), True)],
+         "y": [Component(q(1, 2), False, q(1), False)]}))]
+    for _ in range(30):
+        instances += [random_instance(rng, d)[:2] for d in (0, 5)]
+        instances += [random_translation_instance(rng, 5)[:2],
+                      random_rational_instance(rng)[:2]]
+    for pmap, sub in instances:
+        refined, _ = refine_to_good(sub, pmap)
+        for s in (sub, refined):
+            assert s.content_id() == oracle_subdivision_id(s)
+        assert pmap.content_id() == oracle_map_id(pmap)
 
 
 # ------------------------------------------- the order of position keys

@@ -192,6 +192,9 @@ def test_parse_errors_carry_positions():
     for text in ("²", "1/²", "٣"):
         with pytest.raises(ParseError):
             parse_scalar(text)
+    with pytest.raises(ParseError) as e:
+        parse_scalar("12٣")
+    assert (e.value.message, e.value.position) == ("trailing characters", 2)
 
 
 def test_parse_with_field_context():

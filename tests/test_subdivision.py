@@ -30,10 +30,11 @@ from ietwords import (
     refine_to_good,
     rotation,
 )
-from ietwords.instances import random_instance, random_point
+from ietwords.instances import golden_alpha, random_instance, random_point
 from ietwords.intervalsets import CellTable
 
 from conftest import q
+from test_lattice import flip_instances
 
 ALPHA = make_scalar(-1, 2, 1, 2, 5)
 ZERO5, ONE5 = ExactScalar.zero(5), ExactScalar.one(5)
@@ -393,6 +394,59 @@ def test_subdivision_round_trips_through_its_classes(rng):
             assert s.class_of(letter) == classes[letter]
         with pytest.raises(UnknownLetter):
             s.class_of("?")
+
+
+def large_partition(rng, d, k):
+    """A k-interval exchange and a subdivision of about as many cells, drawn
+    from one pool of points: k // 4 class bounds are cuts of the map, one
+    class is a single point, and letters repeat, so some classes split."""
+    zero, one = ExactScalar.zero(d), ExactScalar.one(d)
+    if d:
+        pool, x = set(), zero
+        for _ in range(3 * k):
+            x = mod1(x + golden_alpha())
+            pool.add(x)
+    else:
+        pool = {q(rng.randint(1, den - 1), den)
+                for den in (rng.randint(2, 10**6) for _ in range(3 * k))}
+    cuts = sorted(rng.sample(sorted(pool), k - 1))
+    bounds = [zero, *cuts, one]
+    permutation = list(range(k))
+    rng.shuffle(permutation)
+    pmap = iet_to_map(IET(tuple(hi - lo for lo, hi in zip(bounds, bounds[1:])),
+                          tuple(permutation)))
+    rest = sorted(pool - set(cuts))
+    marks = sorted([*rng.sample(cuts, k // 4), *rng.sample(rest, k - 1 - k // 4)])
+    dot = rng.randrange(len(marks))
+    classes = {"dot": [Component(marks[dot], True, marks[dot], True)]}
+    lo, lo_in = zero, True
+    for i, x in enumerate([*marks, one]):
+        hi_in = x != one and i != dot and rng.random() < 0.25
+        classes.setdefault(f"c{rng.randrange(3 * k // 4)}", []).append(
+            Component(lo, lo_in, x, hi_in))
+        lo, lo_in = x, not hi_in and i != dot
+    return pmap, Subdivision(classes)
+
+
+def test_stored_refinement_equals_a_checked_construction():
+    # refine_to_good stores its cells without the constructor's checks
+    rng = random.Random(17)
+    instances = [random_instance(rng, d)[:2] for d in (0, 5) for _ in range(40)]
+    instances += [(pmap, sub) for pmap, sub, _, _ in flip_instances()]
+    instances += [large_partition(rng, d, k) for d in (0, 5) for k in (100, 150, 200)]
+    on_bounds = singletons = 0
+    for pmap, sub in instances:
+        refined, gluing = refine_to_good(sub, pmap)
+        rebuilt = Subdivision(refined.classes)
+        assert refined == rebuilt
+        assert refined.alphabet == rebuilt.alphabet == gluing.domain()
+        assert list(refined.table.faults()) == []
+        cells = refined.table.cells
+        assert {x.d for lo, hi, _ in cells for x in (lo[1], hi[1])} == {sub.d}
+        starts = {lo[1] for lo, _, _ in sub.table.cells}
+        on_bounds += any(p in starts for p in pmap.discontinuities())
+        singletons += any(lo[1] == hi[1] for lo, hi, _ in cells)
+    assert on_bounds >= 20 and singletons >= 6
 
 
 def test_endpoints_must_be_exact_scalars():
