@@ -17,6 +17,7 @@ property, only fail to falsify it.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -258,22 +259,16 @@ def detect_period(word):
 
     The tail s[p:] has period q iff s[p+q:] == s[p:L-q], and then so does
     every later tail, so each q takes one comparison at the longest
-    preperiod allowed, and the first q that passes a binary search for the
-    least one.  The letters are compared as integer codes through
-    memoryview slices, which compare in C without copying.
+    preperiod allowed, and the first q that passes a bisect for the least
+    one.  The letters are compared as integer codes through memoryview
+    slices, which compare in C without copying.
     """
     letters = _letters_of(word)
     length = len(letters)
     codes = {c: i for i, c in enumerate(dict.fromkeys(letters))}
     s = memoryview(array("Q", map(codes.__getitem__, letters)))
     for q in range(1, length // 3 + 1):
-        lo, hi = 0, min(length // 2, length - 3 * q)
+        hi = min(length // 2, length - 3 * q)
         if s[hi + q:] == s[hi : length - q]:
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if s[mid + q:] == s[mid : length - q]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return (lo, q)
+            return bisect_left(range(hi), True, key=lambda p: s[p + q:] == s[p : length - q]), q
     return APERIODIC_AT_SCALE

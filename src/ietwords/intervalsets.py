@@ -27,7 +27,7 @@ walk looks its points up there.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -166,12 +166,8 @@ class BoundarySet:
     def contains(self, x):
         at = key(x, AT)
         _same_field(self._d, _field(x))
-        for c in self._components:
-            if c.lo_key > at:
-                return False
-            if at <= c.hi_key:
-                return True
-        return False
+        i = bisect_right(self._components, at, key=attrgetter("lo_key"))
+        return i > 0 and at <= self._components[i - 1].hi_key
 
     __contains__ = contains
 
@@ -411,14 +407,9 @@ class LatticeTable:
         return self._exact(A, B)
 
     def _exact(self, A, B):
-        d = self._d
-        lo, hi = 0, len(self._starts)
-        while lo < hi:                 # bisect_right over the start keys
-            mid = (lo + hi) // 2
-            a, b, q, eps = self._starts[mid]
+        def after(start):
             # the sign of the start's key minus the key of x itself
-            if (_sign_of(a - q * A, b - q * B, d) or eps) > 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo - 1
+            a, b, q, eps = start
+            return (_sign_of(a - q * A, b - q * B, self._d) or eps) > 0
+
+        return bisect_left(self._starts, True, key=after) - 1

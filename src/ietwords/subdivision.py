@@ -15,20 +15,20 @@ gap, overlap or cell outside it; refine_to_good stores the cells it cuts
 from a checked subdivision unwalked.  Condition 1 counts each class's cells.
 
 Condition 2 and refine_to_good share one sweep (_sweep): it walks the
-cells left to right with one cursor into the map's sorted discontinuities
-and one into its pieces, and gives each cell the cuts strictly inside it
-and, if any, the cell clipped to each piece it meets.  refine_to_good
-cuts the cell there.  For condition 2 each part's image is looked up in
-the cells once, and once more from just above each cut for the part that
-cut starts, so a cell with m cuts and n parts costs m + n image lookups.
-The first color in alphabet order that both sides of a cut reach is the
-violation, witnessed by one point on each side whose image has that color.
+cells left to right, bisects the map's sorted discontinuities for the cuts
+strictly inside each cell and, if any, clips the cell to each piece it
+meets (CellTable.meeting).  refine_to_good cuts the cell there.  For
+condition 2 each part's image is looked up in the cells once, and once
+more from just above each cut for the part that cut starts, so a cell with
+m cuts and n parts costs m + n image lookups.  The first color in alphabet
+order that both sides of a cut reach is the violation, witnessed by one
+point on each side whose image has that color.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -84,12 +84,15 @@ class Subdivision:
             raise ValueError("a subdivision needs at least one class")
         cells = []
         for letter in sorted(classes):
+            name = str(letter)
+            if name.split() != [name]:
+                raise ValueError(f"letter {name!r} is not one token without whitespace")
             bset = classes[letter]
             if not isinstance(bset, BoundarySet):
                 bset = BoundarySet(bset)
             if bset.is_empty():
                 raise ValueError(f"class {letter!r} is empty")
-            cells.extend((c.lo_key, c.hi_key, str(letter)) for c in bset.components)
+            cells.extend((c.lo_key, c.hi_key, name) for c in bset.components)
         fields = {_field(x) for lo_key, hi_key, _ in cells for x in (lo_key[1], hi_key[1])}
         if None in fields:
             raise TypeError("class endpoints must be ExactScalar values")
@@ -206,33 +209,17 @@ def _sweep(sub, pmap):
     """Walk the subdivision's cells across [0, 1), left to right.
 
     Yields (cell, cuts, parts) for each cell (lo_key, hi_key, letter): the
-    keys of the map's discontinuities strictly inside the cell, and the
-    cell clipped to each piece it meets as [lo_key, hi_key, piece], left
-    to right, or None for a cell without cuts.  One cursor runs over the
-    sorted discontinuities and one over the pieces, so the walk makes
-    O(cells + cuts + pieces) key comparisons.  The pieces must tile
-    [0, 1), as they do in a valid map: then the first piece a cell meets
-    holds its start and the last one its end.
+    keys of the map's discontinuities strictly inside the cell, found by
+    bisecting the sorted discontinuities, and, for a cell with a cut, the
+    cell clipped to each piece it meets as (lo_key, hi_key, piece), left
+    to right, from pmap.table.meeting; None for a cell without cuts.  The
+    pieces must tile [0, 1), as they do in a valid map.
     """
     cuts = [key(p, AT) for p in pmap.discontinuities()]   # sorted, as the pieces are
-    pieces = pmap.table.cells              # (lo_key, hi_key, piece)
-    i = j = 0
     for cell in sub.table.cells:
         lo_key, hi_key, _ = cell
-        while i < len(cuts) and cuts[i] <= lo_key:
-            i += 1
-        first = i
-        while i < len(cuts) and cuts[i] < hi_key:
-            i += 1
-        k = j + 1
-        while k < len(pieces) and pieces[k][0] <= hi_key:
-            k += 1
-        parts = [list(entry) for entry in pieces[j:k]] if first < i else None
-        if parts:
-            parts[0][0], parts[-1][1] = lo_key, hi_key
-        yield cell, cuts[first:i], parts
-        # the next cell starts just after this one ends
-        j = k if pieces[k - 1][1] == hi_key else k - 1
+        inside = cuts[bisect_right(cuts, lo_key):bisect_left(cuts, hi_key)]
+        yield cell, inside, list(pmap.table.meeting(lo_key, hi_key)) if inside else None
 
 
 def _image_hits(sub, lo_key, hi_key, piece):

@@ -271,6 +271,18 @@ def test_exit_1_on_broken_partitions(capsys, tmp_path):
         assert rc == 1 and err == f"error: {message}\n"
 
 
+def test_exit_1_on_letters_that_are_not_single_tokens(capsys, tmp_path):
+    # "a b" and "" would make generate's text output ambiguous
+    doc = json.loads(json.dumps(GOLDEN))
+    doc["subdivision"] = {"classes": {"a b": [{"lo": "0", "hi": "1/2"}],
+                                      "": [{"lo": "1/2", "hi": "1"}]}}
+    path = tmp_path / "letters.json"
+    path.write_text(json.dumps(doc))
+    for command in ("check-good", "generate"):
+        rc, out, err = run(capsys, command, str(path))
+        assert rc == 1 and out == "" and err.startswith("error: letter "), command
+
+
 def test_exit_2_on_oversized_radicands(capsys, tmp_path):
     # trial division on either radicand would run for hours
     huge = 10**22 + 9

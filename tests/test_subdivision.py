@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,8 @@ from ietwords import (
     rotation,
 )
 from ietwords.instances import golden_alpha, random_instance, random_point
-from ietwords.intervalsets import CellTable
+from ietwords.intervalsets import ABOVE, AT, BELOW, CellTable, key
+from ietwords.subdivision import _sweep
 
 from conftest import q
 from test_lattice import flip_instances
@@ -111,6 +113,17 @@ def test_alphabet_is_sorted_and_classes_nonempty():
     assert sub.alphabet == ("A", "B")
     with pytest.raises(ValueError):
         Subdivision({"A": [Component(q(0), True, q(1), False)], "B": []})
+
+
+@pytest.mark.parametrize("bad", ["a b", "", " ", "A\t", "\nB"])
+def test_letters_are_single_tokens(bad):
+    # words travel as whitespace-separated tokens (SymbolicWord.text(),
+    # glue_word and the analytics on a str, generate's text output)
+    halves = [Component(q(0), True, q(1, 2), False), Component(q(1, 2), True, q(1), False)]
+    with pytest.raises(ValueError, match=re.escape(f"letter {bad!r}")):
+        Subdivision({"ok": [halves[0]], bad: [halves[1]]})
+    refined, _ = refine_to_good(Subdivision({"ok": halves}), rotation(q(1, 3)))
+    assert all(name.split() == [name] for name in refined.alphabet)
 
 
 def test_partition_with_closed_open_flags():
@@ -461,6 +474,41 @@ def test_equality_does_not_depend_on_the_component_class():
     a = Subdivision({l: [HalfOpenInterval(lo, hi)] for l, (lo, hi) in halves.items()})
     b = Subdivision({l: [Component(lo, True, hi, False)] for l, (lo, hi) in halves.items()})
     assert a == b and hash(a) == hash(b) and a.content_id() == b.content_id()
+
+
+def brute_sweep(sub, pmap):
+    """_sweep by plain key comparisons: per cell, the cuts strictly inside
+    it and, when there is one, every piece clipped to it."""
+    cuts = [key(p, AT) for p in pmap.discontinuities()]
+    out = []
+    for lo, hi, letter in sub.table.cells:
+        inside = [c for c in cuts if lo < c < hi]
+        parts = [(max(lo, p_lo), min(hi, p_hi), piece)
+                 for p_lo, p_hi, piece in pmap.table.cells if max(lo, p_lo) <= min(hi, p_hi)]
+        out.append(((lo, hi, letter), inside, parts if inside else None))
+    return out
+
+
+def test_sweep_matches_plain_key_comparisons():
+    rng = random.Random(29)
+    instances = [random_instance(rng, d)[:2] for d in (0, 5) for _ in range(40)]
+    instances += [(pmap, sub) for pmap, sub, _, _ in flip_instances()]
+    instances += [large_partition(rng, d, k) for d in (0, 5) for k in (20, 60)]
+    # a singleton cell on the rotation's cut 2/3
+    instances.append((rotation(q(1, 3)), Subdivision({
+        "A": [Component(q(0), True, q(2, 3), False)],
+        "P": [Component(q(2, 3), True, q(2, 3), True)],
+        "B": [Component(q(2, 3), False, q(1), False)]})))
+    seen = dict.fromkeys(("closed end", "open end", "singleton", "cut inside"), 0)
+    for pmap, sub in instances:
+        assert list(_sweep(sub, pmap)) == brute_sweep(sub, pmap)
+        ends = {k for lo, hi, _ in sub.table.cells for k in (lo, hi)}
+        for p in pmap.discontinuities():
+            seen["closed end"] += key(p, AT) in ends
+            seen["open end"] += key(p, ABOVE) in ends or key(p, BELOW) in ends
+        seen["singleton"] += any(lo[1] == hi[1] for lo, hi, _ in sub.table.cells)
+        seen["cut inside"] += any(cuts for _, cuts, _ in _sweep(sub, pmap))
+    assert min(seen.values()) >= 5, seen
 
 
 # ------------------------------------------------------------- glue_word
