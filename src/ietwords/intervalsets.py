@@ -15,14 +15,16 @@ than 2**-64) is x compared exactly, then eps.  Comparing keys therefore
 never checks field contexts or types; the sets and tables here check
 those once per set or point they are given.
 
-A component is the key range [lo_key, hi_key]; unions, intersections and
-adjacency checks reduce to tuple comparisons on keys.  A CellTable holds
-key ranges sorted by start: map domains, map images and subdivision cells
-are each one table, and every single-point lookup, range lookup and
-tiling check on [0, 1) goes through it.  A LatticeTable is a CellTable
-that tiles [0, 1), compiled for the integer lattice of one orbit walk,
-whose points are integer pairs and where floats only filter; every orbit
-walk looks its points up there.
+A component is the key range (lo_key, hi_key), and a BoundarySet is
+stored as its merged, sorted key ranges, so set operations are tuple
+comparisons on keys and Components are built only on request.  A
+CellTable holds key ranges sorted by start, each with a value: map
+domains, map images and subdivision cells are each one table, and every
+single-point lookup, range lookup and tiling check on [0, 1) goes
+through it.  A LatticeTable is a CellTable that tiles [0, 1), compiled
+for the integer lattice of one orbit walk, whose points are integer
+pairs and where floats only filter; every orbit walk looks its points up
+there.
 """
 
 from __future__ import annotations
@@ -31,13 +33,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import starmap
 from math import nan, sqrt
-from operator import attrgetter
+from operator import itemgetter
 
 from .exactnum import ExactScalar, FieldMismatch, _floor64, _sign_of
 
 BELOW, AT, ABOVE = -1, 0, 1
-_position = attrgetter("lo", "lo_in", "hi", "hi_in")    # of a component
 
 
 def key(x, eps):
@@ -46,21 +48,13 @@ def key(x, eps):
     return (_floor64(x), x, eps)
 
 
-def _lo_key(lo, lo_in):
-    return key(lo, AT if lo_in else ABOVE)
-
-
-def _hi_key(hi, hi_in):
-    return key(hi, AT if hi_in else BELOW)
-
-
 def _succ(k):
-    # next representable position: x- -> x -> x+
-    return key(k[1], k[2] + 1)
+    # next representable position: x- -> x -> x+; the floor stays
+    return (k[0], k[1], k[2] + 1)
 
 
 def _pred(k):
-    return key(k[1], k[2] - 1)
+    return (k[0], k[1], k[2] - 1)
 
 
 def _field(x):
@@ -91,11 +85,11 @@ class Component:
 
     @property
     def lo_key(self):
-        return _lo_key(self.lo, self.lo_in)
+        return key(self.lo, AT if self.lo_in else ABOVE)
 
     @property
     def hi_key(self):
-        return _hi_key(self.hi, self.hi_in)
+        return key(self.hi, AT if self.hi_in else BELOW)
 
     def is_singleton(self):
         return self.lo == self.hi
@@ -140,77 +134,85 @@ class BoundarySet:
     """A canonical finite union of flagged intervals.
 
     Components are pairwise disjoint, sorted and non-adjacent; the empty
-    set is allowed.  Instances are immutable.  The endpoints share one
+    set is allowed.  Instances are immutable and hold their components'
+    key ranges (lo_key, hi_key), left to right.  The endpoints share one
     field context, kept as _d (None when every endpoint is an int or a
     Fraction).
     """
 
-    __slots__ = ("_components", "_d")
+    __slots__ = ("_ranges", "_d")
 
     def __init__(self, components=()):
-        components = tuple(components)
-        fields = {x.d for c in components for x in (c.lo, c.hi)
-                  if isinstance(x, ExactScalar)}
+        canonical = self._from_ranges([(c.lo_key, c.hi_key) for c in components])
+        self._ranges, self._d = canonical._ranges, canonical._d
+
+    @classmethod
+    def _from_ranges(cls, ranges):
+        """The set of these key ranges, merged where they meet or touch;
+        ranges with equal starts keep their order.  Its field context is
+        that of the ranges' endpoints."""
+        ranges = sorted(ranges, key=itemgetter(0))
+        fields = {x.d for lo, hi in ranges for x in (lo[1], hi[1]) if isinstance(x, ExactScalar)}
         if len(fields) > 1:
             raise FieldMismatch("components from different field contexts")
-        self._d = next(iter(fields), None)
-        self._components = _canonical_components(components)
+        merged = []
+        for lo, hi in ranges:
+            if merged and lo <= _succ(merged[-1][1]):
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        self = object.__new__(cls)
+        self._ranges, self._d = tuple(merged), next(iter(fields), None)
+        return self
 
     @property
     def components(self):
-        return self._components
+        return tuple(starmap(_from_keys, self._ranges))
 
     def is_empty(self):
-        return not self._components
+        return not self._ranges
 
     def contains(self, x):
         at = key(x, AT)
         _same_field(self._d, _field(x))
-        i = bisect_right(self._components, at, key=attrgetter("lo_key"))
-        return i > 0 and at <= self._components[i - 1].hi_key
+        i = bisect_right(self._ranges, at, key=itemgetter(0))
+        return i > 0 and at <= self._ranges[i - 1][1]
 
     __contains__ = contains
 
     def intersect(self, other):
         _same_field(self._d, other._d)
-        out = []
-        for a in self._components:
-            for b in other._components:
-                lo_key = max(a.lo_key, b.lo_key)
-                hi_key = min(a.hi_key, b.hi_key)
-                if lo_key <= hi_key:
-                    out.append(_from_keys(lo_key, hi_key))
-        return BoundarySet(out)
+        meets = ((max(a[0], b[0]), min(a[1], b[1])) for a in self._ranges for b in other._ranges)
+        return self._from_ranges((lo, hi) for lo, hi in meets if lo <= hi)
 
     def sample_point(self):
         if self.is_empty():
             raise ValueError("empty set has no points")
-        return self._components[0].sample_point()
+        return _from_keys(*self._ranges[0]).sample_point()
 
     def transform(self, slope, intercept):
         """Image under x -> slope*x + intercept with slope +1 or -1."""
-        return BoundarySet(_from_keys(*affine_image(slope, intercept, c.lo_key, c.hi_key))
-                           for c in self._components)
+        return self._from_ranges(affine_image(slope, intercept, *r) for r in self._ranges)
 
     def __eq__(self, other):
         # by position, as the hash goes, whatever the Component subclass
         if not isinstance(other, BoundarySet):
             return NotImplemented
-        return list(map(_position, self)) == list(map(_position, other))
+        return self._ranges == other._ranges
 
     def __hash__(self):
-        return hash(self._components)
+        return hash(self._ranges)
 
     def __iter__(self):
-        return iter(self._components)
+        return iter(self.components)
 
     def __len__(self):
-        return len(self._components)
+        return len(self._ranges)
 
     def __repr__(self):
-        if not self._components:
+        if not self._ranges:
             return "BoundarySet(empty)"
-        return "BoundarySet(" + " u ".join(str(c) for c in self._components) + ")"
+        return "BoundarySet(" + " u ".join(map(str, self.components)) + ")"
 
 
 def interval(lo, hi, lo_in=True, hi_in=False):
@@ -220,19 +222,6 @@ def interval(lo, hi, lo_in=True, hi_in=False):
 
 def singleton(x):
     return BoundarySet([Component(x, True, x, True)])
-
-
-def _canonical_components(components):
-    comps = sorted(components, key=lambda c: c.lo_key)
-    merged = []
-    for c in comps:
-        if merged and c.lo_key <= _succ(merged[-1].hi_key):
-            last = merged[-1]
-            if c.hi_key > last.hi_key:
-                merged[-1] = _from_keys(last.lo_key, c.hi_key)
-        else:
-            merged.append(c)
-    return tuple(merged)
 
 
 @lru_cache(maxsize=256)

@@ -232,7 +232,14 @@ def subdivision_from_json(obj, d, path="/subdivision"):
     classes_obj = _require(obj, "classes", path)
     if not isinstance(classes_obj, dict) or not classes_obj:
         raise SpecError(f"{path}/classes", "expected a nonempty object")
-    classes = {}
+    classes, parsed = {}, {}    # a cut that two classes share is parsed once
+
+    def scalar(co, end, ipath):
+        text = _require(co, end, ipath)
+        if not (isinstance(text, str) and text in parsed):
+            parsed[text] = _read_scalar(text, d, f"{ipath}/{end}")
+        return parsed[text]
+
     for letter, comps_obj in classes_obj.items():
         cpath = f"{path}/classes/{letter}"
         if not isinstance(comps_obj, list) or not comps_obj:
@@ -240,8 +247,7 @@ def subdivision_from_json(obj, d, path="/subdivision"):
         comps = []
         for i, co in enumerate(comps_obj):
             ipath = f"{cpath}/{i}"
-            lo = _read_scalar(_require(co, "lo", ipath), d, f"{ipath}/lo")
-            hi = _read_scalar(_require(co, "hi", ipath), d, f"{ipath}/hi")
+            lo, hi = scalar(co, "lo", ipath), scalar(co, "hi", ipath)
             lo_in = _read_bool(co.get("lo_in", True), f"{ipath}/lo_in")
             hi_in = _read_bool(co.get("hi_in", False), f"{ipath}/hi_in")
             try:

@@ -8,21 +8,21 @@ meet.  Any subdivision can be cut into a good one, and the original coding
 is recovered from the refined one by gluing letters back.
 
 A subdivision is stored only as its intervalsets.CellTable: each class
-component is a cell (start key, end key, letter), and the classes are
-derived from the cells on request.  Subdivision(classes) checks endpoint
+component is a cell (start key, end key, letter), and a class is the set
+of its cells' ranges, built on request.  Subdivision(classes) checks endpoint
 types and fields, then walks the cells across [0, 1) and rejects the first
 gap, overlap or cell outside it; refine_to_good stores the cells it cuts
 from a checked subdivision unwalked.  Condition 1 counts each class's cells.
 
 Condition 2 and refine_to_good share one sweep (_sweep): it walks the
-cells left to right, bisects the map's sorted discontinuities for the cuts
-strictly inside each cell and, if any, clips the cell to each piece it
-meets (CellTable.meeting).  refine_to_good cuts the cell there.  For
-condition 2 each part's image is looked up in the cells once, and once
-more from just above each cut for the part that cut starts, so a cell with
-m cuts and n parts costs m + n image lookups.  The first color in alphabet
-order that both sides of a cut reach is the violation, witnessed by one
-point on each side whose image has that color.
+cells left to right and bisects the map's sorted discontinuities for the
+cuts strictly inside each cell.  refine_to_good cuts the cell there.  For
+condition 2 a cell with a cut is clipped to each piece it meets
+(CellTable.meeting); each part's image is looked up in the cells once,
+and once more from just above each cut for the part that cut starts, so a
+cell with m cuts and n parts costs m + n image lookups.  The first color
+in alphabet order that both sides of a cut reach is the violation,
+witnessed by one point on each side whose image has that color.
 """
 
 from __future__ import annotations
@@ -66,6 +66,15 @@ class UnknownLetter(KeyError):
         return f"letter {self.letter!r} is not in the gluing domain"
 
 
+def _letter(x):
+    """The letter str(x); ValueError unless it is one whitespace-free token,
+    so that a word written as text splits back into its letters."""
+    name = str(x)
+    if name.split() != [name]:
+        raise ValueError(f"letter {name!r} is not one token without whitespace")
+    return name
+
+
 class Subdivision:
     """A partition of [0, 1) into finitely many lettered color classes.
 
@@ -84,15 +93,13 @@ class Subdivision:
             raise ValueError("a subdivision needs at least one class")
         cells = []
         for letter in sorted(classes):
-            name = str(letter)
-            if name.split() != [name]:
-                raise ValueError(f"letter {name!r} is not one token without whitespace")
+            name = _letter(letter)
             bset = classes[letter]
             if not isinstance(bset, BoundarySet):
                 bset = BoundarySet(bset)
             if bset.is_empty():
                 raise ValueError(f"class {letter!r} is empty")
-            cells.extend((c.lo_key, c.hi_key, name) for c in bset.components)
+            cells.extend((lo, hi, name) for lo, hi in bset._ranges)
         fields = {_field(x) for lo_key, hi_key, _ in cells for x in (lo_key[1], hi_key[1])}
         if None in fields:
             raise TypeError("class endpoints must be ExactScalar values")
@@ -122,7 +129,7 @@ class Subdivision:
 
     @property
     def classes(self):
-        return {letter: BoundarySet(_from_keys(lo, hi) for lo, hi, _ in cells)
+        return {letter: BoundarySet._from_ranges(cell[:2] for cell in cells)
                 for letter, cells in self._cells_by_letter().items()}
 
     @property
@@ -132,7 +139,7 @@ class Subdivision:
     def class_of(self, letter):
         if letter not in self._alphabet:
             raise UnknownLetter(letter)
-        return BoundarySet(_from_keys(lo, hi) for lo, hi, l in self.table.cells if l == letter)
+        return BoundarySet._from_ranges(cell[:2] for cell in self.table.cells if cell[2] == letter)
 
     def color_of(self, x):
         return self.table.cells[self.table.index(x)][2]
@@ -208,18 +215,13 @@ class GoodnessCertificate:
 def _sweep(sub, pmap):
     """Walk the subdivision's cells across [0, 1), left to right.
 
-    Yields (cell, cuts, parts) for each cell (lo_key, hi_key, letter): the
-    keys of the map's discontinuities strictly inside the cell, found by
-    bisecting the sorted discontinuities, and, for a cell with a cut, the
-    cell clipped to each piece it meets as (lo_key, hi_key, piece), left
-    to right, from pmap.table.meeting; None for a cell without cuts.  The
-    pieces must tile [0, 1), as they do in a valid map.
+    Yields (cell, cuts) for each cell (lo_key, hi_key, letter): the keys
+    of the map's discontinuities strictly inside the cell, found by
+    bisecting the sorted discontinuities.
     """
     cuts = [key(p, AT) for p in pmap.discontinuities()]   # sorted, as the pieces are
     for cell in sub.table.cells:
-        lo_key, hi_key, _ = cell
-        inside = cuts[bisect_right(cuts, lo_key):bisect_left(cuts, hi_key)]
-        yield cell, inside, list(pmap.table.meeting(lo_key, hi_key)) if inside else None
+        yield cell, cuts[bisect_right(cuts, cell[0]):bisect_left(cuts, cell[1])]
 
 
 def _image_hits(sub, lo_key, hi_key, piece):
@@ -303,9 +305,10 @@ def is_good(sub, pmap):
 
     rank = {letter: r for r, letter in enumerate(sub.alphabet)}
     shared = []                            # in position order
-    for (_, _, letter), cuts, parts in _sweep(sub, pmap):
+    for (lo_key, hi_key, letter), cuts in _sweep(sub, pmap):
         if not cuts:
             continue
+        parts = list(pmap.table.meeting(lo_key, hi_key))
         for p, color, *sides in _shared_colors(sub, rank, cuts, parts):
             a, b = (_pull_back(piece, _from_keys(lo, hi).sample_point())
                     for piece, lo, hi in sides)
@@ -328,7 +331,7 @@ class GluingMap:
     __slots__ = ("_mapping",)
 
     def __init__(self, mapping):
-        self._mapping = {str(k): str(v) for k, v in mapping.items()}
+        self._mapping = {_letter(k): _letter(v) for k, v in mapping.items()}
         if not self._mapping:
             raise ValueError("empty gluing map")
 
@@ -381,7 +384,7 @@ def refine_to_good(sub, pmap):
 
     # each cut point joins its right piece; pieces in position order
     pieces, counts = [], dict.fromkeys(sub.alphabet, 0)
-    for (lo_key, hi_key, letter), cuts, _ in _sweep(sub, pmap):
+    for (lo_key, hi_key, letter), cuts in _sweep(sub, pmap):
         for lo, hi in zip([lo_key, *cuts], [*map(_pred, cuts), hi_key]):
             pieces.append((lo, hi, letter, counts[letter]))
             counts[letter] += 1

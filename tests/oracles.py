@@ -3,13 +3,15 @@
 Everything in this file is deliberately written from first principles and
 kept separate from the library: decimal evaluation for order checks,
 substitution words for golden prefixes, brute-force scans that double
-check the fast implementations, and content ids spelled out from plain
-number tuples.  None of it imports from ietwords.
+check the fast implementations, content ids spelled out from plain
+number tuples, and set algebra on plain (lo, lo_in, hi, hi_in) tuples.
+None of it imports from ietwords.
 """
 
 import hashlib
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from functools import total_ordering
 
 
 def decimal_value(a_num, a_den, b_num, b_den, d, prec=50):
@@ -245,3 +247,102 @@ def map_id(pieces):
     return _short_hash("map:", ";".join(
         f"{scalar_text(*lo)},{scalar_text(*hi)},{slope},{scalar_text(*c)}"
         for lo, hi, slope, c in pieces))
+
+
+def surd_sign(a, b, d):
+    """Sign of a + b*sqrt(d) for rationals a, b and d = 0 or a squarefree
+    d > 1: the common sign of a and b when they agree or one is zero, else
+    the sign of the part with the larger square, a**2 against b**2 * d."""
+    sa, sb = (a > 0) - (a < 0), ((b > 0) - (b < 0)) if d else 0
+    if not sb or sa == sb:
+        return sa
+    if not sa:
+        return sb
+    return sa if a * a > b * b * d else sb
+
+
+@total_ordering
+class Surd:
+    """The number a + b*sqrt(d) of a field, or a plain rational.
+
+    `field` is the field's d, or None for a plain int or Fraction; numbers
+    compare by value whatever their fields, and a sum takes the field of
+    whichever operand has one.
+    """
+
+    def __init__(self, a, b=0, field=None):
+        self.a, self.b, self.field = Fraction(a), Fraction(b), field
+
+    def __eq__(self, other):
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __lt__(self, other):
+        d = self.field or other.field or 0
+        return surd_sign(self.a - other.a, self.b - other.b, d) < 0
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __add__(self, other):
+        field = self.field if self.field is not None else other.field
+        return Surd(self.a + other.a, self.b + other.b, field)
+
+    def __neg__(self):
+        return Surd(-self.a, -self.b, self.field)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __repr__(self):
+        return f"Surd({self.a}, {self.b}, {self.field})"
+
+
+# A set of numbers is a list of components (lo, lo_in, hi, hi_in): the
+# numbers from lo to hi, each end held iff its flag is set.
+
+def set_canonical(comps):
+    """The union as sorted, disjoint, non-adjacent components: two merge
+    when they overlap, or meet at a point one of them holds."""
+    out = []
+    for lo, lo_in, hi, hi_in in sorted(comps, key=lambda c: (c[0], not c[1])):
+        if out:
+            last_lo, last_lo_in, last_hi, last_hi_in = out[-1]
+            if lo < last_hi or (lo == last_hi and (lo_in or last_hi_in)):
+                if (hi, hi_in) > (last_hi, last_hi_in):
+                    out[-1] = (last_lo, last_lo_in, hi, hi_in)
+                continue
+        out.append((lo, lo_in, hi, hi_in))
+    return out
+
+
+def set_fields(comps):
+    """The fields of the endpoints, plain rationals left out."""
+    return {x.field for lo, _, hi, _ in comps for x in (lo, hi)} - {None}
+
+
+def set_contains(comps, x):
+    return any((lo < x or (lo == x and lo_in)) and (x < hi or (x == hi and hi_in))
+               for lo, lo_in, hi, hi_in in comps)
+
+
+def set_meets(a, b):
+    """The meet of each component of a with each of b, left to right, the
+    empty ones left out.  Each end is the inner of the two: a held end
+    lies outside an open one at the same value, and of two equal ends
+    the one from a is kept."""
+    out = []
+    for a_lo, a_lo_in, a_hi, a_hi_in in a:
+        for b_lo, b_lo_in, b_hi, b_hi_in in b:
+            lo, lo_in = ((b_lo, b_lo_in) if (b_lo, not b_lo_in) > (a_lo, not a_lo_in)
+                         else (a_lo, a_lo_in))
+            hi, hi_in = (b_hi, b_hi_in) if (b_hi, b_hi_in) < (a_hi, a_hi_in) else (a_hi, a_hi_in)
+            if lo < hi or (lo == hi and lo_in and hi_in):
+                out.append((lo, lo_in, hi, hi_in))
+    return out
+
+
+def set_image(comps, slope, intercept):
+    """Each component's image under x -> slope*x + intercept, slope 1 or -1."""
+    if slope == 1:
+        return [(lo + intercept, lo_in, hi + intercept, hi_in) for lo, lo_in, hi, hi_in in comps]
+    return [(intercept - hi, hi_in, intercept - lo, lo_in) for lo, lo_in, hi, hi_in in comps]

@@ -13,7 +13,8 @@ witnesses, refinements and located pieces must agree exactly.
 
 Underneath, the tables order positions by keys led by an integer floor;
 that order is checked against the exact comparison of scalars and against
-50-digit decimals.
+50-digit decimals.  The BoundarySet operations the references use are
+checked against set algebra on plain tuples.
 """
 
 import random
@@ -30,6 +31,7 @@ from ietwords import (
     Component,
     CorruptMap,
     ExactScalar,
+    FieldMismatch,
     GluingMap,
     GoodnessCertificate,
     GoodnessViolation,
@@ -58,7 +60,9 @@ from ietwords.instances import (
 from ietwords.intervalmap import MapViolation, ValidationReport
 from ietwords.intervalsets import ABOVE, AT, BELOW, key
 
-from oracles import decimal_cmp, decimal_value, map_id, scalar_text, subdivision_id
+from conftest import q
+from oracles import (Surd, decimal_cmp, decimal_value, map_id, scalar_text, set_canonical,
+                     set_contains, set_fields, set_image, set_meets, subdivision_id)
 
 # ------------------------------------------------------------- references
 
@@ -607,3 +611,145 @@ def test_key_order_is_the_exact_order(pair):
             assert order(key(x, ex), key(y, ey)) == (exact or order(ex, ey)), (x, y)
     if settled_by_decimals(x, y):
         assert decimal_cmp(decimal_form(x), decimal_form(y)) == exact
+
+
+# ------------------------------------------- BoundarySet against tuples
+#
+# Endpoints are ints, Fractions and scalars of Q and Q(sqrt 5), drawn from
+# a few values so that ends often coincide.  A value is a pair (a, b) for
+# a + b*sqrt(5); only Q(sqrt 5) has values with b != 0.
+
+RATIONALS = [(Fraction(k, 4), Fraction(0)) for k in range(9)]
+SURDS = RATIONALS + [(Fraction(a), Fraction(b)) for a, b in (
+    ("-1/2", "1/2"), ("3/2", "-1/2"), ("0", "1/4"), ("1/4", "1/4"), ("-1", "1"), ("0", "1/2"))]
+
+
+def number(value, field):
+    """The value in this field, or as an int or Fraction for field None."""
+    a, b = value
+    if field is None:
+        return int(a) if a.denominator == 1 else a
+    return make_scalar(a.numerator, a.denominator, b.numerator, b.denominator, field)
+
+
+def surd(x):
+    if isinstance(x, ExactScalar):
+        return Surd(x.rational_part, x.radical_part, x.d)
+    return Surd(x)
+
+
+def random_components(rng, fields):
+    """1 to 4 components, each with its ends in one of `fields`."""
+    comps = []
+    for _ in range(rng.randint(1, 4)):
+        field = rng.choice(fields)
+        ends = sorted(rng.sample(SURDS if field == 5 else RATIONALS, 2), key=lambda v: Surd(*v, 5))
+        if rng.random() < 0.15:
+            ends[1] = ends[0]
+        flags = [True, True] if ends[0] == ends[1] else [rng.random() < 0.5 for _ in ends]
+        # a rational end of a field's component may still be plain
+        lo, hi = (number(v, field if v[1] or rng.random() < 0.5 else None) for v in ends)
+        comps.append(Component(lo, flags[0], hi, flags[1]))
+    return comps
+
+
+def tuples(comps):
+    return [(surd(c.lo), c.lo_in, surd(c.hi), c.hi_in) for c in comps]
+
+
+def as_tuples(bset):
+    return tuples(bset.components)
+
+
+def points():
+    """Every drawn value and every midpoint between two, in each form it has."""
+    values = sorted(SURDS, key=lambda v: Surd(*v, 5))
+    values += [((a + c) / 2, (b + e) / 2) for (a, b), (c, e) in zip(values, values[1:])]
+    return [number(v, field) for v in values
+            for field in ((5,) if v[1] else (None, 0, 2, 5))]
+
+
+POINTS = points()
+
+
+def check_contains(bset, comps):
+    """bset holds exactly the points the components hold, and refuses
+    exactly the scalars from a field other than theirs."""
+    (field,) = set_fields(comps) or {None}
+    for x in POINTS:
+        if field is not None and isinstance(x, ExactScalar) and x.d != field:
+            with pytest.raises(FieldMismatch):
+                bset.contains(x)
+        else:
+            assert bset.contains(x) == (x in bset) == set_contains(comps, surd(x)), x
+
+
+SET_FIELDS = ([None], [None, 0], [None, 5], [0, 5])
+
+
+def test_boundary_sets_match_plain_tuples():
+    rng = random.Random(41)
+    seen = dict.fromkeys(("singleton", "closed touch", "open touch", "merge", "mismatch",
+                          "empty meet", "equal", "reflection"), 0)
+    made = []
+    for _ in range(400):
+        comps = random_components(rng, rng.choice(SET_FIELDS))
+        plain = tuples(comps)
+        if len(set_fields(plain)) > 1:
+            seen["mismatch"] += 1
+            with pytest.raises(FieldMismatch):
+                BoundarySet(comps)
+            continue
+        bset = BoundarySet(comps)
+        canonical = set_canonical(plain)
+        assert as_tuples(bset) == canonical and len(bset) == len(canonical)
+        check_contains(bset, plain)
+        # the same set from its own components, reordered and repeated
+        again = BoundarySet(rng.sample(comps, len(comps)) + list(bset.components))
+        assert again == bset and hash(again) == hash(bset)
+        made.append((bset, plain))
+        seen["singleton"] += any(c[0] == c[2] for c in canonical)
+        seen["merge"] += len(canonical) < len(plain)
+        for c, e in ((c, e) for c in plain for e in plain if c[2] == e[0] and c is not e):
+            seen["closed touch" if c[3] or e[1] else "open touch"] += 1
+    canonical = [set_canonical(plain) for _, plain in made]
+    for (s, _), s_canon in zip(made[:200], canonical):
+        for (t, _), t_canon in zip(made[:200], canonical):
+            assert (s == t) == (s_canon == t_canon) and (s != t) == (s_canon != t_canon)
+            if s == t and s is not t:
+                seen["equal"] += 1
+                assert hash(s) == hash(t)
+    for (s, s_plain), (t, t_plain) in zip(made, made[1:]):
+        s_canon, t_canon = set_canonical(s_plain), set_canonical(t_plain)
+        if len(set_fields(s_plain) | set_fields(t_plain)) > 1:
+            with pytest.raises(FieldMismatch):
+                s.intersect(t)
+        else:
+            meets = set_meets(s_canon, t_canon)
+            meet = s.intersect(t)
+            assert as_tuples(meet) == set_canonical(meets)
+            check_contains(meet, meets)
+            seen["empty meet"] += meet.is_empty()
+        field = rng.choice(sorted(set_fields(s_plain)) or [None, 0, 5])
+        slope = rng.choice((1, -1))
+        intercept = number(rng.choice(SURDS if field == 5 else RATIONALS), field)
+        images = set_image(s_canon, slope, surd(intercept))
+        image = s.transform(slope, intercept)
+        assert as_tuples(image) == set_canonical(images)
+        check_contains(image, images)
+        assert image.transform(slope, -intercept if slope == 1 else intercept) == s
+        seen["reflection"] += slope == -1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_derived_sets_keep_the_field_of_their_endpoints():
+    # a meet takes the field of the ends it keeps, not that of its left
+    # operand; an image that of the shifted ends, not that of the set
+    root5 = interval(q(1, 4, 5), make_scalar(-1, 2, 1, 2, 5))     # [1/4, 0.618...)
+    meet = interval(0, Fraction(1, 2)).intersect(root5)
+    image = interval(0, 1).transform(1, q(1, 4))
+    for derived, field in ((meet, 5), (image, 0)):
+        assert derived.contains(Fraction(3, 8)) and derived.contains(q(3, 8, field))
+        for other in {0, 2, 5} - {field}:
+            with pytest.raises(FieldMismatch):
+                derived.contains(q(3, 8, other))

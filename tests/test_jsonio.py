@@ -83,6 +83,21 @@ def test_subdivision_flag_defaults():
     assert comp.lo_in is True and comp.hi_in is False
 
 
+def test_a_shared_cut_is_parsed_once():
+    # one object per scalar text, so content_id formats a shared cut once;
+    # a bad value still fails at its first occurrence
+    doc = {"classes": {"A": [{"lo": "0", "hi": "1/3"}], "B": [{"lo": "1/3", "hi": "2/3"}],
+                       "C": [{"lo": "2/3", "hi": "1"}]}}
+    cells = subdivision_from_json(doc, 0).table.cells
+    assert all(a[1][1] is b[0][1] for a, b in zip(cells, cells[1:]))
+    for bad in ("1/3+", ["1/3"], 0.5):
+        broken = json.loads(json.dumps(doc))
+        broken["classes"]["A"][0]["hi"] = broken["classes"]["B"][0]["lo"] = bad
+        with pytest.raises(SpecError) as e:
+            subdivision_from_json(broken, 0)
+        assert path_of(e) == "/subdivision/classes/A/0/hi"
+
+
 def test_gluing_json_roundtrip():
     g = GluingMap({"A0": "A", "A1": "A"})
     assert gluing_from_json(gluing_to_json(g)).mapping == g.mapping

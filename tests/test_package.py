@@ -29,6 +29,19 @@ def test_modules_import_at_top_level():
     assert nested == []
 
 
+def test_oracles_import_nothing_from_the_package():
+    # an oracle that shares code with ietwords would share its faults
+    source = (ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported and not [name for name in imported
+                             if name.split(".")[0] in ("", "ietwords")], imported
+
+
 def test_pydoc_lists_every_public_name():
     names = ietwords.__all__
     assert names == sorted(names)

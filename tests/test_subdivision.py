@@ -126,6 +126,14 @@ def test_letters_are_single_tokens(bad):
     assert all(name.split() == [name] for name in refined.alphabet)
 
 
+@pytest.mark.parametrize("bad", ["a b", "", " ", "A\t", "\nB"])
+def test_gluing_letters_are_single_tokens(bad):
+    # else glue_word("a b", GluingMap({"a b": "A"})) reads the letter "a"
+    for mapping in ({bad: "ok"}, {"ok": bad}, {"ok": "ok", bad: bad}):
+        with pytest.raises(ValueError, match=re.escape(f"letter {bad!r}")):
+            GluingMap(mapping)
+
+
 def test_partition_with_closed_open_flags():
     sub = Subdivision({
         "A": [Component(q(0), True, q(1, 2), True)],
@@ -369,26 +377,48 @@ def test_letter_collision_falls_back_to_underscores():
     assert isinstance(is_good(refined, pmap), GoodnessCertificate)
 
 
+def count_calls(monkeypatch, cls, name, calls):
+    """Record cls.name in calls each time it runs, then run it."""
+    method = getattr(cls, name)          # bound to cls for a classmethod
+
+    def counted(*args):
+        calls.append(name)
+        return method(*args)
+
+    bound = isinstance(vars(cls)[name], classmethod)
+    monkeypatch.setattr(cls, name, staticmethod(counted) if bound else counted)
+
+
 def test_refine_to_good_builds_no_components_or_sets(rng, monkeypatch):
     instances = [random_instance(rng)[:2] for _ in range(10)] + [collision_instance()]
     calls = []
-    post_init, init = Component.__post_init__, BoundarySet.__init__
-
-    def counted_post_init(self):
-        calls.append("Component")
-        post_init(self)
-
-    def counted_init(self, components=()):
-        calls.append("BoundarySet")
-        init(self, components)
-
-    monkeypatch.setattr(Component, "__post_init__", counted_post_init)
-    monkeypatch.setattr(BoundarySet, "__init__", counted_init)
+    for cls, name in ((Component, "__post_init__"), (BoundarySet, "__init__"),
+                      (BoundarySet, "_from_ranges")):
+        count_calls(monkeypatch, cls, name, calls)
     for pmap, sub in instances:
         refined, _ = refine_to_good(sub, pmap)
         assert calls == []
     refined.classes                        # built on request, and counted
-    assert "Component" in calls and "BoundarySet" in calls
+    assert set(calls) == {"_from_ranges"}
+    interval(q(0), q(1))
+    assert {"__post_init__", "__init__"} <= set(calls)
+
+
+def test_classes_are_read_from_the_cells_unchecked(rng, monkeypatch):
+    # the cells are canonical already: no Component, no exact comparison
+    subs = []
+    for pmap, sub in [random_instance(rng, d)[:2] for d in (0, 5) for _ in range(10)] + [
+            large_partition(rng, d, 60) for d in (0, 5)] + [collision_instance()]:
+        subs += [sub, refine_to_good(sub, pmap)[0]]
+    calls = []
+    count_calls(monkeypatch, Component, "__post_init__", calls)
+    count_calls(monkeypatch, ExactScalar, "_cmp", calls)
+    for sub in subs:
+        classes = sub.classes
+        assert [sub.class_of(letter) for letter in sub.alphabet] == list(classes.values())
+    assert calls == []
+    classes[sub.alphabet[0]].components        # built on request, and counted
+    assert set(calls) == {"__post_init__", "_cmp"}
 
 
 # ------------------------------------------------------------ cell table
@@ -489,6 +519,13 @@ def brute_sweep(sub, pmap):
     return out
 
 
+def swept(sub, pmap):
+    """_sweep's cells and cuts, with the parts is_good clips a cell with a
+    cut into (pmap.table.meeting); None for a cell without cuts."""
+    return [(cell, cuts, list(pmap.table.meeting(*cell[:2])) if cuts else None)
+            for cell, cuts in _sweep(sub, pmap)]
+
+
 def test_sweep_matches_plain_key_comparisons():
     rng = random.Random(29)
     instances = [random_instance(rng, d)[:2] for d in (0, 5) for _ in range(40)]
@@ -501,13 +538,13 @@ def test_sweep_matches_plain_key_comparisons():
         "B": [Component(q(2, 3), False, q(1), False)]})))
     seen = dict.fromkeys(("closed end", "open end", "singleton", "cut inside"), 0)
     for pmap, sub in instances:
-        assert list(_sweep(sub, pmap)) == brute_sweep(sub, pmap)
+        assert swept(sub, pmap) == brute_sweep(sub, pmap)
         ends = {k for lo, hi, _ in sub.table.cells for k in (lo, hi)}
         for p in pmap.discontinuities():
             seen["closed end"] += key(p, AT) in ends
             seen["open end"] += key(p, ABOVE) in ends or key(p, BELOW) in ends
         seen["singleton"] += any(lo[1] == hi[1] for lo, hi, _ in sub.table.cells)
-        seen["cut inside"] += any(cuts for _, cuts, _ in _sweep(sub, pmap))
+        seen["cut inside"] += any(cuts for _, cuts in _sweep(sub, pmap))
     assert min(seen.values()) >= 5, seen
 
 
