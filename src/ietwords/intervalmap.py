@@ -11,10 +11,11 @@ as lengths plus a permutation.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
-from .intervalsets import CellTable, Component, PointOutsideDomain, affine_image
+from .intervalsets import CellTable, Component, PointOutsideDomain, _affine_key, affine_image
 
 
 class CorruptMap(RuntimeError):
@@ -92,7 +93,7 @@ class ValidationReport:
 class PiecewiseMap:
     """Affine pieces sorted by domain start; `table` holds their domains."""
 
-    __slots__ = ("_pieces", "_d", "table", "_report", "_cuts")
+    __slots__ = ("_pieces", "_d", "table", "_report", "_cuts", "_images")
 
     def __init__(self, pieces):
         pieces = tuple(pieces)
@@ -107,6 +108,7 @@ class PiecewiseMap:
         self._d = d
         self._report = None
         self._cuts = None
+        self._images = None
 
     @property
     def pieces(self):
@@ -130,16 +132,42 @@ class PiecewiseMap:
 
     __call__ = apply
 
+    def _piece_images(self):
+        """Each piece's image key range, in table order, computed once."""
+        if self._images is None:
+            self._images = [affine_image(p.slope, p.intercept, lo, hi)
+                            for lo, hi, p in self.table.cells]
+        return self._images
+
+    def _parts(self, lo_key, hi_key):
+        """Each piece meeting the key range, clipped to it, left to right, as
+        (lo_key, hi_key, piece, image key range of the clipped part).
+
+        The map must be valid.  A part's image is its piece's stored one,
+        but for an end where the range clips the piece, so a range costs
+        at most two image ends.
+        """
+        cells, images = self.table.cells, self._piece_images()
+        first = bisect_right(self.table._starts, lo_key) - 1
+        for i, (lo, hi, piece) in enumerate(self.table.meeting(lo_key, hi_key), first):
+            start, end = images[i][::piece.slope]      # images of the piece's start, end
+            if lo != cells[i][0]:
+                start = _affine_key(piece.slope, piece.intercept, lo)
+            if hi != cells[i][1]:
+                end = _affine_key(piece.slope, piece.intercept, hi)
+            yield lo, hi, piece, (start, end)[::piece.slope]
+
     def discontinuities(self):
-        """Interior boundaries where the left limit differs from the value,
-        computed once per map; each call returns a fresh list."""
+        """Interior boundaries where the left piece's end value differs from
+        the right piece's start value, compared on the stored image ends
+        (slope -1 maps a domain's end to its image's start).  On a valid map
+        these are the points where the left limit differs from the value.
+        Computed once per map; each call returns a fresh list."""
         if self._cuts is None:
-            self._cuts = []
-            for left, right in zip(self._pieces, self._pieces[1:]):
-                p = right.domain.lo
-                left_limit = left(p)
-                if left_limit != right(p):
-                    self._cuts.append(p)
+            ends = [image[::p.slope] for image, p in zip(self._piece_images(), self._pieces)]
+            self._cuts = [right.domain.lo for (_, left_end), (right_start, _), right
+                          in zip(ends, ends[1:], self._pieces[1:])
+                          if left_end[1] != right_start[1]]
         return list(self._cuts)
 
     def validate(self):
@@ -158,8 +186,7 @@ class PiecewiseMap:
                     "domain-overlap", f"domains overlap from {lo}", witness=lo))
 
         # the images tile [0, 1) exactly when the map is a bijection
-        img = CellTable(((*affine_image(p.slope, p.intercept, lo, hi), i)
-                         for i, (lo, hi, p) in enumerate(self.table.cells)), self._d)
+        img = CellTable(((*image, i) for i, image in enumerate(self._piece_images())), self._d)
         faults = list(img.faults())
         for i in sorted(img.cells[j][2] for kind, j, _, _ in faults if kind == "escape"):
             p = self._pieces[i]
@@ -179,11 +206,13 @@ class PiecewiseMap:
 
     def content_id(self):
         """Deterministic identity string derived from the pieces."""
-        text = ";".join(
-            f"{format_scalar(p.domain.lo)},{format_scalar(p.domain.hi)},"
-            f"{p.slope},{format_scalar(p.intercept)}"
-            for p in self._pieces
-        )
+        fields, hi, hi_text = [], None, None
+        for p in self._pieces:
+            # a piece mostly starts where the one before it ends: format that once
+            lo_text = hi_text if p.domain.lo == hi else format_scalar(p.domain.lo)
+            hi, hi_text = p.domain.hi, format_scalar(p.domain.hi)
+            fields.append(f"{lo_text},{hi_text},{p.slope},{format_scalar(p.intercept)}")
+        text = ";".join(fields)
         return "map:" + hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def __eq__(self, other):
@@ -267,8 +296,7 @@ def to_iet(pmap):
     if not report.ok or not report.bijective:
         raise NotBijective(str(report))
     lengths = tuple(p.domain.length() for p in pmap.pieces)
-    image_starts = [p.domain.lo + p.intercept for p in pmap.pieces]
-    order = sorted(range(len(image_starts)), key=lambda i: image_starts[i])
+    order = sorted(range(len(pmap)), key=pmap._piece_images().__getitem__)
     permutation = [0] * len(order)
     for slot, i in enumerate(order):
         permutation[i] = slot

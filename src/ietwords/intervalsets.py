@@ -37,7 +37,7 @@ from itertools import starmap
 from math import nan, sqrt
 from operator import itemgetter
 
-from .exactnum import ExactScalar, FieldMismatch, _floor64, _sign_of
+from .exactnum import ExactScalar, FieldMismatch, _floor64, _result, _sign_of
 
 BELOW, AT, ABOVE = -1, 0, 1
 
@@ -111,16 +111,31 @@ class Component:
 
 
 def _midpoint(a, b):
-    return (a + b) * Fraction(1, 2)
+    s = a + b
+    if isinstance(s, ExactScalar):
+        # (a + b sqrt d) / 2q at once; multiplying by 1/2 lifts it into the field first
+        return _result(s._a, s._b, 2 * s._q, s._d)
+    return s * Fraction(1, 2)
+
+
+def _sample(lo_key, hi_key):
+    """The sample_point of the component with these keys, without building it."""
+    return lo_key[1] if lo_key[2] == AT else _midpoint(lo_key[1], hi_key[1])
+
+
+def _affine_key(slope, intercept, k):
+    """The image of the position k under x -> slope*x + intercept with slope
+    +1 or -1, as a key; slope -1 turns "just below" into "just above"."""
+    if slope == 1:
+        return key(k[1] + intercept, k[2])
+    return key(intercept - k[1], -k[2])
 
 
 def affine_image(slope, intercept, lo_key, hi_key):
     """Image of the key range [lo_key, hi_key] under x -> slope*x + intercept
-    with slope +1 or -1, as a key range.  Slope -1 swaps the two ends and
-    turns "just below" into "just above"."""
-    if slope == 1:
-        return key(lo_key[1] + intercept, lo_key[2]), key(hi_key[1] + intercept, hi_key[2])
-    return key(intercept - hi_key[1], -hi_key[2]), key(intercept - lo_key[1], -lo_key[2])
+    with slope +1 or -1, as a key range; slope -1 swaps the two ends."""
+    ends = _affine_key(slope, intercept, lo_key), _affine_key(slope, intercept, hi_key)
+    return ends[::slope]
 
 
 def _from_keys(lo_key, hi_key):
@@ -183,12 +198,16 @@ class BoundarySet:
     def intersect(self, other):
         _same_field(self._d, other._d)
         meets = ((max(a[0], b[0]), min(a[1], b[1])) for a in self._ranges for b in other._ranges)
-        return self._from_ranges((lo, hi) for lo, hi in meets if lo <= hi)
+        meet = self._from_ranges((lo, hi) for lo, hi in meets if lo <= hi)
+        if meet._d is None:
+            # the kept ends are ints or Fractions: the operands' field still holds
+            meet._d = self._d if self._d is not None else other._d
+        return meet
 
     def sample_point(self):
         if self.is_empty():
             raise ValueError("empty set has no points")
-        return _from_keys(*self._ranges[0]).sample_point()
+        return _sample(*self._ranges[0])
 
     def transform(self, slope, intercept):
         """Image under x -> slope*x + intercept with slope +1 or -1."""

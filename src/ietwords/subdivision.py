@@ -18,11 +18,12 @@ Condition 2 and refine_to_good share one sweep (_sweep): it walks the
 cells left to right and bisects the map's sorted discontinuities for the
 cuts strictly inside each cell.  refine_to_good cuts the cell there.  For
 condition 2 a cell with a cut is clipped to each piece it meets
-(CellTable.meeting); each part's image is looked up in the cells once,
-and once more from just above each cut for the part that cut starts, so a
-cell with m cuts and n parts costs m + n image lookups.  The first color
-in alphabet order that both sides of a cut reach is the violation,
-witnessed by one point on each side whose image has that color.
+(PiecewiseMap._parts), and each part takes its piece's stored image,
+mapped again only at the cell's ends; each part's image is looked up in
+the cells once, and once more from just above each cut for the part that
+cut starts, so a cell with m cuts and n parts costs m + n image lookups.
+The first color in alphabet order that both sides of a cut reach is the
+violation, witnessed by one point on each side whose image has that color.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
-from .intervalsets import (AT, BoundarySet, CellTable, _field, _from_keys, _pred,
-                           _succ, affine_image, key)
+from .intervalsets import AT, BoundarySet, CellTable, _field, _pred, _sample, _succ, key
 
 
 class OverlapError(ValueError):
@@ -109,7 +109,7 @@ class Subdivision:
         self.table = CellTable(cells, fields.pop())
         cells = self.table.cells
         for kind, i, *keys in self.table.faults():
-            witness = _from_keys(*keys).sample_point()
+            witness = _sample(*keys)
             if kind == "gap":
                 raise CoverageGapError(witness)
             if kind == "overlap":
@@ -224,11 +224,11 @@ def _sweep(sub, pmap):
         yield cell, cuts[bisect_right(cuts, cell[0]):bisect_left(cuts, cell[1])]
 
 
-def _image_hits(sub, lo_key, hi_key, piece):
+def _image_hits(sub, piece, image):
     """Letter -> (piece, lo_key, hi_key) of the first cell of that letter
-    the image of [lo_key, hi_key] meets, cells taken from left to right."""
+    the image key range, part of piece's image, meets, cells taken from
+    left to right."""
     hits = {}
-    image = affine_image(piece.slope, piece.intercept, lo_key, hi_key)
     for meet_lo, meet_hi, letter in sub.table.meeting(*image):
         hits.setdefault(letter, (piece, meet_lo, meet_hi))
     return hits
@@ -238,10 +238,13 @@ def _shared_colors(sub, rank, cuts, parts):
     """The cuts inside one cell, given as keys, whose two sides reach a
     common color.
 
-    The left side of a cut p is the parts before the one p starts; the
-    right side is that part from just above p, then the parts after it.
-    Every part's image is looked up once, and once more from just above p
-    for the part p starts, so m cuts and n parts cost m + n lookups.  A
+    Each part is (lo_key, hi_key, piece, image key range).  The left side
+    of a cut p is the parts before the one p starts; the right side is
+    that part from just above p, then the parts after it.  Every part's
+    image is looked up once, and once more from just above p for the part
+    p starts, so m cuts and n parts cost m + n lookups.  The image from
+    just above p is the part's own with its end at p's image moved off
+    it: the start for slope +1, the end for slope -1.  A
     color reaches the left side of the cut at part s when its first part
     comes before s, and the right side when its last part comes after s
     or the part from just above p reaches it.  A heap by alphabet rank
@@ -249,19 +252,22 @@ def _shared_colors(sub, rank, cuts, parts):
     passed.  Yields (p, color, left_hit, right_hit) with the lowest-ranked
     such color, hits as _image_hits gives them.
     """
-    hits = [_image_hits(sub, *part) for part in parts]
+    hits = [_image_hits(sub, piece, image) for _, _, piece, image in parts]
     seen = {}                              # letter -> the parts reaching it
     for s, part_hits in enumerate(hits):
         for letter in part_hits:
             seen.setdefault(letter, []).append(s)
     heap, t = [], 0
-    for s, (part_lo, part_hi, piece) in enumerate(parts):
+    for s, (part_lo, _, piece, (image_lo, image_hi)) in enumerate(parts):
         if t < len(cuts) and part_lo == cuts[t]:
             cut = cuts[t]
             t += 1
             while heap and seen[heap[0][1]][-1] <= s:
                 heappop(heap)
-            above = _image_hits(sub, _succ(cut), part_hi, piece)
+            if piece.slope == 1:
+                above = _image_hits(sub, piece, (_succ(image_lo), image_hi))
+            else:
+                above = _image_hits(sub, piece, (image_lo, _pred(image_hi)))
             reached = [(rank[c], c) for c in above if seen[c][0] < s]
             if heap:
                 reached.append(heap[0])
@@ -299,7 +305,7 @@ def is_good(sub, pmap):
                 GoodnessViolation(
                     "not-convex",
                     letter,
-                    witness=tuple(_from_keys(*cell[:2]).sample_point() for cell in cells[:2]),
+                    witness=tuple(_sample(*cell[:2]) for cell in cells[:2]),
                 )
             )
 
@@ -308,10 +314,9 @@ def is_good(sub, pmap):
     for (lo_key, hi_key, letter), cuts in _sweep(sub, pmap):
         if not cuts:
             continue
-        parts = list(pmap.table.meeting(lo_key, hi_key))
+        parts = list(pmap._parts(lo_key, hi_key))
         for p, color, *sides in _shared_colors(sub, rank, cuts, parts):
-            a, b = (_pull_back(piece, _from_keys(lo, hi).sample_point())
-                    for piece, lo, hi in sides)
+            a, b = (_pull_back(piece, _sample(lo, hi)) for piece, lo, hi in sides)
             shared.append(
                 GoodnessViolation(
                     "shared-image-color", letter, point=p,

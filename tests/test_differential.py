@@ -242,6 +242,20 @@ def cuts_inside_classes(rng):
     return pmap, Subdivision(classes)
 
 
+def with_joins(rng, pieces):
+    """The pieces, about three in ten split in two with the same formula:
+    a continuous junction, which is no discontinuity."""
+    split = []
+    for p in pieces:
+        lo, hi = p.domain.lo, p.domain.hi
+        if rng.random() < 0.3:
+            mid = lo + (hi - lo) * Fraction(rng.randint(1, 3), 4)
+            split.append(AffinePiece(HalfOpenInterval(lo, mid), p.slope, p.intercept))
+            lo = mid
+        split.append(AffinePiece(HalfOpenInterval(lo, hi), p.slope, p.intercept))
+    return split
+
+
 def several_cuts_per_component(rng):
     """A map with a one- or two-class subdivision, so that one component
     holds several discontinuities.
@@ -260,14 +274,7 @@ def several_cuts_per_component(rng):
         d = 0
         pieces = random_rational_instance(rng)[0].pieces
     zero, one = ExactScalar.zero(d), ExactScalar.one(d)
-    split = []
-    for p in pieces:
-        lo, hi = p.domain.lo, p.domain.hi
-        if rng.random() < 0.3:
-            mid = lo + (hi - lo) * Fraction(rng.randint(1, 3), 4)
-            split.append(AffinePiece(HalfOpenInterval(lo, mid), p.slope, p.intercept))
-            lo = mid
-        split.append(AffinePiece(HalfOpenInterval(lo, hi), p.slope, p.intercept))
+    split = with_joins(rng, pieces)
     pmap = PiecewiseMap(split).require_valid()
 
     ends = {x for p in split for x in (p.domain.lo, p(p.domain.lo), p(p.domain.hi))}
@@ -473,6 +480,9 @@ def test_content_ids_match_the_oracle_text():
         for s in (sub, refined):
             assert s.content_id() == oracle_subdivision_id(s)
         assert pmap.content_id() == oracle_map_id(pmap)
+    # with gaps and overlaps, a piece need not start where the one before ends
+    for pmap in (random_map(rng) for _ in range(100)):
+        assert pmap.content_id() == oracle_map_id(pmap)
 
 
 # ------------------------------------------- the order of position keys
@@ -672,10 +682,11 @@ def points():
 POINTS = points()
 
 
-def check_contains(bset, comps):
+def check_contains(bset, comps, fields=None):
     """bset holds exactly the points the components hold, and refuses
-    exactly the scalars from a field other than theirs."""
-    (field,) = set_fields(comps) or {None}
+    exactly the scalars from a field other than theirs, or than `fields`
+    when given."""
+    (field,) = (set_fields(comps) if fields is None else fields) or {None}
     for x in POINTS:
         if field is not None and isinstance(x, ExactScalar) and x.d != field:
             with pytest.raises(FieldMismatch):
@@ -728,7 +739,8 @@ def test_boundary_sets_match_plain_tuples():
             meets = set_meets(s_canon, t_canon)
             meet = s.intersect(t)
             assert as_tuples(meet) == set_canonical(meets)
-            check_contains(meet, meets)
+            # a meet keeps its operands' field, even where the ends it keeps are plain
+            check_contains(meet, meets, set_fields(s_plain) | set_fields(t_plain))
             seen["empty meet"] += meet.is_empty()
         field = rng.choice(sorted(set_fields(s_plain)) or [None, 0, 5])
         slope = rng.choice((1, -1))
@@ -753,3 +765,15 @@ def test_derived_sets_keep_the_field_of_their_endpoints():
         for other in {0, 2, 5} - {field}:
             with pytest.raises(FieldMismatch):
                 derived.contains(q(3, 8, other))
+
+
+def test_a_meet_keeps_the_field_of_its_operands():
+    # the meet keeps the int ends of [0, 1), yet it lies in the Q(sqrt 5)
+    # of its other operand; so does an empty meet
+    unit5 = interval(q(0, 1, 5), q(1, 1, 5))
+    for meet in (interval(0, 1).intersect(unit5), unit5.intersect(interval(0, 1)),
+                 interval(0, Fraction(1, 4)).intersect(interval(q(1, 2, 5), q(1, 1, 5)))):
+        assert meet.contains(q(1, 2, 5)) == (not meet.is_empty())
+        for other in (0, 2):
+            with pytest.raises(FieldMismatch):
+                meet.contains(q(1, 2, other))

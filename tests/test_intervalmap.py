@@ -133,21 +133,21 @@ def test_identity_has_no_discontinuities():
 
 
 def test_discontinuities_are_computed_once(monkeypatch):
-    evaluations = []
-    real_call = AffinePiece.__call__
-
-    def counting_call(self, x):
-        evaluations.append(x)
-        return real_call(self, x)
-
-    monkeypatch.setattr(AffinePiece, "__call__", counting_call)
+    # the cuts are read off the pieces' images, one per piece per map,
+    # which validate shares; no piece is evaluated at a point
+    images, evaluations = [], []
+    real_image, real_call = intervalmap.affine_image, AffinePiece.__call__
+    monkeypatch.setattr(intervalmap, "affine_image",
+                        lambda *args: images.append(args) or real_image(*args))
+    monkeypatch.setattr(AffinePiece, "__call__",
+                        lambda self, x: evaluations.append(x) or real_call(self, x))
     r = rotation(q(1, 3))
     first = r.discontinuities()
-    assert first == [q(2, 3)] and evaluations
-    evaluations.clear()
+    assert first == [q(2, 3)] and len(images) == len(r)
     first.append(q(1, 2))
+    assert r.validate().bijective
     assert r.discontinuities() == [q(2, 3)]
-    assert evaluations == []
+    assert len(images) == len(r) and evaluations == []
 
 
 def test_iet_construction_errors():

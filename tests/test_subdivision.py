@@ -14,6 +14,7 @@ from ietwords import (
     FieldMismatch,
     GluingMap,
     GoodnessCertificate,
+    GoodnessViolation,
     HalfOpenInterval,
     IET,
     OverlapError,
@@ -31,11 +32,16 @@ from ietwords import (
     refine_to_good,
     rotation,
 )
-from ietwords.instances import golden_alpha, random_instance, random_point
-from ietwords.intervalsets import ABOVE, AT, BELOW, CellTable, key
+from ietwords import intervalmap, subdivision
+from ietwords.instances import (golden_alpha, random_instance, random_point,
+                                random_rational_instance, random_translation_instance)
+from ietwords.intervalsets import (ABOVE, AT, BELOW, CellTable, _from_keys, _pred, _succ,
+                                   affine_image, key)
 from ietwords.subdivision import _sweep
 
 from conftest import q
+from test_differential import (_pull_back, cuts_inside_classes, several_cuts_per_component,
+                               with_joins)
 from test_lattice import flip_instances
 
 ALPHA = make_scalar(-1, 2, 1, 2, 5)
@@ -546,6 +552,157 @@ def test_sweep_matches_plain_key_comparisons():
         seen["singleton"] += any(lo[1] == hi[1] for lo, hi, _ in sub.table.cells)
         seen["cut inside"] += any(cuts for _, cuts in _sweep(sub, pmap))
     assert min(seen.values()) >= 5, seen
+
+
+# ------------------------------------------- stored piece images
+#
+# A map computes each piece's image once; discontinuities() reads the
+# image ends and is_good clips a stored image only where a cell clips its
+# piece.  The references recompute every image from the part itself, as
+# is_good did before the images were stored.
+
+
+def image_instances():
+    """(map, subdivision) pairs in Q, Q(sqrt 2) and Q(sqrt 5): random maps,
+    the same maps with continuous joins, rational grids, large interval
+    exchanges and flip maps; cells clip slope -1 pieces at either end."""
+    rng = random.Random(43)
+    instances = []
+    for d in (0, 2, 5):
+        for _ in range(25):
+            pmap, sub, _ = random_instance(rng, d)
+            instances += [(pmap, sub), (PiecewiseMap(with_joins(rng, pmap.pieces)), sub),
+                          random_translation_instance(rng, d)[:2]]
+    instances += [random_rational_instance(rng)[:2] for _ in range(40)]
+    instances += [several_cuts_per_component(rng) for _ in range(60)]
+    instances += [cuts_inside_classes(rng) for _ in range(30)]
+    instances += [large_partition(rng, d, k) for d in (0, 5) for k in (24, 100)]
+    instances += [(pmap, sub) for pmap, sub, _, _ in flip_instances()]
+    return instances
+
+
+def test_discontinuities_match_piece_evaluation():
+    # the image ends at 1/2 differ by 2**-70: their keys' floors tie
+    tiny = PiecewiseMap([AffinePiece(HalfOpenInterval(q(0), q(1, 2)), 1, q(1, 2**70)),
+                         AffinePiece(HalfOpenInterval(q(1, 2), q(1)), 1, q(0))])
+    assert tiny.discontinuities() == [q(1, 2)]
+    joins = 0
+    for pmap, _ in image_instances():
+        pieces = pmap.pieces
+        expected = [right.domain.lo for left, right in zip(pieces, pieces[1:])
+                    if left(right.domain.lo) != right(right.domain.lo)]
+        assert pmap.discontinuities() == expected
+        joins += len(pieces) - 1 - len(expected)
+    assert joins >= 20
+
+
+def test_is_good_uses_the_image_of_each_part(monkeypatch):
+    # every image is_good looks up, in order: each part's, then for each
+    # cut the image of the part it starts, from just above the cut
+    used = []
+    real_hits = subdivision._image_hits
+    monkeypatch.setattr(subdivision, "_image_hits",
+                        lambda sub, piece, image: used.append((piece, image))
+                        or real_hits(sub, piece, image))
+    seen = dict.fromkeys(("reflected, clipped below", "reflected, clipped above",
+                          "reflected, from above a cut"), 0)
+    for pmap, sub in image_instances():
+        used.clear()
+        is_good(sub, pmap)
+        expected = []
+        for cell, cuts in _sweep(sub, pmap):
+            if not cuts:
+                continue
+            parts = list(pmap.table.meeting(*cell[:2]))
+            expected += [(piece, affine_image(piece.slope, piece.intercept, lo, hi))
+                         for lo, hi, piece in parts]
+            expected += [(piece, affine_image(piece.slope, piece.intercept, _succ(lo), hi))
+                         for lo, hi, piece in parts if lo in cuts]
+            for lo, hi, piece in parts:
+                if piece.slope == -1:
+                    seen["reflected, clipped below"] += lo != piece.domain.lo_key
+                    seen["reflected, clipped above"] += hi != piece.domain.hi_key
+                    seen["reflected, from above a cut"] += lo in cuts
+        assert used == expected
+    assert min(seen.values()) >= 50, seen
+
+
+def first_hits(sub, pmap, lo_key, hi_key):
+    """Letter -> (piece, meet keys) for the first cell of that letter that
+    the image of a part of [lo_key, hi_key] meets, parts and cells from
+    left to right, each part's image computed from the part."""
+    hits = {}
+    for lo, hi, piece in pmap.table.meeting(lo_key, hi_key):
+        for meet_lo, meet_hi, letter in sub.table.meeting(
+                *affine_image(piece.slope, piece.intercept, lo, hi)):
+            hits.setdefault(letter, (piece, meet_lo, meet_hi))
+    return hits
+
+
+def per_part_is_good(sub, pmap):
+    """is_good with no stored image: both sides of every cut scanned part
+    by part, and every witness sampled through a Component."""
+    rank = {letter: r for r, letter in enumerate(sub.alphabet)}
+    violations, shared = [], []
+    for letter in sub.alphabet:
+        cells = [cell for cell in sub.table.cells if cell[2] == letter]
+        if len(cells) > 1:
+            violations.append(GoodnessViolation("not-convex", letter, witness=tuple(
+                _from_keys(*cell[:2]).sample_point() for cell in cells[:2])))
+    cuts = [key(p, AT) for p in pmap.discontinuities()]
+    for lo, hi, letter in sub.table.cells:
+        for cut in (c for c in cuts if lo < c < hi):
+            sides = first_hits(sub, pmap, lo, _pred(cut)), first_hits(sub, pmap, _succ(cut), hi)
+            common = sides[0].keys() & sides[1].keys()
+            if common:
+                color = min(common, key=rank.get)
+                a, b = (_pull_back(piece, _from_keys(meet_lo, meet_hi).sample_point())
+                        for piece, meet_lo, meet_hi in (side[color] for side in sides))
+                shared.append(GoodnessViolation("shared-image-color", letter, point=cut[1],
+                                                color=color, witness=(a, b)))
+    violations += sorted(shared, key=lambda v: rank[v.letter])
+    return violations or GoodnessCertificate(sub.content_id(), pmap.content_id())
+
+
+def test_is_good_matches_the_per_part_path():
+    kinds = dict.fromkeys(("certificate", "not-convex", "shared-image-color"), 0)
+    for pmap, sub in image_instances():
+        verdict = is_good(sub, pmap)
+        expected = per_part_is_good(sub, pmap)
+        assert verdict == expected
+        if isinstance(verdict, list):
+            assert [str(v) for v in verdict] == [str(v) for v in expected]
+            for v in verdict:
+                kinds[v.kind] += 1
+        else:
+            assert str(verdict) == str(expected)
+            kinds["certificate"] += 1
+        refined = refine_to_good(sub, pmap)[0]
+        assert str(is_good(refined, pmap)) == str(per_part_is_good(refined, pmap))
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_is_good_computes_at_most_two_image_ends_per_cell_with_cuts(monkeypatch):
+    ends, images = [], []
+    real_end, real_image = intervalmap._affine_key, intervalmap.affine_image
+    monkeypatch.setattr(intervalmap, "_affine_key",
+                        lambda *args: ends.append(args) or real_end(*args))
+    monkeypatch.setattr(intervalmap, "affine_image",
+                        lambda *args: images.append(args) or real_image(*args))
+    total = 0
+    for pmap, sub in image_instances():
+        fresh = PiecewiseMap(pmap.pieces)
+        ends.clear()
+        images.clear()
+        is_good(sub, fresh)
+        assert len(images) == len(fresh)          # each piece's image, once
+        assert len(ends) <= 2 * sum(bool(cuts) for _, cuts in _sweep(sub, fresh))
+        total += len(ends)
+        images.clear()
+        is_good(sub, fresh)
+        fresh.discontinuities()
+        assert images == []
+    assert total >= 20
 
 
 # ------------------------------------------------------------- glue_word
