@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 from .exactnum import (
@@ -179,6 +180,15 @@ def _read_bool(value, path):
     return value
 
 
+def _scalar(parsed, d, obj, key, path):
+    """obj[key] as a scalar; each text is parsed once per `parsed` dict, so
+    equal texts give one object, and a bad one fails where it first occurs."""
+    text = _require(obj, key, path)
+    if not (isinstance(text, str) and text in parsed):
+        parsed[text] = _read_scalar(text, d, f"{path}/{key}")
+    return parsed[text]
+
+
 def map_from_json(obj, d, path="/map"):
     """A PiecewiseMap from either the pieces form or the IET form.
 
@@ -191,17 +201,14 @@ def map_from_json(obj, d, path="/map"):
         pieces_obj = obj["pieces"]
         if not isinstance(pieces_obj, list) or not pieces_obj:
             raise SpecError(f"{path}/pieces", "expected a nonempty array")
-        pieces = []
+        pieces, scalar = [], partial(_scalar, {}, d)
         for i, po in enumerate(pieces_obj):
             ppath = f"{path}/pieces/{i}"
-            lo = _read_scalar(_require(po, "lo", ppath), d, f"{ppath}/lo")
-            hi = _read_scalar(_require(po, "hi", ppath), d, f"{ppath}/hi")
+            lo, hi = scalar(po, "lo", ppath), scalar(po, "hi", ppath)
             slope = _require(po, "slope", ppath)
             if type(slope) is not int or slope not in (1, -1):
                 raise SpecError(f"{ppath}/slope", f"slope must be 1 or -1, got {slope!r}")
-            intercept = _read_scalar(
-                _require(po, "intercept", ppath), d, f"{ppath}/intercept"
-            )
+            intercept = scalar(po, "intercept", ppath)
             try:
                 pieces.append(AffinePiece(HalfOpenInterval(lo, hi), slope, intercept))
             except ValueError as e:
@@ -232,14 +239,7 @@ def subdivision_from_json(obj, d, path="/subdivision"):
     classes_obj = _require(obj, "classes", path)
     if not isinstance(classes_obj, dict) or not classes_obj:
         raise SpecError(f"{path}/classes", "expected a nonempty object")
-    classes, parsed = {}, {}    # a cut that two classes share is parsed once
-
-    def scalar(co, end, ipath):
-        text = _require(co, end, ipath)
-        if not (isinstance(text, str) and text in parsed):
-            parsed[text] = _read_scalar(text, d, f"{ipath}/{end}")
-        return parsed[text]
-
+    classes, scalar = {}, partial(_scalar, {}, d)
     for letter, comps_obj in classes_obj.items():
         cpath = f"{path}/classes/{letter}"
         if not isinstance(comps_obj, list) or not comps_obj:

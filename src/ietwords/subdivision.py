@@ -12,7 +12,9 @@ component is a cell (start key, end key, letter), and a class is the set
 of its cells' ranges, built on request.  Subdivision(classes) checks endpoint
 types and fields, then walks the cells across [0, 1) and rejects the first
 gap, overlap or cell outside it; refine_to_good stores the cells it cuts
-from a checked subdivision unwalked.  Condition 1 counts each class's cells.
+from a checked subdivision unwalked, and their names and its GluingMap
+unchecked.  content_id is one pass over the cells, left to right, each
+cell's text gathered under its letter.  Condition 1 counts each class's cells.
 
 Condition 2 and refine_to_good share one sweep (_sweep): it walks the
 cells left to right and bisects the map's sorted discontinuities for the
@@ -148,16 +150,14 @@ class Subdivision:
         return len(self.table.cells)
 
     def content_id(self):
-        # neighbouring cells mostly share an endpoint object: format each once
-        ends = {id(k[1]): k[1] for cell in self.table.cells for k in cell[:2]}
-        texts = {i: format_scalar(x) for i, x in ends.items()}
-        text = ";".join(
-            f"{letter}:" + "|".join(
-                f"{texts[id(lo)]},{int(le == AT)},{texts[id(hi)]},{int(he == AT)}"
-                for (_, lo, le), (_, hi, he), _ in cells
-            )
-            for letter, cells in self._cells_by_letter().items()
-        )
+        # one pass; a start that is the object the cell before ends on is formatted once
+        parts = {letter: [] for letter in self._alphabet}
+        hi = hi_text = None
+        for (_, lo, le), (_, end, he), letter in self.table.cells:
+            lo_text = hi_text if lo is hi else format_scalar(lo)
+            hi, hi_text = end, format_scalar(end)
+            parts[letter].append(f"{lo_text},{int(le == AT)},{hi_text},{int(he == AT)}")
+        text = ";".join(f"{letter}:" + "|".join(texts) for letter, texts in parts.items())
         return "sub:" + hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def __eq__(self, other):
@@ -394,18 +394,21 @@ def refine_to_good(sub, pmap):
             pieces.append((lo, hi, letter, counts[letter]))
             counts[letter] += 1
 
-    # plain concatenation can collide (e.g. letters "A" and "A0"); an
+    # plain concatenation can collide ("B" cut in 11 and "B1" both mint "B10"); an
     # underscore keeps names unambiguous while staying deterministic
     for sep in ("", "_"):
-        gluing = {f"{letter}{sep}{i}": letter
-                  for letter, n in counts.items() for i in range(n)}
-        if len(gluing) == len(pieces):
+        names = {letter: [f"{letter}{sep}{i}" for i in range(n)] for letter, n in counts.items()}
+        mapping = {name: letter for letter, ns in names.items() for name in ns}
+        if len(mapping) == len(pieces):
             break
 
     # sub's cells tile [0, 1) in one field (its constructor checked them),
     # that field is pmap's (checked above), and each cut lies strictly
-    # inside its cell: the pieces tile [0, 1) in it too, unwalked
+    # inside its cell: the pieces tile [0, 1) in it too, unwalked, and
+    # each name, a checked letter with a suffix, is a token; none is checked again
     refined = object.__new__(Subdivision)
-    refined._alphabet = tuple(sorted(gluing))
-    refined.table = CellTable([(lo, hi, f"{l}{sep}{i}") for lo, hi, l, i in pieces], sub.d)
-    return refined, GluingMap(gluing)
+    refined._alphabet = tuple(sorted(mapping))
+    refined.table = CellTable([(lo, hi, names[l][i]) for lo, hi, l, i in pieces], sub.d)
+    gluing = object.__new__(GluingMap)
+    gluing._mapping = mapping
+    return refined, gluing

@@ -36,11 +36,13 @@ from ietwords import (
     GoodnessCertificate,
     GoodnessViolation,
     HalfOpenInterval,
+    IET,
     PiecewiseMap,
     PointOutsideDomain,
     Subdivision,
     cmp,
     interval,
+    iet_to_map,
     is_good,
     make_scalar,
     mod1,
@@ -58,7 +60,7 @@ from ietwords.instances import (
     random_translation_map,
 )
 from ietwords.intervalmap import MapViolation, ValidationReport
-from ietwords.intervalsets import ABOVE, AT, BELOW, key
+from ietwords.intervalsets import ABOVE, AT, BELOW, _from_keys, key
 
 from conftest import q
 from oracles import (Surd, decimal_cmp, decimal_value, map_id, scalar_text, set_canonical,
@@ -461,28 +463,108 @@ def oracle_map_id(pmap):
                     number_parts(p.intercept)) for p in pmap.pieces])
 
 
+def long_partition(rng, d, k):
+    """A k-interval exchange and a subdivision of about 5k/4 cells, both on
+    one pool of points.  Letters repeat at random, so classes of several
+    components interleave with other letters, and one class is a point."""
+    zero, one = ExactScalar.zero(d), ExactScalar.one(d)
+    pool, x = set(), zero
+    while len(pool) < 3 * k:
+        x = mod1(x + golden_alpha()) if d else q(rng.randint(1, 10**6 - 1), 10**6)
+        pool.add(x)
+    points = rng.sample(sorted(pool), 2 * k - 1 + k // 4)
+    cuts = [zero, *sorted(points[:k - 1]), one]
+    bounds = [zero, *sorted(points[k - 1:]), one]
+    pmap = iet_to_map(IET(tuple(b - a for a, b in zip(cuts, cuts[1:])),
+                          tuple(rng.sample(range(k), k))))
+    cells = [Component(lo, True, hi, False) for lo, hi in zip(bounds, bounds[1:])]
+    point = bounds[1]
+    cells[1] = Component(point, False, bounds[2], False)
+    classes = {"p": [Component(point, True, point, True)]}
+    for cell in cells:
+        classes.setdefault(f"c{rng.randrange(k // 5)}", []).append(cell)
+    return pmap, Subdivision(classes)
+
+
 def test_content_ids_match_the_oracle_text():
     # (2 + sqrt 5)/2 is 1 + (1/2) sqrt 5: its two parts reduce differently
     assert str(make_scalar(2, 2, 1, 2, 5)) == scalar_text(Fraction(1), Fraction(1, 2), 5)
     beta = make_scalar(2, 6, 1, 6, 5)                # 1/3 + (1/6) sqrt 5
     halves = Subdivision({"A": [Component(q(0, 1, 5), True, beta, False)],
                           "B": [Component(beta, True, q(1, 1, 5), False)]})
+    # neighbouring cells whose shared ends are equal but distinct objects
+    third, half = q(1, 3, 5), make_scalar(2, 4, 0, 1, 5)
+    assert third == q(1, 3, 5) and third is not q(1, 3, 5) and half == q(1, 2, 5)
+    hand = Subdivision({"A": [Component(q(0, 1, 5), True, third, False),
+                              Component(q(1, 2, 5), False, q(1, 1, 5), False)],
+                        "B": [Component(q(1, 3, 5), True, half, True)]})
     rng = random.Random(19)
-    instances = [(rotation(beta), halves), (rotation(q(1, 3)), Subdivision(
+    instances = [(rotation(beta), halves), (rotation(beta), hand), (rotation(q(1, 3)), Subdivision(
         {"x": [Component(q(0), True, q(1, 2), True)],
          "y": [Component(q(1, 2), False, q(1), False)]}))]
     for _ in range(30):
         instances += [random_instance(rng, d)[:2] for d in (0, 5)]
         instances += [random_translation_instance(rng, 5)[:2],
-                      random_rational_instance(rng)[:2]]
+                      random_rational_instance(rng)[:2], several_cuts_per_component(rng)]
+    instances += [long_partition(rng, d, 200) for d in (0, 5)]
+    seen = dict.fromkeys(("several components", "singleton", "flip"), 0)
     for pmap, sub in instances:
         refined, _ = refine_to_good(sub, pmap)
         for s in (sub, refined):
             assert s.content_id() == oracle_subdivision_id(s)
         assert pmap.content_id() == oracle_map_id(pmap)
+        seen["several components"] += any(len(c) > 1 for c in sub.classes.values())
+        seen["singleton"] += any(c.is_singleton() for cls in sub.classes.values() for c in cls)
+        seen["flip"] += any(p.slope == -1 for p in pmap.pieces)
+    assert min(seen.values()) >= 2, seen
     # with gaps and overlaps, a piece need not start where the one before ends
     for pmap in (random_map(rng) for _ in range(100)):
         assert pmap.content_id() == oracle_map_id(pmap)
+
+
+def test_a_map_id_is_kept_and_stays_the_same():
+    rng = random.Random(23)
+    maps = [random_map(rng) for _ in range(30)]
+    maps += [several_cuts_per_component(rng)[0] for _ in range(30)]
+    for pmap in maps:
+        first = pmap.content_id()
+        assert pmap.content_id() == first == oracle_map_id(pmap)
+        pmap.validate()
+        pmap.discontinuities()
+        assert pmap.content_id() == first
+        # the same pieces in a map whose report and cuts came first
+        again = PiecewiseMap(pmap.pieces)
+        again.validate()
+        again.discontinuities()
+        assert again.content_id() == first
+
+
+def test_refined_gluing_is_the_checked_gluing():
+    # refine_to_good hands out its gluing without checking the letters
+    # again; it must equal the one the public constructor builds
+    reversal = iet_to_map(IET((q(1, 12),) * 12, tuple(range(11, -1, -1))))
+
+    def split(left, right):
+        return Subdivision({left: [Component(q(0), True, q(23, 24), False)],
+                            right: [Component(q(23, 24), True, q(1), False)]})
+
+    rng = random.Random(29)
+    instances = [(reversal, split("A", "A0")), (reversal, split("B", "B1"))]
+    instances += [random_instance(rng, d)[:2] for d in (0, 5) for _ in range(20)]
+    instances += [several_cuts_per_component(rng) for _ in range(20)]
+    alphabets = []
+    for pmap, sub in instances:
+        refined, gluing = refine_to_good(sub, pmap)
+        checked = GluingMap(gluing.mapping)
+        assert gluing == checked and hash(gluing) == hash(checked)
+        assert list(gluing.mapping.items()) == list(checked.mapping.items())
+        assert gluing.domain() == refined.alphabet
+        assert gluing.image_alphabet() == tuple(sorted({gluing(l) for l in refined.alphabet}))
+        alphabets.append(refined.alphabet)
+    # "A" cut in twelve and "A0" mint no common name, so names stay plain;
+    # "B" cut in twelve and "B1" would both mint "B10": underscores instead
+    assert {"A0", "A11", "A00"} <= set(alphabets[0])
+    assert {"B_10", "B1_0"} <= set(alphabets[1]) and "B10" not in alphabets[1]
 
 
 # ------------------------------------------- the order of position keys
@@ -752,6 +834,24 @@ def test_boundary_sets_match_plain_tuples():
         assert image.transform(slope, -intercept if slope == 1 else intercept) == s
         seen["reflection"] += slope == -1
     assert min(seen.values()) >= 5, seen
+
+
+def test_components_read_from_sets_are_the_checked_ones():
+    # a set builds its components unchecked: each must equal the one the
+    # checked constructor builds, singletons and open or closed ends alike
+    rng = random.Random(43)
+    seen = dict.fromkeys(("singleton", *((a, b) for a in (False, True) for b in (False, True))), 0)
+    for _ in range(300):
+        comps = random_components(rng, rng.choice(SET_FIELDS))
+        if len(set_fields(tuples(comps))) > 1:
+            continue
+        for c in [*BoundarySet(comps).components, *(_from_keys(c.lo_key, c.hi_key) for c in comps)]:
+            checked = Component(c.lo, c.lo_in, c.hi, c.hi_in)
+            assert type(c) is Component and c == checked and hash(c) == hash(checked)
+            assert (c.lo_key, c.hi_key, str(c)) == (checked.lo_key, checked.hi_key, str(checked))
+            assert c.sample_point() == checked.sample_point()
+            seen["singleton" if c.is_singleton() else (c.lo_in, c.hi_in)] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_derived_sets_keep_the_field_of_their_endpoints():

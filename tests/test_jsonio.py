@@ -98,6 +98,21 @@ def test_a_shared_cut_is_parsed_once():
         assert path_of(e) == "/subdivision/classes/A/0/hi"
 
 
+def test_a_shared_map_end_is_parsed_once():
+    # a piece's hi and the next piece's lo are one object, as in a
+    # subdivision; a bad value still fails at its first occurrence
+    doc = {"pieces": [{"lo": "0", "hi": "1/3", "slope": 1, "intercept": "2/3"},
+                      {"lo": "1/3", "hi": "1", "slope": -1, "intercept": "4/3"}]}
+    left, right = map_from_json(doc, 0)[0].pieces
+    assert left.domain.hi is right.domain.lo
+    for bad in ("1/3+", ["1/3"], 0.5):
+        broken = json.loads(json.dumps(doc))
+        broken["pieces"][0]["hi"] = broken["pieces"][1]["lo"] = bad
+        with pytest.raises(SpecError) as e:
+            map_from_json(broken, 0)
+        assert path_of(e) == "/map/pieces/0/hi"
+
+
 def test_gluing_json_roundtrip():
     g = GluingMap({"A0": "A", "A1": "A"})
     assert gluing_from_json(gluing_to_json(g)).mapping == g.mapping
