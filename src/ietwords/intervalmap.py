@@ -93,7 +93,7 @@ class ValidationReport:
 class PiecewiseMap:
     """Affine pieces sorted by domain start; `table` holds their domains."""
 
-    __slots__ = ("_pieces", "_d", "table", "_report", "_cuts", "_images", "_id")
+    __slots__ = ("_pieces", "_d", "table", "_report", "_cuts", "_images")
 
     def __init__(self, pieces):
         pieces = tuple(pieces)
@@ -109,7 +109,6 @@ class PiecewiseMap:
         self._report = None
         self._cuts = None
         self._images = None
-        self._id = None
 
     @property
     def pieces(self):
@@ -206,16 +205,15 @@ class PiecewiseMap:
         return self
 
     def content_id(self):
-        """Deterministic identity string derived from the pieces, computed once."""
-        if self._id is None:
-            fields, hi, hi_text = [], None, None
-            for p in self._pieces:
-                # a piece mostly starts where the one before it ends: format that once
-                lo_text = hi_text if p.domain.lo == hi else format_scalar(p.domain.lo)
-                hi, hi_text = p.domain.hi, format_scalar(p.domain.hi)
-                fields.append(f"{lo_text},{hi_text},{p.slope},{format_scalar(p.intercept)}")
-            self._id = "map:" + hashlib.sha256(";".join(fields).encode()).hexdigest()[:12]
-        return self._id
+        """Deterministic identity string derived from the pieces."""
+        fields, hi, hi_text = [], None, None
+        for p in self._pieces:
+            # a piece mostly starts where the one before it ends: format that once
+            lo_text = hi_text if p.domain.lo == hi else format_scalar(p.domain.lo)
+            hi, hi_text = p.domain.hi, format_scalar(p.domain.hi)
+            fields.append(f"{lo_text},{hi_text},{p.slope},{format_scalar(p.intercept)}")
+        text = ";".join(fields)
+        return "map:" + hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def __eq__(self, other):
         if not isinstance(other, PiecewiseMap):

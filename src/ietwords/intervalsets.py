@@ -139,10 +139,10 @@ def affine_image(slope, intercept, lo_key, hi_key):
 
 
 def _from_keys(lo_key, hi_key):
-    # a set's ranges bound components: skip Component's exact checks
-    c = object.__new__(Component)
-    c.__dict__.update(lo=lo_key[1], lo_in=lo_key[2] == AT, hi=hi_key[1], hi_in=hi_key[2] == AT)
-    return c
+    (_, lo, le), (_, hi, he) = lo_key, hi_key
+    if le == BELOW or he == ABOVE:
+        raise ValueError("keys do not bound a component")
+    return Component(lo, le == AT, hi, he == AT)
 
 
 class BoundarySet:

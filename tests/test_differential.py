@@ -522,7 +522,7 @@ def test_content_ids_match_the_oracle_text():
         assert pmap.content_id() == oracle_map_id(pmap)
 
 
-def test_a_map_id_is_kept_and_stays_the_same():
+def test_a_map_id_stays_the_same():
     rng = random.Random(23)
     maps = [random_map(rng) for _ in range(30)]
     maps += [several_cuts_per_component(rng)[0] for _ in range(30)]
@@ -837,8 +837,8 @@ def test_boundary_sets_match_plain_tuples():
 
 
 def test_components_read_from_sets_are_the_checked_ones():
-    # a set builds its components unchecked: each must equal the one the
-    # checked constructor builds, singletons and open or closed ends alike
+    # a set builds its components from its key ranges: each must equal the
+    # one built from its ends, singletons and open or closed ends alike
     rng = random.Random(43)
     seen = dict.fromkeys(("singleton", *((a, b) for a in (False, True) for b in (False, True))), 0)
     for _ in range(300):
