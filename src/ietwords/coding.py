@@ -6,15 +6,16 @@ walk.  The glue-back round trip is decided on a table of where the glued
 refined letter is the original one, and walks only to locate a mismatch.
 
 Every walk requires a map whose validation report is clean: its orbits
-then stay in [0, 1) and every table the walk compiles tiles [0, 1), and a
-broken map raises CorruptMap before any point is walked.  Every orbit is
-walked on the integer lattice (1/den)(Z + Z sqrt d), with den taken from
-x0 and the intercepts alone: a step is two integer updates and each
-lookup goes through an intervalsets.LatticeTable, whose float filter
-decides only what a certified error bound allows and sends every close
-case to exact integer signs.  iter_orbit and orbit hand the points out
-as ExactScalar values; iter_code, code and roundtrip_check read letters
-off the same walk.  glue_word sends a word's letters through a gluing.
+then stay in [0, 1) and its domains tile [0, 1), and a broken map raises
+CorruptMap before any point is walked.  Every orbit is walked on the
+integer lattice (1/den)(Z + Z sqrt d), with den taken from x0 and the
+intercepts alone: a step is two integer updates.  The walk compiles one
+intervalsets.LatticeTable, the overlay of the map's domains and the cells
+it reads, valued (piece, value): one lookup per point gives the move and
+the value, and the float filter sends every close case to exact integer
+signs.  iter_orbit and orbit hand the points out as ExactScalar values;
+iter_code, code and roundtrip_check read values off the same walk.
+glue_word sends a word's letters through a gluing.
 
 Every walk reads one stream, which stops walking at the first return to
 an earlier lattice point: Brent's cycle rule finds it in constant memory,
@@ -124,15 +125,14 @@ def glue_word(word, gluing):
 def iter_orbit(pmap, x0, n=None):
     """Stream the forward orbit of x0 as ExactScalars; infinite when n is None.
 
-    The map is looked up only when another point is asked for, so n points
-    cost at most n - 1 lookups.  Memory is constant until the orbit
-    repeats, then one period.  Raises CorruptMap, before any point, when
-    pmap fails validation, and PointOutsideDomain when x0 lies outside
-    [0, 1).
+    Each point is looked up only when it is asked for, so n points cost at
+    most n lookups.  Memory is constant until the orbit repeats, then one
+    period.  Raises CorruptMap, before any point, when pmap fails
+    validation, and PointOutsideDomain when x0 lies outside [0, 1).
     """
     walk = _LatticeOrbit(pmap, x0)
-    scalar = walk.map.scalar
-    yield from islice(walk.stream(lambda point: scalar(point[0], point[1])), n)
+    scalar = walk.table.scalar
+    yield from (scalar(A, B) for A, B, _ in islice(walk.stream(), n))
 
 
 def orbit(pmap, x0, n):
@@ -143,67 +143,67 @@ def orbit(pmap, x0, n):
 
 
 class _LatticeOrbit:
-    """The orbit of x0 on the lattice (1/den)(Z + Z sqrt d), with the tables
-    that code it compiled for the same lattice.
+    """The orbit of x0 on the lattice (1/den)(Z + Z sqrt d), looked up in
+    one table compiled for it: the common refinement of the map's domains
+    and table's cells, each cell valued (piece, value).
 
     den is the lcm of the denominators of x0 and every intercept, whatever
-    the tables: cell endpoints need not lie on the lattice.  Every slope is
+    the table: cell endpoints need not lie on the lattice.  Every slope is
     +1 or -1, so each orbit point is (A + B sqrt d) / den with integers
     A, B, and a step through a piece with intercept (C + D sqrt d) / den
-    is A, B = s*A + C, s*B + D.  The tables must tile [0, 1), as
+    is A, B = s*A + C, s*B + D.  The table must tile [0, 1), as
     subdivision and agreement tables do.
     """
 
-    def __init__(self, pmap, x0, *tables):
-        if any(t.d != pmap.d for t in tables):
+    def __init__(self, pmap, x0, table=None):
+        table = table or pmap.table    # with no table, the map's domains alone
+        if table.d != pmap.d:
             raise FieldMismatch("subdivision and map use different field contexts")
         pmap.require_valid()           # its domains tile [0, 1), its orbits stay there
         pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
         x0 = x0 + ExactScalar.zero(pmap.d)     # lifts int and Fraction starts
         den = lcm(x0.denominator, *(p.intercept.denominator for p in pmap.pieces))
-        self.map, *self.tables = (LatticeTable(t, den) for t in (pmap.table, *tables))
-        self._moves = [(p.slope, *p.intercept.on_lattice(den)) for p in self.map.values]
+        self.table = LatticeTable(CellTable(pmap.table.overlay(table), pmap.d), den)
+        self._cells = [((p.slope, *p.intercept.on_lattice(den)), value)
+                       for p, value in self.table.values]
         self.x0, self._start = x0, x0.on_lattice(den)
         self.period = None
 
-    def points(self):
-        """The orbit points from the start on, endlessly, as
-        LatticeTable.index takes them; the map is looked up only when
-        another point is asked for."""
-        index, point, moves = self.map.index, self.map.point, self._moves
+    def reads(self):
+        """(A, B, value) for each orbit point from the start on, endlessly,
+        from one lookup, made when the point is asked for."""
+        index, point, cells = self.table.index, self.table.point, self._cells
         A, B = self._start
         while True:
-            here = point(A, B)
-            yield here
-            s, C, D = moves[index(here)]
+            (s, C, D), value = cells[index(point(A, B))]
+            yield A, B, value
             A, B = s * A + C, s * B + D
 
-    def stream(self, read):
-        """read(point) for every orbit point, endlessly.
+    def stream(self):
+        """reads() until the orbit repeats, then its last period, endlessly.
 
         Brent's rule keeps one earlier point as a mark, moved to the newest
         point at steps 0, 1, 3, 7, 15, ..., and compares each new point with
         it.  Lattice points are equal exactly when their integer pairs are,
         so the first equality closes a cycle, and the steps since the mark
         are the least period, kept as period.  Nothing is kept until then;
-        from there the walk reads one more period, whose values are kept
-        and repeated.
+        from there one more period is read, kept and repeated.
         """
-        points = self.points()
+        reads = self.reads()
         mark_A = mark_B = None
         mark = move = 0
-        for k, here in enumerate(points):
-            A, B, _, _ = here
+        for k, read in enumerate(reads):
+            A, B, _ = read
             if A == mark_A and B == mark_B:
                 self.period = k - mark
                 break
             if k == move:
                 mark_A, mark_B, mark, move = A, B, k, 2 * k + 1
-            yield read(here)
+            yield read
         period = []
-        for here in islice(chain((here,), points), self.period):
-            period.append(read(here))
-            yield period[-1]
+        for read in islice(chain((read,), reads), self.period):
+            period.append(read)
+            yield read
         yield from cycle(period)
 
 
@@ -214,9 +214,7 @@ def iter_code(pmap, sub, x0, n=None):
     Memory is constant until the orbit repeats, then one period.
     """
     walk = _LatticeOrbit(pmap, x0, sub.table)
-    (cells,) = walk.tables
-    letters, index = cells.values, cells.index
-    yield from islice(walk.stream(lambda point: letters[index(point)]), n)
+    yield from (letter for _, _, letter in islice(walk.stream(), n))
 
 
 def code(pmap, sub, x0, n):
@@ -227,9 +225,7 @@ def code(pmap, sub, x0, n):
     if n < 1:
         raise ValueError("need n >= 1")
     walk = _LatticeOrbit(pmap, x0, sub.table)
-    (cells,) = walk.tables
-    letters, index = cells.values, cells.index
-    word = islice(walk.stream(lambda point: letters[index(point)]), n)
+    word = (letter for _, _, letter in islice(walk.stream(), n))
     return SymbolicWord(word, WordOrigin(pmap.content_id(), sub.content_id(), walk.x0, n))
 
 
@@ -259,14 +255,12 @@ def _agreement(refined, gluing, sub):
     refinement gives the single cell [0, 1) valued True.
     """
     cells = []
-    for lo_key, hi_key, letter in refined.table.cells:
-        glued = gluing(letter)
-        for lo, hi, original in sub.table.meeting(lo_key, hi_key):
-            same = glued == original
-            if cells and cells[-1][2] == same:
-                cells[-1] = (cells[-1][0], hi, same)
-            else:
-                cells.append((lo, hi, same))
+    for lo, hi, (letter, original) in refined.table.overlay(sub.table):
+        same = gluing(letter) == original
+        if cells and cells[-1][2] == same:
+            cells[-1] = (cells[-1][0], hi, same)
+        else:
+            cells.append((lo, hi, same))
     return CellTable(cells, sub.d)
 
 
@@ -291,9 +285,7 @@ def roundtrip_check(pmap, sub, x0, n):
         pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
         return OK
     walk = _LatticeOrbit(pmap, x0, agree)
-    (agree,) = walk.tables
-    ok, index = agree.values, agree.index
-    for k, same in enumerate(islice(walk.stream(lambda point: ok[index(point)]), n)):
+    for k, (_, _, same) in enumerate(islice(walk.stream(), n)):
         if not same:
             return RoundtripResult(False, k)
         if walk.period is not None:

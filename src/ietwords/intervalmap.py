@@ -271,6 +271,7 @@ def iet_to_map(iet):
     src_starts = [zero]
     for length in iet.lengths[:-1]:
         src_starts.append(src_starts[-1] + length)
+    src_starts.append(ExactScalar.one(iet.d))      # the lengths sum to 1 exactly
 
     # slot s is occupied by the interval i with permutation[i] == s
     by_slot = sorted(range(k), key=lambda i: iet.permutation[i])
@@ -282,7 +283,7 @@ def iet_to_map(iet):
 
     pieces = []
     for i in range(k):
-        domain = HalfOpenInterval(src_starts[i], src_starts[i] + iet.lengths[i])
+        domain = HalfOpenInterval(src_starts[i], src_starts[i + 1])
         pieces.append(AffinePiece(domain, 1, dest_starts[i] - src_starts[i]))
     return PiecewiseMap(pieces)
 

@@ -21,10 +21,10 @@ comparisons on keys and Components are built only on request.  A
 CellTable holds key ranges sorted by start, each with a value: map
 domains, map images and subdivision cells are each one table, and every
 single-point lookup, range lookup and tiling check on [0, 1) goes
-through it.  A LatticeTable is a CellTable that tiles [0, 1), compiled
-for the integer lattice of one orbit walk, whose points are integer
-pairs and where floats only filter; every orbit walk looks its points up
-there.
+through it; overlay() meets two tilings into one.  A LatticeTable is a
+CellTable that tiles [0, 1), compiled for the integer lattice of one
+orbit walk, where floats only filter: each walk compiles one, the overlay
+of its map's domains and the cells it reads, and looks each point up once.
 """
 
 from __future__ import annotations
@@ -291,6 +291,13 @@ class CellTable:
             i += 1
             lo_key = cells[i][0]
         yield lo_key, hi_key, cells[i][2]
+
+    def overlay(self, other):
+        """The common refinement of two tables that tile [0, 1), left to
+        right, as (lo_key, hi_key, (value here, value in other))."""
+        for lo_key, hi_key, value in self.cells:
+            for lo, hi, other_value in other.meeting(lo_key, hi_key):
+                yield lo, hi, (value, other_value)
 
     def faults(self):
         """Walk the cells across [0, 1) and yield every fault.

@@ -69,60 +69,69 @@ def test_iter_orbit_is_lazy_and_unbounded():
 
 
 def test_n_points_cost_n_minus_one_applies(monkeypatch, golden):
-    # every walk steps on the lattice, one lookup in the map's table per
-    # step, and never calls PiecewiseMap.apply; a walk that comes back to
-    # an earlier point stops looking up.  roundtrip_check walks only to
-    # locate a mismatch, so on a certified agreement table it looks up
+    # every walk steps on the lattice and never calls PiecewiseMap.apply.
+    # It compiles one LatticeTable, the overlay of the map's pieces and the
+    # cells it reads, and looks each value it hands out up there once: n
+    # values cost n lookups, for orbit and iter_orbit too, which looked up
+    # n - 1 points when their table held the map's pieces alone and the
+    # last point's piece went unread.  A walk that comes back to an earlier
+    # point stops looking up.  roundtrip_check walks only to locate a
+    # mismatch, so on a certified agreement table it compiles and looks up
     # nothing (tests/test_lattice.py counts it on broken tables)
-    applies, lookups = [], []
-    real_apply, real_index = PiecewiseMap.apply, LatticeTable.index
-    counted = []
+    applies, lookups, compiled = [], [], []
+    real_apply, real_index, real_init = (PiecewiseMap.apply, LatticeTable.index,
+                                         LatticeTable.__init__)
 
     def counting_apply(self, x):
         applies.append(x)
         return real_apply(self, x)
 
     def counting_index(self, point):
-        if self.values == list(counted[0].pieces):
-            lookups.append(point)
+        lookups.append(point)
         return real_index(self, point)
 
+    def counting_init(self, table, den):
+        compiled.append(table)
+        real_init(self, table, den)
+
     def walks(pmap, sub, x0):
-        counted[:] = [pmap]
         return (lambda n: orbit(pmap, x0, n),
                 lambda n: list(iter_orbit(pmap, x0, n)),
                 lambda n: code(pmap, sub, x0, n),
+                lambda n: list(iter_code(pmap, sub, x0, n)),
                 lambda n: roundtrip_check(pmap, sub, x0, n))
 
-    def lookups_for(run, n):
+    def cost(run, n):
+        """(lookups, tables compiled) for one call."""
         applies.clear()
         lookups.clear()
+        compiled.clear()
         run(n)
         assert applies == []
-        return len(lookups)
+        return len(lookups), len(compiled)
 
     monkeypatch.setattr(PiecewiseMap, "apply", counting_apply)
     monkeypatch.setattr(LatticeTable, "index", counting_index)
-    # the golden rotation never repeats: n points, n - 1 lookups
+    monkeypatch.setattr(LatticeTable, "__init__", counting_init)
+    # the golden rotation never repeats: n values, n lookups
     R5, sub5, alpha = golden
     *walking, check = walks(R5, sub5, alpha)
     for run in walking:
         for n in (1, 2, 10, 1000):
-            assert lookups_for(run, n) == n - 1
+            assert cost(run, n) == (n, 1)
     for n in (1, 2, 10, 10**4):
-        assert lookups_for(check, n) == 0
+        assert cost(check, n) == (0, 0)
     # the rotation by 1/3 repeats from 0 with period 3.  Brent's mark sits
-    # at 0, then at 1, then at 3, and the walk comes back to it at index 6:
-    # 6 lookups.  orbit and iter_orbit then walk one more period for the
-    # values they repeat, 2 lookups more, so no n costs more than 8
+    # at 0, then at 1, then at 3, and the walk comes back to it at index 6,
+    # the seventh point read; from there it reads one more period, points
+    # 6, 7 and 8, and repeats them, so no n costs more than 9 lookups
     R, sub = third_rotation()
     *stopping, check = walks(R, sub, q(0))
     for run in stopping:
-        for n in (1, 2, 10):
-            assert lookups_for(run, n) <= n - 1
-        assert lookups_for(run, 10**4) <= 8
+        for n in (1, 2, 6, 7, 8, 9, 10, 10**4):
+            assert cost(run, n) == (min(n, 9), 1), n
     for n in (1, 2, 10, 10**4):
-        assert lookups_for(check, n) == 0
+        assert cost(check, n) == (0, 0)
     assert list(iter_orbit(R, q(0), 0)) == []
 
 

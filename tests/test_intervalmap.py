@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,10 @@ from ietwords import (
     rotation,
     to_iet,
 )
+
+from ietwords.cli import main
+from ietwords.instances import random_iet, random_subdivision
+from ietwords.jsonio import InstanceSpec, dumps, iet_to_json, instance_to_json, map_to_json
 
 from conftest import q
 
@@ -197,6 +202,38 @@ def test_random_iet_roundtrip(rng):
         m = iet_to_map(iet)
         assert m.validate().bijective
         assert to_iet(m) == iet
+
+
+def test_iet_domains_share_their_ends(tmp_path, capsys):
+    # each domain ends on the very object the next one starts on, and the
+    # last on 1, which the IET's sum check makes exact; the map, its id,
+    # its JSON, its IET and the CLI's bytes are those of a map whose ends
+    # are summed as start + length
+    rng = random.Random(3)
+    for d in (0, 2, 5):
+        for i in range(20):
+            iet = random_iet(rng, d)
+            m = iet_to_map(iet)
+            assert all(a.domain.hi is b.domain.lo for a, b in zip(m.pieces, m.pieces[1:]))
+            assert m.pieces[-1].domain.hi == ExactScalar.one(d)
+            summed = PiecewiseMap([
+                AffinePiece(HalfOpenInterval(p.domain.lo, p.domain.lo + length), 1, p.intercept)
+                for p, length in zip(m.pieces, iet.lengths)])
+            assert m == summed and m.content_id() == summed.content_id()
+            assert dumps(map_to_json(m)) == dumps(map_to_json(summed))
+            assert dumps(iet_to_json(to_iet(m))) == dumps(iet_to_json(to_iet(summed)))
+            if i % 5:
+                continue
+            sub, x0 = random_subdivision(rng, d), ExactScalar.zero(d)
+            outputs = []
+            for name, spec in (("iet", InstanceSpec(d, m, sub, x0, 30, iet)),
+                               ("pieces", InstanceSpec(d, summed, sub, x0, 30))):
+                path = tmp_path / f"{name}.json"
+                path.write_text(dumps(instance_to_json(spec)))
+                for command in (["generate", "--json"], ["check-good", "--json"], ["to-iet"]):
+                    assert main([command[0], str(path), *command[1:]]) in (0, 1)
+                    outputs.append(capsys.readouterr().out)
+            assert outputs[:3] == outputs[3:]
 
 
 def test_rational_rotation_orbit_period():

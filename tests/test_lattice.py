@@ -55,7 +55,7 @@ from ietwords.instances import (
     random_subdivision,
     random_translation_instance,
 )
-from ietwords.intervalsets import AT, LatticeTable, _from_keys, key
+from ietwords.intervalsets import ABOVE, AT, CellTable, LatticeTable, _from_keys, key
 
 from test_differential import perturbed_translation_map, random_map
 
@@ -368,9 +368,66 @@ def test_walk_den_is_the_orbits_own():
             sub = big_denominator_subdivision(rng, d, points)
             den = lcm(x0.denominator, *(p.intercept.denominator for p in pmap.pieces))
             walk = coding._LatticeOrbit(pmap, x0, sub.table)
-            assert walk.map._den == den
-            assert [table._den for table in walk.tables] == [den]
+            assert walk.table._den == den
             assert den < 10**299
+
+
+def overlay_probes(pmap, table):
+    """Every endpoint of the map's domains and of the table's cells, and
+    10**-20 either side of each, wherever those lie in [0, 1)."""
+    d = pmap.d
+    tiny = ExactScalar.from_rational(Fraction(1, 10**20), d)
+    ends = [*cell_ends(pmap.table), *cell_ends(table)]
+    probes = ends + [e + tiny for e in ends] + [e - tiny for e in ends]
+    return [x for x in probes if ExactScalar.zero(d) <= x < ExactScalar.one(d)]
+
+
+def assert_overlay_matches(pmap, table, value_at):
+    """The one table a walk compiles against the two lookups it replaces.
+
+    The overlay of the map's domains and the table's cells tiles [0, 1)
+    in at most pieces + cells - 1 cells, the walk's LatticeTable holds its
+    values cell for cell and locates lattice points as it does, and at
+    every probe the cell holding x is valued (pmap.piece_at(x),
+    value_at(x)).  Returns the overlay's cells."""
+    overlay = CellTable(pmap.table.overlay(table), pmap.d)
+    assert list(overlay.faults()) == []
+    assert len(overlay.cells) <= len(pmap.table.cells) + len(table.cells) - 1
+    walk = coding._LatticeOrbit(pmap, ExactScalar.zero(pmap.d), table)
+    assert walk.table.values == [value for _, _, value in overlay.cells]
+    assert_lookups_match(overlay)
+    for x in overlay_probes(pmap, table):
+        assert overlay.cells[overlay.index(x)][2] == (pmap.piece_at(x), value_at(x)), x
+    return overlay.cells
+
+
+def test_walk_table_is_the_overlay_of_pieces_and_cells():
+    # seeded maps and subdivisions with random endpoint flags, and their
+    # agreement tables broken at one point: a map cut, or a point inside a
+    # piece, taken out as a False singleton
+    rng = random.Random(28)
+    kinds = {"cut inside a piece": 0, "map cut inside a cell": 0, "open start": 0,
+             "false singleton": 0}
+    for d in (0, 5, 4000037):
+        for _ in range(6):
+            for pmap, sub, _ in (quadratic_instance(rng, d), random_instance(rng, d)):
+                cells = assert_overlay_matches(pmap, sub.table, sub.color_of)
+                starts = [lo for lo, _, _ in sub.table.cells]
+                for lo, _, (piece, _) in cells:
+                    kinds["cut inside a piece"] += lo != piece.domain.lo_key
+                    kinds["map cut inside a cell"] += lo not in starts
+                    kinds["open start"] += lo[2] == ABOVE
+                if len(sub.alphabet) == 1:
+                    continue               # isolating needs a second letter
+                for x in (pmap.pieces[-1].domain.lo, rng.choice(field_points(rng, d))):
+                    broken, gluing = isolating(sub, x, "X")
+                    agree = coding._agreement(broken, gluing, sub)
+                    same = lambda y: gluing(broken.color_of(y)) == sub.color_of(y)
+                    cells = assert_overlay_matches(pmap, agree, same)
+                    assert [(lo, hi) for lo, hi, (_, ok) in cells if not ok] == [
+                        (key(x, AT), key(x, AT))]
+                    kinds["false singleton"] += 1
+    assert min(kinds.values()) >= 10, kinds
 
 
 def test_starts_below_the_normal_float_range():
@@ -484,7 +541,7 @@ def lattice_cycle(pmap, x0, limit):
     """How many values the walk's stream hands out before it closes a cycle
     (at most limit), and the period it reports."""
     walk = coding._LatticeOrbit(pmap, x0)
-    values = islice(walk.stream(lambda point: point), limit)
+    values = islice(walk.stream(), limit)
     return sum(1 for _ in takewhile(lambda _: walk.period is None, values)), walk.period
 
 
@@ -622,14 +679,13 @@ def isolating(sub, x, letter):
 
 
 @pytest.fixture
-def map_lookups(monkeypatch):
-    """The points LatticeTable.index locates in a map's table."""
+def lookups(monkeypatch):
+    """The points LatticeTable.index locates, in any table."""
     points = []
     real = LatticeTable.index
 
     def counting(self, point):
-        if isinstance(self.values[0], AffinePiece):
-            points.append(point)
+        points.append(point)
         return real(self, point)
 
     monkeypatch.setattr(LatticeTable, "index", counting)
@@ -642,8 +698,8 @@ def stream_values(monkeypatch):
     values = []
     real = coding._LatticeOrbit.stream
 
-    def counting(self, read):
-        for value in real(self, read):
+    def counting(self):
+        for value in real(self):
             values.append(value)
             yield value
 
@@ -672,28 +728,29 @@ def test_roundtrip_mismatch_at_the_last_new_point(monkeypatch):
             assert roundtrip_check(pmap, sub, x0, n) == expected, (x0, n)
 
 
-def test_roundtrip_walks_only_to_locate_a_mismatch(monkeypatch, map_lookups, stream_values):
-    # the rotation by 1/3 visits 0, 1/3, 2/3 from 0.  Broken at 2/3, the
-    # check walks to it, 2 lookups and 3 values, however long the word.
-    # Broken at 1/2, which the orbit never visits, it walks until the cycle
-    # closes, brent_closing(0, 3) = 6 lookups and 7 values, and stops
-    # there: every distinct point has been read
+def test_roundtrip_walks_only_to_locate_a_mismatch(monkeypatch, lookups, stream_values):
+    # the rotation by 1/3 visits 0, 1/3, 2/3 from 0, and the walk looks up
+    # each value it reads once.  Broken at 2/3, the check walks to it, 3
+    # lookups and 3 values, however long the word.  Broken at 1/2, which
+    # the orbit never visits, it walks until the cycle closes at index
+    # brent_closing(0, 3) = 6, 7 lookups and 7 values, and stops there:
+    # every distinct point has been read
     third = lambda k: ExactScalar.from_rational(Fraction(k, 3), 0)
     R, x0 = rotation(third(1)), third(0)
     sub = cut_subdivision([third(0), third(2), third(3)], False)
     half = ExactScalar.from_rational(Fraction(1, 2), 0)
-    cases = [(third(2), (3, 4, 10, 10**4), RoundtripResult(False, 2), (2, 3)),
-             (half, (10**4, 10**6), OK, (brent_closing(0, 3), 7))]
+    cases = [(third(2), (3, 4, 10, 10**4), RoundtripResult(False, 2), (3, 3)),
+             (half, (10**4, 10**6), OK, (brent_closing(0, 3) + 1, 7))]
     for x, lengths, verdict, cost in cases:
         breaking(monkeypatch, isolating(sub, x, "X"))
         for n in lengths:
-            map_lookups.clear()
+            lookups.clear()
             stream_values.clear()
             # the orbit has period 3: the exact walk's verdict is the same
             # at 10**4 points as at 10**6
             assert roundtrip_check(R, sub, x0, n) == verdict
             assert exact_roundtrip(R, sub, x0, min(n, 10**4)) == verdict
-            assert (len(map_lookups), len(stream_values)) == cost, (x, n)
+            assert (len(lookups), len(stream_values)) == cost, (x, n)
 
 
 def test_roundtrip_mismatch_on_orbits_that_never_close(monkeypatch):
@@ -738,7 +795,7 @@ def test_walk_past_a_repeat_goes_on_like_the_exact_walk():
     for pmap, sub, x0, (mu, lam) in flip_instances():
         n = brent_closing(mu, lam) + 3 * lam + 1
         walk = coding._LatticeOrbit(pmap, x0)
-        points = [walk.map.scalar(A, B) for A, B, _, _ in islice(walk.points(), n)]
+        points = [walk.table.scalar(A, B) for A, B, _ in islice(walk.reads(), n)]
         assert points == list(exact_orbit(pmap, x0, n))
         assert lattice_cycle(pmap, x0, n)[1] == lam
 
