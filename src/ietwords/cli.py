@@ -33,17 +33,6 @@ from .jsonio import (
 from .selftest import run_selftest
 from .subdivision import GoodnessCertificate, is_good, refine_to_good
 
-COMMANDS = (
-    "generate",
-    "check-good",
-    "refine",
-    "roundtrip",
-    "analyze",
-    "to-iet",
-    "selftest",
-)
-
-
 @cache
 def _parser():
     """The argument parser, built once per process: parse_args leaves it
@@ -179,6 +168,7 @@ _DISPATCH = {
     "analyze": _cmd_analyze,
     "to-iet": _cmd_to_iet,
 }
+COMMANDS = (*_DISPATCH, "selftest")
 
 
 def main(argv=None):

@@ -10,25 +10,27 @@ then stay in [0, 1) and its domains tile [0, 1), and a broken map raises
 CorruptMap before any point is walked.  Every orbit is walked on the
 integer lattice (1/den)(Z + Z sqrt d), with den taken from x0 and the
 intercepts alone: a step is two integer updates.  The walk compiles one
-intervalsets.LatticeTable, the overlay of the map's domains and the cells
-it reads, valued (piece, value): one lookup per point gives the move and
-the value, and the float filter sends every close case to exact integer
-signs.  iter_orbit and orbit hand the points out as ExactScalar values;
-iter_code, code and roundtrip_check read values off the same walk.
-glue_word sends a word's letters through a gluing.
+intervalsets.LatticeTable for the overlay of the map's domains and the
+cells it reads, and one entry ((s, C, D), value) per overlay cell: the
+move of its piece and its value.  One lookup per point gives the entry,
+and the float filter sends every close case to exact integer signs.
+iter_code, code and roundtrip_check read the value off each entry;
+iter_orbit and orbit step their own integers through the moves and hand
+the points out as ExactScalar values.  glue_word sends a word's letters
+through a gluing.
 
-Every walk reads one stream, which stops walking at the first return to
-an earlier lattice point: Brent's cycle rule finds it in constant memory,
-and exactly, since two lattice points are equal exactly when their
-integer pairs are.  It then walks one more period and repeats it, so an
-eventually periodic orbit costs O(preperiod + period) steps however long
-the word.
+Every walk reads one stream of shared entries, which stops walking at the
+first return to an earlier lattice point: Brent's cycle rule finds it in
+constant memory, and exactly, since two lattice points are equal exactly
+when their integer pairs are.  It then walks one more period and repeats
+its entries, one reference per period point, so an eventually periodic
+orbit costs O(preperiod + period) steps however long the word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, cycle, islice
+from itertools import islice
 from math import lcm
 
 from .exactnum import ExactScalar, FieldMismatch
@@ -81,6 +83,8 @@ class SymbolicWord:
         """Whitespace-separated tokens, optionally wrapped every `wrap` tokens."""
         if wrap is None:
             return " ".join(self._letters)
+        if wrap < 1:
+            raise ValueError("need wrap >= 1")
         lines = [
             " ".join(self._letters[i : i + wrap])
             for i in range(0, len(self._letters), wrap)
@@ -126,13 +130,17 @@ def iter_orbit(pmap, x0, n=None):
     """Stream the forward orbit of x0 as ExactScalars; infinite when n is None.
 
     Each point is looked up only when it is asked for, so n points cost at
-    most n lookups.  Memory is constant until the orbit repeats, then one
-    period.  Raises CorruptMap, before any point, when pmap fails
-    validation, and PointOutsideDomain when x0 lies outside [0, 1).
+    most n lookups.  Each point's integers are stepped here by the move of
+    the entry the walk hands out, so memory is constant until the orbit
+    repeats, then one shared entry reference per period point.  Raises
+    CorruptMap, before any point, when pmap fails validation, and
+    PointOutsideDomain when x0 lies outside [0, 1).
     """
     walk = _LatticeOrbit(pmap, x0)
-    scalar = walk.table.scalar
-    yield from (scalar(A, B) for A, B, _ in islice(walk.stream(), n))
+    (A, B), den, d = walk.start, walk.den, pmap.d
+    for (s, C, D), _ in islice(walk.stream(), n):
+        yield ExactScalar(A, B, den, d)
+        A, B = s * A + C, s * B + D
 
 
 def orbit(pmap, x0, n):
@@ -145,14 +153,15 @@ def orbit(pmap, x0, n):
 class _LatticeOrbit:
     """The orbit of x0 on the lattice (1/den)(Z + Z sqrt d), looked up in
     one table compiled for it: the common refinement of the map's domains
-    and table's cells, each cell valued (piece, value).
+    and table's cells.  cells holds one entry ((s, C, D), value) per cell
+    of that refinement: the move of the cell's piece and the cell's value.
 
     den is the lcm of the denominators of x0 and every intercept, whatever
     the table: cell endpoints need not lie on the lattice.  Every slope is
     +1 or -1, so each orbit point is (A + B sqrt d) / den with integers
-    A, B, and a step through a piece with intercept (C + D sqrt d) / den
-    is A, B = s*A + C, s*B + D.  The table must tile [0, 1), as
-    subdivision and agreement tables do.
+    A, B, starting at start, and a step through a piece with intercept
+    (C + D sqrt d) / den is A, B = s*A + C, s*B + D.  The table must tile
+    [0, 1), as subdivision and agreement tables do.
     """
 
     def __init__(self, pmap, x0, table=None):
@@ -163,58 +172,59 @@ class _LatticeOrbit:
         pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
         x0 = x0 + ExactScalar.zero(pmap.d)     # lifts int and Fraction starts
         den = lcm(x0.denominator, *(p.intercept.denominator for p in pmap.pieces))
-        self.table = LatticeTable(CellTable(pmap.table.overlay(table), pmap.d), den)
-        self._cells = [((p.slope, *p.intercept.on_lattice(den)), value)
-                       for p, value in self.table.values]
-        self.x0, self._start = x0, x0.on_lattice(den)
+        overlay = CellTable(pmap.table.overlay(table), pmap.d)
+        self.table = LatticeTable(overlay, den)
+        self.cells = [((p.slope, *p.intercept.on_lattice(den)), value)
+                      for _, _, (p, value) in overlay.cells]
+        self.x0, self.den, self.start = x0, den, x0.on_lattice(den)
         self.period = None
 
-    def reads(self):
-        """(A, B, value) for each orbit point from the start on, endlessly,
-        from one lookup, made when the point is asked for."""
-        index, point, cells = self.table.index, self.table.point, self._cells
-        A, B = self._start
-        while True:
-            (s, C, D), value = cells[index(point(A, B))]
-            yield A, B, value
-            A, B = s * A + C, s * B + D
-
     def stream(self):
-        """reads() until the orbit repeats, then its last period, endlessly.
+        """The shared entry of cells for each orbit point, endlessly: one
+        lookup per point, made when the point is asked for, until the orbit
+        repeats and one period after; then that period's entries, repeated.
 
         Brent's rule keeps one earlier point as a mark, moved to the newest
         point at steps 0, 1, 3, 7, 15, ..., and compares each new point with
         it.  Lattice points are equal exactly when their integer pairs are,
         so the first equality closes a cycle, and the steps since the mark
         are the least period, kept as period.  Nothing is kept until then;
-        from there one more period is read, kept and repeated.
+        from there one more period is walked, and a reference to each of its
+        entries is kept and repeated.
         """
-        reads = self.reads()
+        index, cells = self.table.index, self.cells
+        A, B = self.start
         mark_A = mark_B = None
-        mark = move = 0
-        for k, read in enumerate(reads):
-            A, B, _ = read
-            if A == mark_A and B == mark_B:
-                self.period = k - mark
-                break
+        k = mark = move = 0
+        while A != mark_A or B != mark_B:
             if k == move:
                 mark_A, mark_B, mark, move = A, B, k, 2 * k + 1
-            yield read
+            entry = cells[index(A, B)]
+            yield entry
+            (s, C, D), _ = entry
+            A, B = s * A + C, s * B + D
+            k += 1
+        self.period = k - mark
         period = []
-        for read in islice(chain((read,), reads), self.period):
-            period.append(read)
-            yield read
-        yield from cycle(period)
+        for _ in range(self.period):
+            entry = cells[index(A, B)]
+            period.append(entry)
+            yield entry
+            (s, C, D), _ = entry
+            A, B = s * A + C, s * B + D
+        while True:
+            yield from period           # cycle(period) would keep a second copy
 
 
 def iter_code(pmap, sub, x0, n=None):
     """Stream the coding letters of x0's orbit; infinite when n is None.
 
     The letters are those of sub.color_of on iter_orbit(pmap, x0, n).
-    Memory is constant until the orbit repeats, then one period.
+    Memory is constant until the orbit repeats, then one shared entry
+    reference per period point.
     """
     walk = _LatticeOrbit(pmap, x0, sub.table)
-    yield from (letter for _, _, letter in islice(walk.stream(), n))
+    yield from (letter for _, letter in islice(walk.stream(), n))
 
 
 def code(pmap, sub, x0, n):
@@ -225,7 +235,7 @@ def code(pmap, sub, x0, n):
     if n < 1:
         raise ValueError("need n >= 1")
     walk = _LatticeOrbit(pmap, x0, sub.table)
-    word = (letter for _, _, letter in islice(walk.stream(), n))
+    word = (letter for _, letter in islice(walk.stream(), n))
     return SymbolicWord(word, WordOrigin(pmap.content_id(), sub.content_id(), walk.x0, n))
 
 
@@ -285,7 +295,7 @@ def roundtrip_check(pmap, sub, x0, n):
         pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
         return OK
     walk = _LatticeOrbit(pmap, x0, agree)
-    for k, (_, _, same) in enumerate(islice(walk.stream(), n)):
+    for k, (_, same) in enumerate(islice(walk.stream(), n)):
         if not same:
             return RoundtripResult(False, k)
         if walk.period is not None:

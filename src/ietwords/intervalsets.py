@@ -23,8 +23,9 @@ domains, map images and subdivision cells are each one table, and every
 single-point lookup, range lookup and tiling check on [0, 1) goes
 through it; overlay() meets two tilings into one.  A LatticeTable is a
 CellTable that tiles [0, 1), compiled for the integer lattice of one
-orbit walk, where floats only filter: each walk compiles one, the overlay
-of its map's domains and the cells it reads, and looks each point up once.
+orbit walk, where floats only filter: each walk compiles one, for the
+overlay of its map's domains and the cells it reads, and looks each
+point up once, by its two lattice integers.
 """
 
 from __future__ import annotations
@@ -357,11 +358,12 @@ class LatticeTable:
     (1/den)(Z + Z sqrt d) of one orbit walk, whatever den is.
 
     The cells must tile [0, 1), as the domains of a valid map and the
-    cells of a subdivision do.  A point x = (A + B sqrt d) / den in [0, 1)
-    is handed to index() in the form point(A, B) gives, and index() gives
-    the cell that holds x, as CellTable.index(x) does.  A cell start
-    (a + b sqrt d) / q is kept as (a den, b den, q, eps); a cell ends
-    where the next one starts, or at 1.
+    cells of a subdivision do.  index(A, B) takes the integers of a point
+    x = (A + B sqrt d) / den in [0, 1) and gives the cell that holds x, as
+    CellTable.index(x) does.  A cell start (a + b sqrt d) / q is kept as
+    (a den, b den, q, eps); a cell ends where the next one starts, or at 1.
+    The table keeps only what a lookup needs: the cells' values stay with
+    the CellTable it was compiled from.
 
     For d in {0, 1} every B is 0, each start becomes the least integer A
     with A/den at or after it, and a lookup is one bisect over those.
@@ -370,11 +372,10 @@ class LatticeTable:
     and every coefficient past float range, is decided by exact signs.
     """
 
-    __slots__ = ("values", "_d", "_den", "_root", "_starts", "_lo", "_filter")
+    __slots__ = ("_d", "_root", "_starts", "_lo", "_filter")
 
     def __init__(self, table, den):
-        self.values = [value for _, _, value in table.cells]
-        self._d, self._den = table.d, den
+        self._d = table.d
         self._root = sqrt(table.d) if table.d < 2**53 else nan
         self._starts = [(*x.on_lattice(den * x.denominator), x.denominator, eps)
                         for (_, x, eps), _, _ in table.cells]
@@ -395,27 +396,19 @@ class LatticeTable:
             return nan, nan
         return af + bf, _FILTER * (abs(af) + abs(bf))
 
-    def point(self, A, B):
-        """(A, B, xf, e): the point with its float value and error bound."""
+    def index(self, A, B):
+        """Index of the cell holding (A + B sqrt d) / den, which must lie in
+        [0, 1)."""
         if self._d <= 1:
-            return A, B, 0.0, 0.0
+            return bisect_right(self._lo, A) - 1
         try:
             af, bf = float(A), B * self._root
         except OverflowError:
-            return A, B, nan, nan
-        return A, B, af + bf, _FILTER * (abs(af) + abs(bf))
-
-    def scalar(self, A, B):
-        """The point (A + B sqrt d) / den as an ExactScalar."""
-        return ExactScalar(A, B, self._den, self._d)
-
-    def index(self, point):
-        """Index of the cell holding the point, which must lie in [0, 1)."""
-        A, B, xf, e = point
-        if self._d <= 1:
-            return bisect_right(self._lo, A) - 1
+            return self._exact(A, B)
+        xf = af + bf
         i = bisect_right(self._lo, xf) - 1
         if i >= 0:
+            e = _FILTER * (abs(af) + abs(bf))
             lo_f, lo_e, hi_f, hi_e = self._filter[i]
             if xf - lo_f > e + lo_e and hi_f - xf > e + hi_e:
                 return i

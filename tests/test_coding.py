@@ -86,9 +86,9 @@ def test_n_points_cost_n_minus_one_applies(monkeypatch, golden):
         applies.append(x)
         return real_apply(self, x)
 
-    def counting_index(self, point):
-        lookups.append(point)
-        return real_index(self, point)
+    def counting_index(self, A, B):
+        lookups.append((A, B))
+        return real_index(self, A, B)
 
     def counting_init(self, table, den):
         compiled.append(table)
@@ -251,6 +251,11 @@ def test_text_wrapping():
     w = SymbolicWord([str(i) for i in range(7)])
     assert w.text() == "0 1 2 3 4 5 6"
     assert w.text(wrap=3) == "0 1 2\n3 4 5\n6"
+    assert w.text(wrap=1) == "\n".join(w.letters)
+    # a wrap below 1 would drop every letter (w < 0) or leak range()'s error
+    for wrap in (0, -1, -7):
+        with pytest.raises(ValueError, match=r"need wrap >= 1"):
+            w.text(wrap=wrap)
 
 
 def test_projected_marks_origin(golden):

@@ -13,6 +13,7 @@ before, at and after the point where it closes.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import islice, takewhile
@@ -281,12 +282,12 @@ def assert_lookups_match(table):
     den = lcm(*(x.denominator for x in probes))
     lattice = LatticeTable(table, den)
     for x in probes:
-        assert lattice.index(lattice.point(*x.on_lattice(den))) == table.index(x), (d, x)
+        assert lattice.index(*x.on_lattice(den)) == table.index(x), (d, x)
     for den in OFF_LATTICE_DENS:
         lattice = LatticeTable(table, den)
         for A, B in lattice_probes(table, den):
-            x = lattice.scalar(A, B)
-            assert lattice.index(lattice.point(A, B)) == table.index(x), (d, den, x)
+            x = ExactScalar(A, B, den, d)
+            assert lattice.index(A, B) == table.index(x), (d, den, x)
 
 
 def test_lookups_near_cuts_match_cell_table():
@@ -368,7 +369,7 @@ def test_walk_den_is_the_orbits_own():
             sub = big_denominator_subdivision(rng, d, points)
             den = lcm(x0.denominator, *(p.intercept.denominator for p in pmap.pieces))
             walk = coding._LatticeOrbit(pmap, x0, sub.table)
-            assert walk.table._den == den
+            assert walk.den == den
             assert den < 10**299
 
 
@@ -386,15 +387,17 @@ def assert_overlay_matches(pmap, table, value_at):
     """The one table a walk compiles against the two lookups it replaces.
 
     The overlay of the map's domains and the table's cells tiles [0, 1)
-    in at most pieces + cells - 1 cells, the walk's LatticeTable holds its
-    values cell for cell and locates lattice points as it does, and at
-    every probe the cell holding x is valued (pmap.piece_at(x),
-    value_at(x)).  Returns the overlay's cells."""
+    in at most pieces + cells - 1 cells, the walk holds one entry per cell,
+    the move of the cell's piece and its value, its LatticeTable locates
+    lattice points as the overlay does, and at every probe the cell holding
+    x is valued (pmap.piece_at(x), value_at(x)).  Returns the overlay's
+    cells."""
     overlay = CellTable(pmap.table.overlay(table), pmap.d)
     assert list(overlay.faults()) == []
     assert len(overlay.cells) <= len(pmap.table.cells) + len(table.cells) - 1
     walk = coding._LatticeOrbit(pmap, ExactScalar.zero(pmap.d), table)
-    assert walk.table.values == [value for _, _, value in overlay.cells]
+    assert walk.cells == [((piece.slope, *piece.intercept.on_lattice(walk.den)), value)
+                          for _, _, (piece, value) in overlay.cells]
     assert_lookups_match(overlay)
     for x in overlay_probes(pmap, table):
         assert overlay.cells[overlay.index(x)][2] == (pmap.piece_at(x), value_at(x)), x
@@ -684,9 +687,9 @@ def lookups(monkeypatch):
     points = []
     real = LatticeTable.index
 
-    def counting(self, point):
-        points.append(point)
-        return real(self, point)
+    def counting(self, A, B):
+        points.append((A, B))
+        return real(self, A, B)
 
     monkeypatch.setattr(LatticeTable, "index", counting)
     return points
@@ -792,11 +795,11 @@ def test_agreement_is_one_true_cell_unless_a_point_is_broken():
 
 
 def test_walk_past_a_repeat_goes_on_like_the_exact_walk():
+    # past the closing index iter_orbit re-steps its integers through the
+    # kept period's entries, three periods and one more point
     for pmap, sub, x0, (mu, lam) in flip_instances():
         n = brent_closing(mu, lam) + 3 * lam + 1
-        walk = coding._LatticeOrbit(pmap, x0)
-        points = [walk.table.scalar(A, B) for A, B, _ in islice(walk.reads(), n)]
-        assert points == list(exact_orbit(pmap, x0, n))
+        assert list(iter_orbit(pmap, x0, n)) == list(exact_orbit(pmap, x0, n))
         assert lattice_cycle(pmap, x0, n)[1] == lam
 
 
@@ -809,6 +812,31 @@ def test_rotation_with_a_longer_period_never_closes():
     assert lattice_cycle(R, x0, 10**4) == (10**4, None)
     assert_prefixes_agree(R, sub, x0, (10**4,))
     assert lattice_cycle(R, x0, 10**5) == (brent_closing(0, 10007), 10007)
+
+
+def test_a_kept_period_holds_one_shared_entry_per_point():
+    # the rotation by 3/10007 closes after about 2 * 10007 points and then
+    # repeats its period of 10007.  Each kept point is a reference to one
+    # of the walk's own cell entries, about 8 bytes, so streaming 10**5
+    # letters or points peaks far below a per-point tuple (about 100 bytes
+    # each, over 1 MB for the period)
+    R = rotation(ExactScalar.from_rational(Fraction(3, 10007), 0))
+    sub = cut_subdivision([ExactScalar.from_rational(Fraction(k, 3), 0) for k in range(4)],
+                          False)
+    x0 = ExactScalar.from_rational(Fraction(1, 5), 0)
+    walk = coding._LatticeOrbit(R, x0, sub.table)
+    entries = list(islice(walk.stream(), 5 * 10007))     # past the first repeat
+    assert walk.period == 10007
+    assert all(any(entry is cell for cell in walk.cells) for entry in entries)
+    assert [value for _, value in entries] == list(iter_code(R, sub, x0, 5 * 10007))
+    for run in (lambda: iter_code(R, sub, x0, 10**5), lambda: iter_orbit(R, x0, 10**5)):
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in run()) == 10**5
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 1024, peak
 
 
 def test_invalid_maps_close_cycles_like_the_exact_walk():
