@@ -136,6 +136,8 @@ def recurrence_window(word, n):
 def recurrence_profile(word, n_max):
     """recurrence_window for every n up to n_max that the prefix supports."""
     letters = _letters_of(word)
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
     top = min(n_max, len(letters) // 4)
     windows = _windows(letters, top) if top >= 1 else []
     return RecurrenceProfile(tuple(enumerate(windows, 1)), len(letters))

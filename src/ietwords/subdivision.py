@@ -14,13 +14,14 @@ types and fields, then walks the cells across [0, 1) and rejects the first
 gap, overlap or cell outside it; refine_to_good stores the cells it cuts
 from a checked subdivision unwalked, and their names and its GluingMap
 unchecked.  content_id is one pass over the cells, left to right, each
-cell's text gathered under its letter.  Condition 1 counts each class's cells.
+cell's text gathered under its letter.  Condition 1 needs the cells by
+letter only when there are more cells than letters.
 
-Condition 2 and refine_to_good share one sweep (_sweep): it walks the
-cells left to right and bisects the map's sorted discontinuities for the
-cuts strictly inside each cell.  refine_to_good cuts the cell there.  For
-condition 2 a cell with a cut is clipped to each piece it meets
-(PiecewiseMap._parts), and each part takes its piece's stored image,
+Condition 2 and refine_to_good pay per discontinuity (_cuts_inside): each
+is bisected into the cell starts once, O(discontinuities * log cells), and
+refine_to_good copies the cells once, cutting a cell at the cuts strictly
+inside it.  For condition 2 a cell with a cut is clipped to each piece it
+meets (PiecewiseMap._parts), and each part takes its piece's stored image,
 mapped again only at the cell's ends; each part's image is looked up in
 the cells once, and once more from just above each cut for the part that
 cut starts, so a cell with m cuts and n parts costs m + n image lookups.
@@ -212,16 +213,20 @@ class GoodnessCertificate:
         return f"good for {self.map_id} (subdivision {self.subdivision_id})"
 
 
-def _sweep(sub, pmap):
-    """Walk the subdivision's cells across [0, 1), left to right.
-
-    Yields (cell, cuts) for each cell (lo_key, hi_key, letter): the keys
-    of the map's discontinuities strictly inside the cell, found by
-    bisecting the sorted discontinuities.
+def _cuts_inside(sub, pmap):
+    """Cell index, in position order -> the keys of the map's
+    discontinuities strictly inside that cell, sorted; cells with none are
+    left out.  A cut lies in the last cell starting below it, and inside
+    it unless it is that cell's closed end.
     """
-    cuts = [key(p, AT) for p in pmap.discontinuities()]   # sorted, as the pieces are
-    for cell in sub.table.cells:
-        yield cell, cuts[bisect_right(cuts, cell[0]):bisect_left(cuts, cell[1])]
+    cells, starts = sub.table.cells, sub.table._starts
+    inside = {}
+    for p in pmap.discontinuities():       # sorted, as the pieces are
+        cut = key(p, AT)
+        i = bisect_left(starts, cut) - 1
+        if cut < cells[i][1]:
+            inside.setdefault(i, []).append(cut)
+    return inside
 
 
 def _image_hits(sub, piece, image):
@@ -298,36 +303,24 @@ def is_good(sub, pmap):
         raise FieldMismatch("subdivision and map use different field contexts")
     pmap.require_valid()
     violations = []
-
-    for letter, cells in sub._cells_by_letter().items():
-        if len(cells) > 1:
-            violations.append(
-                GoodnessViolation(
-                    "not-convex",
-                    letter,
-                    witness=tuple(_sample(*cell[:2]) for cell in cells[:2]),
-                )
-            )
+    # every class owns a cell, so equal counts make each class one interval
+    if len(sub.table.cells) > len(sub.alphabet):
+        for letter, cells in sub._cells_by_letter().items():
+            if len(cells) > 1:
+                witness = tuple(_sample(*cell[:2]) for cell in cells[:2])
+                violations.append(GoodnessViolation("not-convex", letter, witness=witness))
 
     rank = {letter: r for r, letter in enumerate(sub.alphabet)}
     shared = []                            # in position order
-    for (lo_key, hi_key, letter), cuts in _sweep(sub, pmap):
-        if not cuts:
-            continue
+    for i, cuts in _cuts_inside(sub, pmap).items():
+        lo_key, hi_key, letter = sub.table.cells[i]
         parts = list(pmap._parts(lo_key, hi_key))
         for p, color, *sides in _shared_colors(sub, rank, cuts, parts):
             a, b = (_pull_back(piece, _sample(lo, hi)) for piece, lo, hi in sides)
-            shared.append(
-                GoodnessViolation(
-                    "shared-image-color", letter, point=p,
-                    color=color, witness=(a, b),
-                )
-            )
+            shared.append(GoodnessViolation("shared-image-color", letter, point=p,
+                                            color=color, witness=(a, b)))
     violations.extend(sorted(shared, key=lambda v: rank[v.letter]))
-
-    if violations:
-        return violations
-    return GoodnessCertificate(sub.content_id(), pmap.content_id())
+    return violations or GoodnessCertificate(sub.content_id(), pmap.content_id())
 
 
 class GluingMap:
@@ -387,19 +380,23 @@ def refine_to_good(sub, pmap):
         raise FieldMismatch("subdivision and map use different field contexts")
     pmap.require_valid()
 
-    # each cut point joins its right piece; pieces in position order
-    pieces, counts = [], dict.fromkeys(sub.alphabet, 0)
-    for (lo_key, hi_key, letter), cuts in _sweep(sub, pmap):
-        for lo, hi in zip([lo_key, *cuts], [*map(_pred, cuts), hi_key]):
-            pieces.append((lo, hi, letter, counts[letter]))
-            counts[letter] += 1
-
-    # plain concatenation can collide ("B" cut in 11 and "B1" both mint "B10"); an
+    # each cut joins the piece to its right; names are minted left to right
+    # into per-letter lists, so the mapping reads in alphabet order, then index.
+    # Plain concatenation can collide ("B" cut in 11 and "B1" both mint "B10"); an
     # underscore keeps names unambiguous while staying deterministic
+    inside = _cuts_inside(sub, pmap)
     for sep in ("", "_"):
-        names = {letter: [f"{letter}{sep}{i}" for i in range(n)] for letter, n in counts.items()}
-        mapping = {name: letter for letter, ns in names.items() for name in ns}
-        if len(mapping) == len(pieces):
+        cells, names = [], {letter: [] for letter in sub.alphabet}
+        for i, (lo, hi, letter) in enumerate(sub.table.cells):
+            own = names[letter]
+            for cut in inside.get(i, ()):
+                own.append(f"{letter}{sep}{len(own)}")
+                cells.append((lo, _pred(cut), own[-1]))
+                lo = cut
+            own.append(f"{letter}{sep}{len(own)}")
+            cells.append((lo, hi, own[-1]))
+        mapping = {name: letter for letter, own in names.items() for name in own}
+        if len(mapping) == len(cells):
             break
 
     # sub's cells tile [0, 1) in one field (its constructor checked them),
@@ -408,7 +405,7 @@ def refine_to_good(sub, pmap):
     # each name, a checked letter with a suffix, is a token; none is checked again
     refined = object.__new__(Subdivision)
     refined._alphabet = tuple(sorted(mapping))
-    refined.table = CellTable([(lo, hi, names[l][i]) for lo, hi, l, i in pieces], sub.d)
+    refined.table = CellTable(cells, sub.d)
     gluing = object.__new__(GluingMap)
     gluing._mapping = mapping
     return refined, gluing

@@ -149,6 +149,18 @@ def eventual_period_scan(letters, min_tail_periods=3):
     return None
 
 
+def cuts_inside_cells(cells, cuts):
+    """Cell index -> the cut keys strictly between that cell's start and end
+    keys, in order; cells holding none are left out.  Every cut is compared
+    with every cell, on the (lo_key, hi_key, value) keys as they are."""
+    inside = {}
+    for i, (lo, hi, _) in enumerate(cells):
+        mine = [cut for cut in cuts if lo < cut < hi]
+        if mine:
+            inside[i] = mine
+    return inside
+
+
 def rational_grid(denominator):
     """All points k/denominator in [0, 1), plus midpoints between them."""
     pts = [Fraction(k, 2 * denominator) for k in range(2 * denominator)]

@@ -178,6 +178,15 @@ def test_recurrence_window_matches_starts_oracle(word, data):
     assert got == (NOT_RECURRENT_AT_SCALE if expect is None else expect)
 
 
+def test_recurrence_profile_rejects_a_depth_below_one():
+    # the same error as complexity, also for words too short for any row
+    for word in (list("a"), list("ab" * 20)):
+        for n_max in (0, -1):
+            for profile in (complexity, recurrence_profile):
+                with pytest.raises(ValueError, match=r"need n_max >= 1"):
+                    profile(word, n_max)
+
+
 def test_recurrence_profile_of_short_words_is_empty():
     for word in (list("a"), list("ab"), list("abc")):
         prof = recurrence_profile(word, 10)

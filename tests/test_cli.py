@@ -175,6 +175,12 @@ def test_analyze_json(capsys, golden_spec):
     assert doc["period"] == "APERIODIC_AT_SCALE"
 
 
+def test_analyze_rejects_a_depth_below_one(capsys, golden_spec):
+    for flags in ((), ("--json",)):
+        rc, out, err = run(capsys, "analyze", golden_spec, "--nmax", "0", *flags)
+        assert (rc, out, err) == (1, "", "error: need n_max >= 1\n")
+
+
 def test_analyze_periodic_instance(capsys, tmp_path):
     doc = {
         "field_d": 0,

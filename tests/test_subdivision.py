@@ -33,13 +33,15 @@ from ietwords import (
     rotation,
 )
 from ietwords import intervalmap, subdivision
-from ietwords.instances import (golden_alpha, random_instance, random_point,
-                                random_rational_instance, random_translation_instance)
+from ietwords.instances import (golden_alpha, random_instance, random_piecewise_map,
+                                random_point, random_rational_instance,
+                                random_translation_instance)
 from ietwords.intervalsets import (ABOVE, AT, BELOW, CellTable, _from_keys, _pred, _succ,
                                    affine_image, key)
-from ietwords.subdivision import _sweep
+from ietwords.subdivision import _cuts_inside
 
 from conftest import q
+from oracles import cuts_inside_cells
 from test_differential import (_pull_back, cuts_inside_classes, several_cuts_per_component,
                                with_joins)
 from test_lattice import flip_instances
@@ -383,6 +385,54 @@ def test_letter_collision_falls_back_to_underscores():
     assert isinstance(is_good(refined, pmap), GoodnessCertificate)
 
 
+def test_gluing_lists_letters_in_alphabet_order_then_index():
+    # the reversal of 24 equal intervals cuts each quarter in six, and the
+    # quarters' letters interleave: A's pieces sit on both sides of C's
+    pmap = iet_to_map(IET((q(1, 24),) * 24, tuple(range(23, -1, -1))))
+    sub = Subdivision({
+        "B": [Component(q(0), True, q(1, 4), False)],
+        "A": [Component(q(1, 4), True, q(1, 2), False), Component(q(3, 4), True, q(1), False)],
+        "C": [Component(q(1, 2), True, q(3, 4), False)],
+    })
+    refined, gluing = refine_to_good(sub, pmap)
+    assert list(gluing.mapping) == ([f"A{i}" for i in range(12)] + [f"B{i}" for i in range(6)]
+                                    + [f"C{i}" for i in range(6)])
+    assert [letter for _, _, letter in refined.table.cells] == (
+        [f"B{i}" for i in range(6)] + [f"A{i}" for i in range(6)]
+        + [f"C{i}" for i in range(6)] + [f"A{i}" for i in range(6, 12)])
+    assert refined.alphabet == tuple(sorted(gluing.mapping))
+
+
+def test_not_convex_verdicts_follow_the_class_components():
+    # is_good groups cells by letter only when there are more cells than
+    # letters; the verdicts match each class's components either way
+    rng = random.Random(31)
+    subs = []
+    for pmap, sub in ([random_instance(rng, d)[:2] for d in (0, 5) for _ in range(30)]
+                      + [cells_on_cuts(rng) for _ in range(30)]
+                      + [large_partition(rng, d, 24) for d in (0, 5)]
+                      + [(pmap, sub) for pmap, sub, _, _ in flip_instances()]):
+        subs += [(pmap, sub, "given"), (pmap, refine_to_good(sub, pmap)[0], "refined")]
+    seen = dict.fromkeys(("one cell per letter", "split classes", "refined"), 0)
+    for pmap, sub, kind in subs:
+        verdict = is_good(sub, pmap)
+        got = [] if isinstance(verdict, GoodnessCertificate) else [
+            v for v in verdict if v.kind == "not-convex"]
+        expected = []
+        for letter in sub.alphabet:
+            components = sub.class_of(letter).components
+            if len(components) > 1:
+                expected.append(GoodnessViolation("not-convex", letter, witness=tuple(
+                    c.sample_point() for c in components[:2])))
+        assert got == expected
+        if kind == "refined":
+            seen["refined"] += 1
+            assert got == []
+        else:
+            seen["split classes" if expected else "one cell per letter"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
 def count_calls(monkeypatch, cls, name, calls):
     """Record cls.name in calls each time it runs, then run it."""
     method = getattr(cls, name)          # bound to cls for a classmethod
@@ -512,29 +562,47 @@ def test_equality_does_not_depend_on_the_component_class():
     assert a == b and hash(a) == hash(b) and a.content_id() == b.content_id()
 
 
-def brute_sweep(sub, pmap):
-    """_sweep by plain key comparisons: per cell, the cuts strictly inside
-    it and, when there is one, every piece clipped to it."""
-    cuts = [key(p, AT) for p in pmap.discontinuities()]
-    out = []
-    for lo, hi, letter in sub.table.cells:
-        inside = [c for c in cuts if lo < c < hi]
-        parts = [(max(lo, p_lo), min(hi, p_hi), piece)
-                 for p_lo, p_hi, piece in pmap.table.cells if max(lo, p_lo) <= min(hi, p_hi)]
-        out.append(((lo, hi, letter), inside, parts if inside else None))
-    return out
+def cells_on_cuts(rng):
+    """A map with up to seven discontinuities and cells built on them.
+
+    Each discontinuity, drawn at random, closes the cell on its left (so
+    the next one starts open), starts the next cell closed, is a one-point
+    cell, or stays inside a cell, often with the next one.  Neighbouring
+    cells take different letters, so no bound merges away.
+    """
+    d = rng.choice((0, 5))
+    pmap = random_piecewise_map(rng, d, max_pieces=8)
+    classes, letters = {}, [None]
+    lo, lo_in = ExactScalar.zero(d), True
+
+    def close(hi, hi_in):
+        letters.append(rng.choice([c for c in "ABC" if c != letters[-1]]))
+        classes.setdefault(letters[-1], []).append(Component(lo, lo_in, hi, hi_in))
+
+    for p in pmap.discontinuities():
+        kind = rng.choice(("closed end", "closed start", "one point", "inside", "inside"))
+        if kind == "closed end":
+            close(p, True)
+            lo, lo_in = p, False
+        elif kind == "closed start":
+            close(p, False)
+            lo, lo_in = p, True
+        elif kind == "one point":
+            close(p, False)
+            lo, lo_in = p, True
+            close(p, True)
+            lo, lo_in = p, False
+    close(ExactScalar.one(d), False)
+    return pmap, Subdivision(classes)
 
 
-def swept(sub, pmap):
-    """_sweep's cells and cuts, with the parts is_good clips a cell with a
-    cut into (pmap.table.meeting); None for a cell without cuts."""
-    return [(cell, cuts, list(pmap.table.meeting(*cell[:2])) if cuts else None)
-            for cell, cuts in _sweep(sub, pmap)]
-
-
-def test_sweep_matches_plain_key_comparisons():
+def test_cut_grouping_matches_plain_key_comparisons():
+    # _cuts_inside bisects each cut once; the oracle compares every cut with
+    # every cell.  A cell with a cut is clipped to the map's pieces by
+    # CellTable.meeting, checked here against plain clipping
     rng = random.Random(29)
     instances = [random_instance(rng, d)[:2] for d in (0, 5) for _ in range(40)]
+    instances += [cells_on_cuts(rng) for _ in range(60)]
     instances += [(pmap, sub) for pmap, sub, _, _ in flip_instances()]
     instances += [large_partition(rng, d, k) for d in (0, 5) for k in (20, 60)]
     # a singleton cell on the rotation's cut 2/3
@@ -542,16 +610,30 @@ def test_sweep_matches_plain_key_comparisons():
         "A": [Component(q(0), True, q(2, 3), False)],
         "P": [Component(q(2, 3), True, q(2, 3), True)],
         "B": [Component(q(2, 3), False, q(1), False)]})))
-    seen = dict.fromkeys(("closed end", "open end", "singleton", "cut inside"), 0)
+    seen = dict.fromkeys(("closed end", "open start", "closed start", "open end",
+                          "singleton", "several inside"), 0)
     for pmap, sub in instances:
-        assert swept(sub, pmap) == brute_sweep(sub, pmap)
-        ends = {k for lo, hi, _ in sub.table.cells for k in (lo, hi)}
-        for p in pmap.discontinuities():
-            seen["closed end"] += key(p, AT) in ends
-            seen["open end"] += key(p, ABOVE) in ends or key(p, BELOW) in ends
-        seen["singleton"] += any(lo[1] == hi[1] for lo, hi, _ in sub.table.cells)
-        seen["cut inside"] += any(cuts for _, cuts in _sweep(sub, pmap))
-    assert min(seen.values()) >= 5, seen
+        cells = sub.table.cells
+        cuts = [key(p, AT) for p in pmap.discontinuities()]
+        inside = _cuts_inside(sub, pmap)
+        assert inside == cuts_inside_cells(cells, cuts)
+        assert list(inside) == sorted(inside)              # position order
+        for i in inside:
+            lo, hi, _ = cells[i]
+            assert list(pmap.table.meeting(lo, hi)) == [
+                (max(lo, p_lo), min(hi, p_hi), piece) for p_lo, p_hi, piece in pmap.table.cells
+                if max(lo, p_lo) <= min(hi, p_hi)]
+        starts = {lo for lo, _, _ in cells}
+        ends = {hi for _, hi, _ in cells}
+        for cut in cuts:
+            p = cut[1]
+            seen["closed end"] += cut in ends
+            seen["open start"] += key(p, ABOVE) in starts
+            seen["closed start"] += cut in starts
+            seen["open end"] += key(p, BELOW) in ends
+            seen["singleton"] += cut in starts and cut in ends
+        seen["several inside"] += sum(len(c) > 1 for c in inside.values())
+    assert min(seen.values()) >= 10, seen
 
 
 # ------------------------------------------- stored piece images
@@ -610,9 +692,8 @@ def test_is_good_uses_the_image_of_each_part(monkeypatch):
         used.clear()
         is_good(sub, pmap)
         expected = []
-        for cell, cuts in _sweep(sub, pmap):
-            if not cuts:
-                continue
+        for i, cuts in _cuts_inside(sub, pmap).items():
+            cell = sub.table.cells[i]
             parts = list(pmap.table.meeting(*cell[:2]))
             expected += [(piece, affine_image(piece.slope, piece.intercept, lo, hi))
                          for lo, hi, piece in parts]
@@ -696,7 +777,7 @@ def test_is_good_computes_at_most_two_image_ends_per_cell_with_cuts(monkeypatch)
         images.clear()
         is_good(sub, fresh)
         assert len(images) == len(fresh)          # each piece's image, once
-        assert len(ends) <= 2 * sum(bool(cuts) for _, cuts in _sweep(sub, fresh))
+        assert len(ends) <= 2 * len(_cuts_inside(sub, fresh))
         total += len(ends)
         images.clear()
         is_good(sub, fresh)
