@@ -391,31 +391,33 @@ def mod1(x):
 # scalar := rat | rat ("+"|"-") rat "*sqrt(" uint ")"
 # rat    := ["-"] uint [ "/" uint ]
 # uint   := [0-9]+, ASCII only: \d also matches "٣", which int() reads
-_DIGITS = re.compile(r"[0-9]*")
+#
+# _SCALAR reads the grammar with every digit run, "*sqrt(" and ")" left
+# optional, so it matches every text, as far as the grammar can go; its
+# groups then hold a valid text's pieces, or show where the first error
+# is: 1 and 5 are the signs, 2, 3, 6 and 7 the numerators and the
+# denominators (None when a "/" is absent), 4 the operator, 8 "*sqrt(",
+# 9 the radicand and 10 the ")".  An empty digit run is a missing digit.
+_SCALAR = re.compile(r"(-?)([0-9]*)(?:/([0-9]*))?"
+                     r"(?:([+-])(-?)([0-9]*)(?:/([0-9]*))?(?:(\*sqrt\()([0-9]*)(\)?))?)?")
 
 
-def _parse_uint(text, pos):
-    start = pos
-    pos = _DIGITS.match(text, pos).end()
-    if pos == start:
-        raise ParseError("expected a digit", start)
-    if pos - start > MAX_DIGITS:
-        raise ParseError(f"more than {MAX_DIGITS} digits", start)
-    return int(text[start:pos]), pos
+def _bad_run(m, g):
+    """Raise the ParseError for group g's digit run, which is empty or has
+    more than MAX_DIGITS digits."""
+    message = f"more than {MAX_DIGITS} digits" if m[g] else "expected a digit"
+    raise ParseError(message, m.start(g))
 
 
-def _parse_rat(text, pos):
-    sign = 1
-    if pos < len(text) and text[pos] == "-":
-        sign = -1
-        pos += 1
-    num, pos = _parse_uint(text, pos)
-    den = 1
-    if pos < len(text) and text[pos] == "/":
-        den, pos = _parse_uint(text, pos + 1)
-        if den == 0:
-            raise ZeroDenominator(f"zero denominator at position {pos}")
-    return sign * num, den, pos
+def _den(m, g):
+    """Group g's denominator, which is present."""
+    run = m[g]
+    if not 0 < len(run) <= MAX_DIGITS:
+        _bad_run(m, g)
+    den = int(run)
+    if den == 0:
+        raise ZeroDenominator(f"zero denominator at position {m.end(g)}")
+    return den
 
 
 def parse_scalar(text, d=None):
@@ -424,37 +426,51 @@ def parse_scalar(text, d=None):
     With `d` given, a bare rational is lifted into that field context and a
     radical with a different radicand raises FieldMismatch.  A radicand
     above MAX_RADICAND or a run of more than MAX_DIGITS digits raises
-    ParseError.
+    ParseError.  The first error from the left is raised: a ParseError or
+    a ZeroDenominator where the text breaks the grammar, then
+    NonSquarefreeRadicand, then FieldMismatch.
     """
     s = text.strip()
-    a_num, a_den, pos = _parse_rat(s, 0)
-    b_num, b_den, radicand = 0, 1, 0
-    if pos < len(s) and s[pos] in "+-":
-        op = s[pos]
-        b_num, b_den, pos = _parse_rat(s, pos + 1)
-        if op == "-":
-            b_num = -b_num
-        if not s.startswith("*sqrt(", pos):
-            raise ParseError("expected '*sqrt('", pos)
-        pos += len("*sqrt(")
-        start = pos
-        radicand, pos = _parse_uint(s, pos)
+    m = _SCALAR.match(s)
+    minus, a, q, op, b_minus, b, q_b, root, radicand, close = m.groups()
+    if not 0 < len(a) <= MAX_DIGITS:
+        _bad_run(m, 2)
+    a, q = -int(a) if minus else int(a), 1 if q is None else _den(m, 3)
+    if op:
+        if not 0 < len(b) <= MAX_DIGITS:
+            _bad_run(m, 6)
+        b = -int(b) if (op == "-") != (b_minus == "-") else int(b)
+        q_b = 1 if q_b is None else _den(m, 7)
+        if root is None:
+            raise ParseError("expected '*sqrt('", m.end())
+        if not 0 < len(radicand) <= MAX_DIGITS:
+            _bad_run(m, 9)
+        radicand = int(radicand)
         if radicand > MAX_RADICAND:
-            raise ParseError(f"radicand exceeds {MAX_RADICAND}", start)
-        if not s.startswith(")", pos):
-            raise ParseError("expected ')'", pos)
-        pos += 1
-    if pos != len(s):
-        raise ParseError("trailing characters", pos)
-    value = make_scalar(a_num, a_den, b_num, b_den, radicand)
-    if d is not None:
-        if value.is_rational():
-            return value.as_field(d)
-        if value.d != d:
+            raise ParseError(f"radicand exceeds {MAX_RADICAND}", m.start(9))
+        if not close:
+            raise ParseError("expected ')'", m.start(10))
+    if m.end() != len(s):
+        raise ParseError("trailing characters", m.end())
+    if op:
+        if not is_squarefree(radicand):
+            raise NonSquarefreeRadicand(f"radicand {radicand} is not squarefree")
+        # over the common denominator, the radical folded away for 0 and 1
+        g = q * q_b // gcd(q, q_b)
+        a, b, q = a * (g // q), b * (g // q_b), g
+        if radicand <= 1:
+            a, b = a + radicand * b, 0
+    else:
+        b = radicand = 0
+    if d is not None and d != radicand:
+        if b:
             raise FieldMismatch(
-                f"scalar {text!r} lives in sqrt({value.d}), instance uses sqrt({d})"
+                f"scalar {text!r} lives in sqrt({radicand}), instance uses sqrt({d})"
             )
-    return value
+        if not is_squarefree(d):
+            raise NonSquarefreeRadicand(f"radicand {d} is not squarefree")
+        radicand = d
+    return _result(a, b, q, radicand)
 
 
 def _format_rat(num, den):

@@ -208,8 +208,9 @@ class PiecewiseMap:
         """Deterministic identity string derived from the pieces."""
         fields, hi, hi_text = [], None, None
         for p in self._pieces:
-            # a piece mostly starts where the one before it ends: format that once
-            lo_text = hi_text if p.domain.lo == hi else format_scalar(p.domain.lo)
+            # a piece mostly starts on the object the one before it ends on:
+            # format that once (an equal object gives the same text)
+            lo_text = hi_text if p.domain.lo is hi else format_scalar(p.domain.lo)
             hi, hi_text = p.domain.hi, format_scalar(p.domain.hi)
             fields.append(f"{lo_text},{hi_text},{p.slope},{format_scalar(p.intercept)}")
         text = ";".join(fields)

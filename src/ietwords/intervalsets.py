@@ -264,7 +264,7 @@ class CellTable:
     __slots__ = ("cells", "d", "_starts", "_start", "_end")
 
     def __init__(self, cells, d):
-        self.cells = sorted(cells, key=lambda cell: cell[0])
+        self.cells = sorted(cells, key=itemgetter(0))
         self.d = d
         self._starts = [cell[0] for cell in self.cells]
         self._start, self._end = _unit_keys(d)

@@ -5,13 +5,19 @@ a float would silently destroy exactness, so no serializer here ever emits
 one.  Schema problems raise SpecError with a JSON-pointer-style path;
 semantic problems (overlaps, invalid maps, out-of-range starting points)
 are left to the domain validators and keep their own exception types.
+
+parse_spec reads a document in one pass.  Each scalar text is parsed once
+per call, into one dict that the map's pieces or IET lengths, the
+subdivision and x0 share: equal texts give one object, and a bad text
+fails at the first path that holds it.  Each class component is read
+straight into its key range, checked there, and each class is built from
+its ranges.  The dict lives only as long as the call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 
 from .exactnum import (
@@ -24,7 +30,7 @@ from .exactnum import (
     format_scalar,
     parse_scalar,
 )
-from .intervalsets import BoundarySet, Component
+from .intervalsets import ABOVE, AT, BELOW, BoundarySet, Component, key
 from .intervalmap import (IET, AffinePiece, HalfOpenInterval, PiecewiseMap,
                           PointOutsideDomain, iet_to_map)
 from .subdivision import GluingMap, Subdivision
@@ -155,17 +161,6 @@ def _require(obj, key, path):
     return obj[key]
 
 
-def _read_scalar(text, d, path):
-    if not isinstance(text, str):
-        raise SpecError(path, f"scalars are grammar strings, got {type(text).__name__}")
-    try:
-        return parse_scalar(text, d=d)
-    except ParseError as e:
-        raise SpecError(path, f"bad scalar at position {e.position}: {e.message}") from e
-    except (ZeroDenominator, NonSquarefreeRadicand, FieldMismatch) as e:
-        raise SpecError(path, str(e)) from e
-
-
 def _read_int(value, path, minimum=None):
     if not isinstance(value, int) or isinstance(value, bool):
         raise SpecError(path, f"expected an integer, got {type(value).__name__}")
@@ -174,41 +169,57 @@ def _read_int(value, path, minimum=None):
     return value
 
 
-def _read_bool(value, path):
+def _read_bool(value, path, key):
     if not isinstance(value, bool):
-        raise SpecError(path, f"expected a boolean, got {type(value).__name__}")
+        raise SpecError(f"{path}/{key}", f"expected a boolean, got {type(value).__name__}")
     return value
 
 
-def _scalar(parsed, d, obj, key, path):
-    """obj[key] as a scalar; each text is parsed once per `parsed` dict, so
-    equal texts give one object, and a bad one fails where it first occurs."""
-    text = _require(obj, key, path)
-    if not (isinstance(text, str) and text in parsed):
-        parsed[text] = _read_scalar(text, d, f"{path}/{key}")
-    return parsed[text]
+def _reader(d, parsed):
+    """A reader of the scalar text found at f"{path}/{key}", in field d.
+    It parses each text once into `parsed`, so equal texts give one
+    object, and a bad one fails where it first occurs."""
+    def scalar(text, path, key):
+        if not isinstance(text, str):
+            raise SpecError(f"{path}/{key}",
+                            f"scalars are grammar strings, got {type(text).__name__}")
+        if text in parsed:
+            return parsed[text]
+        try:
+            x = parsed[text] = parse_scalar(text, d)
+        except ParseError as e:
+            raise SpecError(f"{path}/{key}",
+                            f"bad scalar at position {e.position}: {e.message}") from e
+        except (ZeroDenominator, NonSquarefreeRadicand, FieldMismatch) as e:
+            raise SpecError(f"{path}/{key}", str(e)) from e
+        return x
+
+    return scalar
 
 
-def map_from_json(obj, d, path="/map"):
+def map_from_json(obj, d, path="/map", parsed=None):
     """A PiecewiseMap from either the pieces form or the IET form.
 
     Returns (pmap, iet-or-None).  Structure errors raise SpecError; the
-    map is built but not validated here.
+    map is built but not validated here.  Scalar texts are parsed into
+    `parsed` (text -> scalar), a fresh dict by default.
     """
     if not isinstance(obj, dict):
         raise SpecError(path, f"expected an object, got {type(obj).__name__}")
+    scalar = _reader(d, {} if parsed is None else parsed)
     if "pieces" in obj:
         pieces_obj = obj["pieces"]
         if not isinstance(pieces_obj, list) or not pieces_obj:
             raise SpecError(f"{path}/pieces", "expected a nonempty array")
-        pieces, scalar = [], partial(_scalar, {}, d)
+        pieces = []
         for i, po in enumerate(pieces_obj):
             ppath = f"{path}/pieces/{i}"
-            lo, hi = scalar(po, "lo", ppath), scalar(po, "hi", ppath)
+            lo = scalar(_require(po, "lo", ppath), ppath, "lo")
+            hi = scalar(_require(po, "hi", ppath), ppath, "hi")
             slope = _require(po, "slope", ppath)
             if type(slope) is not int or slope not in (1, -1):
                 raise SpecError(f"{ppath}/slope", f"slope must be 1 or -1, got {slope!r}")
-            intercept = scalar(po, "intercept", ppath)
+            intercept = scalar(_require(po, "intercept", ppath), ppath, "intercept")
             try:
                 pieces.append(AffinePiece(HalfOpenInterval(lo, hi), slope, intercept))
             except ValueError as e:
@@ -218,9 +229,7 @@ def map_from_json(obj, d, path="/map"):
         lengths_obj = obj["lengths"]
         if not isinstance(lengths_obj, list) or not lengths_obj:
             raise SpecError(f"{path}/lengths", "expected a nonempty array")
-        lengths = [
-            _read_scalar(t, d, f"{path}/lengths/{i}") for i, t in enumerate(lengths_obj)
-        ]
+        lengths = [scalar(t, f"{path}/lengths", i) for i, t in enumerate(lengths_obj)]
         perm_obj = _require(obj, "permutation", path)
         if not isinstance(perm_obj, list):
             raise SpecError(f"{path}/permutation", "expected an array")
@@ -235,26 +244,35 @@ def map_from_json(obj, d, path="/map"):
     raise SpecError(path, "expected either a 'pieces' or a 'lengths' description")
 
 
-def subdivision_from_json(obj, d, path="/subdivision"):
+def subdivision_from_json(obj, d, path="/subdivision", parsed=None):
+    """A Subdivision from its classes; each component is read straight
+    into its key range.  Scalar texts are parsed into `parsed`, as
+    map_from_json does."""
     classes_obj = _require(obj, "classes", path)
     if not isinstance(classes_obj, dict) or not classes_obj:
         raise SpecError(f"{path}/classes", "expected a nonempty object")
-    classes, scalar = {}, partial(_scalar, {}, d)
+    classes, scalar = {}, _reader(d, {} if parsed is None else parsed)
     for letter, comps_obj in classes_obj.items():
         cpath = f"{path}/classes/{letter}"
         if not isinstance(comps_obj, list) or not comps_obj:
             raise SpecError(cpath, "expected a nonempty array of intervals")
-        comps = []
+        ranges = []
         for i, co in enumerate(comps_obj):
             ipath = f"{cpath}/{i}"
-            lo, hi = scalar(co, "lo", ipath), scalar(co, "hi", ipath)
-            lo_in = _read_bool(co.get("lo_in", True), f"{ipath}/lo_in")
-            hi_in = _read_bool(co.get("hi_in", False), f"{ipath}/hi_in")
-            try:
-                comps.append(Component(lo, lo_in, hi, hi_in))
-            except ValueError as e:
-                raise SpecError(ipath, str(e)) from e
-        classes[letter] = BoundarySet(comps)
+            lo = scalar(_require(co, "lo", ipath), ipath, "lo")
+            hi = scalar(_require(co, "hi", ipath), ipath, "hi")
+            lo_in = _read_bool(co.get("lo_in", True), ipath, "lo_in")
+            hi_in = _read_bool(co.get("hi_in", False), ipath, "hi_in")
+            lo_key, hi_key = key(lo, AT if lo_in else ABOVE), key(hi, AT if hi_in else BELOW)
+            if lo_key > hi_key:
+                # the keys cross exactly when Component refuses the
+                # interval; its check says why
+                try:
+                    Component(lo, lo_in, hi, hi_in)
+                except ValueError as e:
+                    raise SpecError(ipath, str(e)) from e
+            ranges.append((lo_key, hi_key))
+        classes[letter] = BoundarySet._from_ranges(ranges)
     return Subdivision(classes)
 
 
@@ -289,18 +307,19 @@ def parse_spec(document):
     if d > MAX_RADICAND:
         raise SpecError("/field_d", f"expected an integer <= {MAX_RADICAND}, got {d}")
     try:
-        ExactScalar.zero(d)
+        zero = ExactScalar.zero(d)
     except NonSquarefreeRadicand as e:
         raise SpecError("/field_d", str(e)) from e
 
-    pmap, iet = map_from_json(_require(document, "map", "/"), d)
-    sub = subdivision_from_json(_require(document, "subdivision", "/"), d)
-    x0 = _read_scalar(_require(document, "x0", "/"), d, "/x0")
+    # one text, one object: the map, the subdivision and x0 share `parsed`
+    parsed = {}
+    pmap, iet = map_from_json(_require(document, "map", "/"), d, parsed=parsed)
+    sub = subdivision_from_json(_require(document, "subdivision", "/"), d, parsed=parsed)
+    x0 = _reader(d, parsed)(_require(document, "x0", "/"), "", "x0")
     length = _read_int(_require(document, "length", "/"), "/length", minimum=1)
 
     pmap.require_valid()
-    zero, one = ExactScalar.zero(d), ExactScalar.one(d)
-    if not (zero <= x0 < one):
+    if not (zero <= x0 < ExactScalar.one(d)):
         raise PointOutsideDomain(f"x0 = {x0} outside [0, 1)")
 
     return InstanceSpec(d, pmap, sub, x0, length, iet)

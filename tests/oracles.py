@@ -4,8 +4,9 @@ Everything in this file is deliberately written from first principles and
 kept separate from the library: decimal evaluation for order checks,
 substitution words for golden prefixes, brute-force scans that double
 check the fast implementations, content ids spelled out from plain
-number tuples, and set algebra on plain (lo, lo_in, hi, hi_in) tuples.
-None of it imports from ietwords.
+number tuples, set algebra on plain (lo, lo_in, hi, hi_in) tuples, and
+the scalar grammar read one character at a time.  None of it imports
+from ietwords.
 """
 
 import hashlib
@@ -235,6 +236,82 @@ def scalar_text(rational, radical, d):
     if radical == 0:
         return rat(rational)
     return f"{rat(rational)}{'+' if radical > 0 else '-'}{rat(abs(radical))}*sqrt({d})"
+
+
+def read_scalar_text(text, max_digits=4300, max_radicand=10**12):
+    """The scalar grammar read one character at a time, from the left:
+
+        scalar := rat | rat ("+"|"-") rat "*sqrt(" uint ")"
+        rat    := ["-"] uint ["/" uint],   uint := one or more of 0-9
+
+    on the text with surrounding whitespace stripped.  Returns (a, b,
+    radicand) for a + b*sqrt(radicand), a and b Fractions as written and
+    radicand 0 when there is no radical, or the first error as (message,
+    position): a digit run that is empty or longer than max_digits, a
+    zero denominator (("zero denominator", the offset after it)), a
+    missing "*sqrt(" or ")", a radicand above max_radicand (at its first
+    digit), or trailing characters."""
+    s = text.strip()
+    pos = 0
+
+    class Bad(Exception):
+        pass
+
+    def uint():
+        nonlocal pos
+        start = pos
+        while pos < len(s) and s[pos] in "0123456789":
+            pos += 1
+        if pos == start:
+            raise Bad("expected a digit", start)
+        if pos - start > max_digits:
+            raise Bad(f"more than {max_digits} digits", start)
+        return int(s[start:pos])
+
+    def rat():
+        nonlocal pos
+        sign = 1
+        if s.startswith("-", pos):
+            sign, pos = -1, pos + 1
+        num, den = uint(), 1
+        if s.startswith("/", pos):
+            pos += 1
+            den = uint()
+            if den == 0:
+                raise Bad("zero denominator", pos)
+        return Fraction(sign * num, den)
+
+    try:
+        a, b, radicand = rat(), Fraction(0), 0
+        if pos < len(s) and s[pos] in "+-":
+            op = s[pos]
+            pos += 1
+            b = rat() if op == "+" else -rat()
+            if not s.startswith("*sqrt(", pos):
+                raise Bad("expected '*sqrt('", pos)
+            pos += len("*sqrt(")
+            start = pos
+            radicand = uint()
+            if radicand > max_radicand:
+                raise Bad(f"radicand exceeds {max_radicand}", start)
+            if not s.startswith(")", pos):
+                raise Bad("expected ')'", pos)
+            pos += 1
+        if pos != len(s):
+            raise Bad("trailing characters", pos)
+    except Bad as e:
+        return e.args
+    return a, b, radicand
+
+
+def squarefree(n):
+    """True for n >= 0 with no square factor above 1, by trial division."""
+    k = 2
+    while k * k <= n:
+        if n % (k * k) == 0:
+            return False
+        k += 1
+    return n >= 0
 
 
 def _short_hash(prefix, text):

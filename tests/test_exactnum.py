@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ietwords import (
     EQ,
@@ -23,7 +23,7 @@ from ietwords import (
 from ietwords import exactnum
 from ietwords.exactnum import is_squarefree
 
-from oracles import decimal_cmp
+from oracles import decimal_cmp, read_scalar_text, squarefree
 
 ALPHA = make_scalar(-1, 2, 1, 2, 5)  # (sqrt(5) - 1) / 2
 
@@ -195,6 +195,96 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as e:
         parse_scalar("12٣")
     assert (e.value.message, e.value.position) == ("trailing characters", 2)
+
+
+def parse_outcome(text, d=None):
+    """What parse_scalar makes of a text: the value's parts, or the
+    exception's type with its message (and position for a ParseError)."""
+    try:
+        x = parse_scalar(text, d)
+    except ParseError as e:
+        return "ParseError", e.message, e.position
+    except (ZeroDenominator, NonSquarefreeRadicand, FieldMismatch) as e:
+        return type(e).__name__, str(e)
+    return "value", x.rational_part, x.radical_part, x.d
+
+
+def oracle_outcome(text, d=None):
+    """parse_outcome spelled out from the character-by-character reader:
+    a radicand must be squarefree, 0 and 1 fold the radical away, and a
+    field d takes a rational value and refuses any other radicand."""
+    read = read_scalar_text(text)
+    if len(read) == 2:
+        message, position = read
+        if message == "zero denominator":
+            return "ZeroDenominator", f"zero denominator at position {position}"
+        return "ParseError", message, position
+    a, b, radicand = read
+    if not squarefree(radicand):
+        return "NonSquarefreeRadicand", f"radicand {radicand} is not squarefree"
+    if radicand <= 1:
+        a, b = a + radicand * b, 0
+    if d is not None and d != radicand:
+        if b:
+            return ("FieldMismatch",
+                    f"scalar {text!r} lives in sqrt({radicand}), instance uses sqrt({d})")
+        if not squarefree(d):
+            return "NonSquarefreeRadicand", f"radicand {d} is not squarefree"
+        radicand = d
+    return "value", a, b, radicand
+
+
+# pieces of scalar texts, valid and not: signs, "+-", whitespace, a
+# non-ASCII digit, runs of MAX_DIGITS and one more digit, zero
+# denominators, a cut-off "*sqrt(", radicands up to and past MAX_RADICAND
+GRAMMAR_ATOMS = (
+    "-", "+", "/", "*sqrt(", ")", "*sqr", "*sqrt", "0", "00", "1", "2", "3", "5", "7",
+    "12", "45", " ", "\t", "\n", "٣", "²", "x", ".", "9" * exactnum.MAX_DIGITS,
+    "1" * (exactnum.MAX_DIGITS + 1), "4000037", str(exactnum.MAX_RADICAND),
+    str(exactnum.MAX_RADICAND + 1), "10000000000000000000009",
+)
+
+GRAMMAR_TEXTS = (
+    "0", "-0", "1/2", "-1/2", " 1/2 ", "\n-3/4\t", "1/2+1/3*sqrt(5)", "1/2-1/3*sqrt(5)",
+    "1+-2*sqrt(5)", "1--2*sqrt(5)", "1---2*sqrt(5)", "-1/2+-1/2*sqrt(5)", "+1", "--1",
+    "1 /2", "1/ 2", "1+ 2*sqrt(5)", "1+2*sqrt( 5)", "٣", "12٣", "1/٣", "0+1*sqrt(٣)",
+    "9" * exactnum.MAX_DIGITS, "1/" + "9" * exactnum.MAX_DIGITS, "9" * (exactnum.MAX_DIGITS + 1),
+    "1/" + "1" * (exactnum.MAX_DIGITS + 1), "0+1*sqrt(" + "1" * (exactnum.MAX_DIGITS + 1) + ")",
+    "1/0", "1/00", "-5/0+1*sqrt(5)", "1/0junk", "1+1/0*sqrt(5)", "1+1/0", "1/2+", "1/2-",
+    "1+2", "1+2*sqr(5)", "1+2*sqrt5)", "1+2*sqrt(5", "1+2*sqrt()", "1+2*sqrt(5))",
+    f"0+1*sqrt({exactnum.MAX_RADICAND})", f"0+1*sqrt({exactnum.MAX_RADICAND + 1}",
+    "0+1*sqrt(10000000000000000000009)", "0+1*sqrt(12)", "1+0*sqrt(12)", "1+0*sqrt(7)",
+    "2+3*sqrt(1)", "2+3*sqrt(0)", "1/2+1/3*sqrt(5)junk", "1/2/3", "1.5", "", " ", "abc",
+)
+
+
+def assert_grammar_agrees(text):
+    for d in (None, 0, 2, 5, 12):
+        assert parse_outcome(text, d) == oracle_outcome(text, d), (text[:60], d)
+
+
+@pytest.mark.parametrize("text", GRAMMAR_TEXTS, ids=lambda t: repr(t[:24]))
+def test_parse_scalar_matches_the_grammar_oracle(text):
+    assert_grammar_agrees(text)
+
+
+def test_parse_scalar_matches_the_grammar_oracle_on_seeded_texts(rng):
+    for _ in range(1500):
+        assert_grammar_agrees("".join(rng.choice(GRAMMAR_ATOMS)
+                                      for _ in range(rng.randint(1, 9))))
+    for _ in range(500):
+        def rat():
+            den = rng.choice(("", "/0", f"/{rng.randint(1, 99)}"))
+            return rng.choice(("", "-")) + str(rng.randint(0, 99)) + den
+        text = rat() + rng.choice("+-") + rat() + f"*sqrt({rng.randint(0, 30)}"
+        assert_grammar_agrees(rng.choice(("", " ")) + text + rng.choice((")", ") ", "", "))", ")x")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(GRAMMAR_ATOMS), max_size=10).map("".join)
+       | st.text(alphabet="0123456789-+/*sqrt() ٣\n", max_size=30))
+def test_parse_scalar_matches_the_grammar_oracle_hypothesis(text):
+    assert_grammar_agrees(text)
 
 
 def test_parse_with_field_context():

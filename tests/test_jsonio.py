@@ -1,14 +1,18 @@
 import json
+from math import isqrt
 
 import pytest
 
 from ietwords import (
     IET,
     CorruptMap,
+    CoverageGapError,
+    ExactScalar,
     GluingMap,
     OverlapError,
     PointOutsideDomain,
     SpecError,
+    Subdivision,
     SymbolicWord,
     code,
     dumps,
@@ -18,6 +22,7 @@ from ietwords import (
     iet_to_json,
     iet_to_map,
     instance_to_json,
+    interval,
     InstanceSpec,
     make_scalar,
     map_from_json,
@@ -28,7 +33,8 @@ from ietwords import (
     subdivision_to_json,
     word_to_json,
 )
-from ietwords.instances import fibonacci_instance, random_instance
+from ietwords.instances import (fibonacci_instance, random_iet, random_instance,
+                                random_piecewise_map, random_point, random_subdivision)
 
 from conftest import q
 
@@ -111,6 +117,29 @@ def test_a_shared_map_end_is_parsed_once():
         with pytest.raises(SpecError) as e:
             map_from_json(broken, 0)
         assert path_of(e) == "/map/pieces/0/hi"
+
+
+@pytest.mark.parametrize("d", [0, 2, 5, 4000037])
+def test_generated_documents_redump_to_their_own_bytes(rng, d):
+    # alpha = frac(sqrt d) puts radicals in the map, the cells and x0
+    alpha = make_scalar(-isqrt(d), 1, 1, 1, d) if d > 1 else q(2, 7, d)
+    one = ExactScalar.one(d)
+    for i in range(12):
+        if i % 3 == 0:
+            pmap, form = rotation(alpha), None
+        elif i % 3 == 1:
+            form = IET((alpha, one - alpha), (1, 0)) if i % 2 else random_iet(rng, d)
+            pmap = iet_to_map(form)
+        else:
+            pmap, form = random_piecewise_map(rng, d), None
+        if i % 2:
+            sub = random_subdivision(rng, d)
+        else:
+            sub = Subdivision({"a": interval(ExactScalar.zero(d), alpha),
+                               "b": interval(alpha, one)})
+        x0 = alpha if i % 4 == 0 else random_point(rng, d)
+        text = dumps(instance_to_json(InstanceSpec(d, pmap, sub, x0, 7 + i, form)))
+        assert dumps(instance_to_json(parse_spec(text))) == text
 
 
 def test_gluing_json_roundtrip():
@@ -237,6 +266,146 @@ def test_domain_problems_keep_their_own_types():
     outside["x0"] = "1"
     with pytest.raises(PointOutsideDomain):
         parse_spec(outside)
+
+
+def share(doc, text):
+    """Put one text at a map end, at a class end and at x0."""
+    doc["map"]["pieces"][0]["hi"] = doc["map"]["pieces"][1]["lo"] = text
+    classes = doc["subdivision"]["classes"]
+    classes["1"][0]["hi"] = classes["0"][0]["lo"] = doc["x0"] = text
+
+
+IET_DOC = {
+    "field_d": 0,
+    "map": {"lengths": ["1/4", "1/4", "1/2"], "permutation": [2, 0, 1]},
+    "subdivision": {"classes": {"A": [{"lo": "0", "hi": "1/2"}], "B": [{"lo": "1/2", "hi": "1"}]}},
+    "x0": "1/4",
+    "length": 5,
+}
+
+# (document, mangle, exception type, SpecError path or None, message):
+# schema problems are SpecErrors with a path, domain problems keep their
+# own exception types
+MALFORMED = [
+    (GOLDEN_DOC, lambda d: d.update(field_d=4),
+     SpecError, '/field_d', 'radicand 4 is not squarefree'),
+    (GOLDEN_DOC, lambda d: d.update(field_d=10**12 + 1),
+     SpecError, '/field_d', 'expected an integer <= 1000000000000, got 1000000000001'),
+    (GOLDEN_DOC, lambda d: d.update(field_d=-1),
+     SpecError, '/field_d', 'expected an integer >= 0, got -1'),
+    (GOLDEN_DOC, lambda d: d.update(map=[]),
+     SpecError, '/map', 'expected an object, got list'),
+    (GOLDEN_DOC, lambda d: d["map"].update(pieces=[]),
+     SpecError, '/map/pieces', 'expected a nonempty array'),
+    (GOLDEN_DOC, lambda d: d["map"].pop("pieces"),
+     SpecError, '/map', "expected either a 'pieces' or a 'lengths' description"),
+    (GOLDEN_DOC, lambda d: d["map"]["pieces"].__setitem__(0, "x"),
+     SpecError, '/map/pieces/0', 'expected an object, got str'),
+    (GOLDEN_DOC, lambda d: d["map"]["pieces"][1].pop("lo"),
+     SpecError, '/map/pieces/1', "missing key 'lo'"),
+    (GOLDEN_DOC, lambda d: d["map"]["pieces"][0].update(hi="1/2+"),
+     SpecError, '/map/pieces/0/hi', 'bad scalar at position 4: expected a digit'),
+    (GOLDEN_DOC, lambda d: d["map"]["pieces"][0].update(hi="1/" + "1" * 5000),
+     SpecError, '/map/pieces/0/hi', 'bad scalar at position 2: more than 4300 digits'),
+    (GOLDEN_DOC, lambda d: d["map"]["pieces"][0].update(intercept="1/0"),
+     SpecError, '/map/pieces/0/intercept', 'zero denominator at position 3'),
+    (GOLDEN_DOC, lambda d: d["map"]["pieces"][0].update(lo="0+1*sqrt(3)"),
+     SpecError, '/map/pieces/0/lo', "scalar '0+1*sqrt(3)' lives in sqrt(3), instance uses sqrt(5)"),
+    (GOLDEN_DOC, lambda d: d["map"]["pieces"][0].update(lo="0+1*sqrt(8)"),
+     SpecError, '/map/pieces/0/lo', 'radicand 8 is not squarefree'),
+    (GOLDEN_DOC, lambda d: d["map"]["pieces"][0].update(lo=0),
+     SpecError, '/map/pieces/0/lo', 'scalars are grammar strings, got int'),
+    (GOLDEN_DOC, lambda d: d["map"]["pieces"][0].update(slope=True),
+     SpecError, '/map/pieces/0/slope', 'slope must be 1 or -1, got True'),
+    (GOLDEN_DOC, lambda d: d["map"]["pieces"][0].update(hi="3/2"),
+     SpecError, '/map/pieces/0', 'need 0 <= lo < hi <= 1, got [0, 3/2)'),
+    (GOLDEN_DOC, lambda d: d.update(subdivision=[]),
+     SpecError, '/subdivision', 'expected an object, got list'),
+    (GOLDEN_DOC, lambda d: d["subdivision"].update(classes=[]),
+     SpecError, '/subdivision/classes', 'expected a nonempty object'),
+    (GOLDEN_DOC, lambda d: d["subdivision"]["classes"].update({"1": {}}),
+     SpecError, '/subdivision/classes/1', 'expected a nonempty array of intervals'),
+    (GOLDEN_DOC, lambda d: d["subdivision"]["classes"]["1"][0].update(lo_in=1),
+     SpecError, '/subdivision/classes/1/0/lo_in', 'expected a boolean, got int'),
+    (GOLDEN_DOC, lambda d: d["subdivision"]["classes"]["1"][0].update(hi="0"),
+     SpecError, '/subdivision/classes/1/0', 'a single point needs both endpoints included'),
+    (GOLDEN_DOC, lambda d: d["subdivision"]["classes"]["1"][0].update(lo="1/2"),
+     SpecError, '/subdivision/classes/1/0', 'empty component: lo 1/2 > hi 3/2-1/2*sqrt(5)'),
+    (GOLDEN_DOC, lambda d: d["subdivision"]["classes"]["0"][0].update(hi="3/2", hi_in=True),
+     ValueError, None, "class '0' extends beyond [0, 1)"),
+    (GOLDEN_DOC, lambda d: d["subdivision"]["classes"]["0"][0].update(lo="1/4"),
+     OverlapError, None, '1 and 0 overlap at 1/4'),
+    (GOLDEN_DOC, lambda d: d["subdivision"]["classes"]["1"][0].update(hi="1/4"),
+     CoverageGapError, None, 'no class covers 1/4'),
+    (GOLDEN_DOC, lambda d: d["subdivision"]["classes"].update(
+        {"a b": d["subdivision"]["classes"].pop("1")}),
+     ValueError, None, "letter 'a b' is not one token without whitespace"),
+    (GOLDEN_DOC, lambda d: d["map"]["pieces"][0].update(hi="1/4"),
+     CorruptMap, None, 'coverage-gap: nothing covers [1/4, 3/2-1/2*sqrt(5))'),
+    (GOLDEN_DOC, lambda d: d.update(x0="1"),
+     PointOutsideDomain, None, 'x0 = 1 outside [0, 1)'),
+    (GOLDEN_DOC, lambda d: d.pop("x0"),
+     SpecError, '/', "missing key 'x0'"),
+    (GOLDEN_DOC, lambda d: d.update(x0=""),
+     SpecError, '/x0', 'bad scalar at position 0: expected a digit'),
+    (GOLDEN_DOC, lambda d: d.update(x0="0+1*sqrt(10000000000000000000009)"),
+     SpecError, '/x0', 'bad scalar at position 9: radicand exceeds 1000000000000'),
+    (GOLDEN_DOC, lambda d: d.update(length=0),
+     SpecError, '/length', 'expected an integer >= 1, got 0'),
+    (GOLDEN_DOC, lambda d: share(d, "1/3+"),
+     SpecError, '/map/pieces/0/hi', 'bad scalar at position 4: expected a digit'),
+    (GOLDEN_DOC, lambda d: share(d, 0.5),
+     SpecError, '/map/pieces/0/hi', 'scalars are grammar strings, got float'),
+    (IET_DOC, lambda d: d["map"].update(lengths=["1/2", "1/2", "1/0"]),
+     SpecError, '/map/lengths/2', 'zero denominator at position 3'),
+    (IET_DOC, lambda d: d["map"].update(lengths=[]),
+     SpecError, '/map/lengths', 'expected a nonempty array'),
+    (IET_DOC, lambda d: d["map"]["lengths"].__setitem__(0, 0.25),
+     SpecError, '/map/lengths/0', 'scalars are grammar strings, got float'),
+    (IET_DOC, lambda d: d["map"].update(permutation=[0, 0, 1]),
+     SpecError, '/map', 'not a permutation of 0..2'),
+    (IET_DOC, lambda d: d["map"].update(permutation=[2, 0, "1"]),
+     SpecError, '/map/permutation/2', 'expected an integer, got str'),
+    (IET_DOC, lambda d: d["map"].pop("permutation"),
+     SpecError, '/map', "missing key 'permutation'"),
+    (IET_DOC, lambda d: d["map"].update(lengths=["1/4", "1/4", "1/4"]),
+     SpecError, '/map', 'lengths sum to 3/4, expected 1'),
+    (IET_DOC, lambda d: d["map"].update(lengths=["1/4", "1/4", "1/2+1*sqrt(2)"]),
+     SpecError, '/map/lengths/2', "scalar '1/2+1*sqrt(2)' lives in sqrt(2), instance uses sqrt(0)"),
+]
+
+
+@pytest.mark.parametrize("doc, mangle, kind, path, message", MALFORMED)
+def test_malformed_documents_keep_their_errors(doc, mangle, kind, path, message):
+    broken = json.loads(json.dumps(doc))
+    mangle(broken)
+    with pytest.raises(Exception) as e:
+        parse_spec(broken)
+    assert type(e.value) is kind
+    if kind is SpecError:
+        assert (e.value.path, e.value.message) == (path, message)
+    else:
+        assert str(e.value) == message
+
+def test_one_text_is_one_object_across_the_document():
+    # the map's pieces, the subdivision and x0 read through one dict
+    spec = parse_spec(GOLDEN_DOC)
+    left, right = spec.pmap.pieces
+    cells = spec.sub.table.cells
+    assert left.domain.hi is right.domain.lo is cells[0][1][1] is cells[1][0][1]
+    assert left.domain.lo is cells[0][0][1] and right.domain.hi is cells[1][1][1]
+    assert spec.x0 is left.intercept
+    iet = parse_spec(IET_DOC)
+    assert iet.iet.lengths[0] is iet.iet.lengths[1] is iet.x0
+
+
+@pytest.mark.parametrize("bad", ["1/3+", "1/0", ["1/3"], 0.5])
+def test_a_bad_shared_text_fails_at_its_first_path(bad):
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    share(doc, bad)
+    with pytest.raises(SpecError) as e:
+        parse_spec(doc)
+    assert path_of(e) == "/map/pieces/0/hi"
 
 
 # ------------------------------------------------------------- canonical
