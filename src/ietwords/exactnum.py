@@ -179,16 +179,6 @@ class ExactScalar:
     def is_rational(self):
         return self._b == 0
 
-    def as_field(self, d):
-        """Recontext a rational scalar into field d; identity when d matches."""
-        if d == self._d:
-            return self
-        if self._b != 0:
-            raise FieldMismatch(
-                f"cannot move sqrt({self._d}) value into field sqrt({d})"
-            )
-        return ExactScalar(self._a, 0, self._q, d)
-
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):

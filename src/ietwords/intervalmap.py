@@ -15,7 +15,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
-from .intervalsets import CellTable, Component, PointOutsideDomain, _affine_key, affine_image
+from .intervalsets import (CellTable, Component, PointOutsideDomain, _affine_key, affine_image,
+                           key_range)
 
 
 class CorruptMap(RuntimeError):
@@ -38,12 +39,8 @@ class HalfOpenInterval(Component):
     hi_in: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
-        # replaces Component's check, which this one implies; endpoints
-        # from different field contexts raise FieldMismatch when compared
-        zero = ExactScalar.zero(self.lo.d)
-        one = ExactScalar.one(self.lo.d)
-        if not (zero <= self.lo < self.hi <= one):
-            raise ValueError(f"need 0 <= lo < hi <= 1, got [{self.lo}, {self.hi})")
+        # Component's check, with the range inside [0, 1) of lo's field
+        key_range(self.lo, True, self.hi, False, unit=self.lo.d)
 
 
 @dataclass(frozen=True)
@@ -306,24 +303,13 @@ def to_iet(pmap):
 
 
 def identity_map(d=0):
-    zero = ExactScalar.zero(d)
-    one = ExactScalar.one(d)
-    return PiecewiseMap([AffinePiece(HalfOpenInterval(zero, one), 1, zero)])
+    return iet_to_map(IET((ExactScalar.one(d),), (0,)))
 
 
 def rotation(angle):
     """Rotation x -> x + angle (mod 1) as a two-piece translation map."""
-    d = angle.d
-    zero = ExactScalar.zero(d)
-    one = ExactScalar.one(d)
-    if not (zero <= angle < one):
+    if not 0 <= angle < 1:
         raise ValueError(f"angle must lie in [0, 1), got {angle}")
-    if angle == zero:
-        return identity_map(d)
-    cut = one - angle
-    return PiecewiseMap(
-        [
-            AffinePiece(HalfOpenInterval(zero, cut), 1, angle),
-            AffinePiece(HalfOpenInterval(cut, one), 1, angle - one),
-        ]
-    )
+    if angle == 0:
+        return identity_map(angle.d)
+    return iet_to_map(IET((1 - angle, angle), (1, 0)))

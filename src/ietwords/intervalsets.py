@@ -13,19 +13,23 @@ and the tuple order is the order of positions: two keys are settled on
 their integers k alone, and only when the k tie (x and y equal, or closer
 than 2**-64) is x compared exactly, then eps.  Comparing keys therefore
 never checks field contexts or types; the sets and tables here check
-those once per set or point they are given.
+those once per set or point they are given, and key_range() once per
+interval.
 
-A component is the key range (lo_key, hi_key), and a BoundarySet is
-stored as its merged, sorted key ranges, so set operations are tuple
-comparisons on keys and Components are built only on request.  A
-CellTable holds key ranges sorted by start, each with a value: map
-domains, map images and subdivision cells are each one table, and every
-single-point lookup, range lookup and tiling check on [0, 1) goes
-through it; overlay() meets two tilings into one.  A LatticeTable is a
-CellTable that tiles [0, 1), compiled for the integer lattice of one
-orbit walk, where floats only filter: each walk compiles one, for the
-overlay of its map's domains and the cells it reads, and looks each
-point up once, by its two lattice integers.
+A component is the key range (lo_key, hi_key).  key_range() is the one rule
+for which (lo, lo_in, hi, hi_in) make an interval: lo_key <= hi_key, and
+for a map's half-open domain also keys within those of 0 and 1; Component,
+HalfOpenInterval and the document reader call it.  A BoundarySet is stored
+as its merged, sorted key ranges, so set operations are tuple comparisons
+on keys and Components are built only on request.  A CellTable holds key
+ranges sorted by start, each with a value: map domains, map images and
+subdivision cells are each one table, and every single-point lookup, range
+lookup and tiling check on [0, 1) goes through it; overlay() meets two
+tilings into one.  A LatticeTable is a CellTable that tiles [0, 1),
+compiled for the integer lattice of one orbit walk, where floats only
+filter: each walk compiles one, for the overlay of its map's domains and
+the cells it reads, and looks each point up once, by its two lattice
+integers.
 """
 
 from __future__ import annotations
@@ -69,6 +73,32 @@ def _same_field(d, e):
         raise FieldMismatch(f"field contexts differ: sqrt({d}) vs sqrt({e})")
 
 
+@lru_cache(maxsize=256)
+def _unit_keys(d):
+    """The keys of 0 and of 1 in field d, built once per field."""
+    return key(ExactScalar.zero(d), AT), key(ExactScalar.one(d), AT)
+
+
+def key_range(lo, lo_in, hi, hi_in, unit=None):
+    """The key range (lo_key, hi_key) of the interval from lo to hi, each
+    end included iff its flag is set, which must hold a point; with
+    unit = d it must lie in [0, 1) of field d.  Raises FieldMismatch for
+    ends from two field contexts, TypeError for an end that is not an
+    ExactScalar, int or Fraction, and ValueError for a refused interval.
+    """
+    _same_field(_field(lo), _field(hi))
+    lo_key, hi_key = key(lo, AT if lo_in else ABOVE), key(hi, AT if hi_in else BELOW)
+    if unit is not None:
+        start, end = _unit_keys(unit)
+        if not start <= lo_key <= hi_key < end:
+            raise ValueError(f"need 0 <= lo < hi <= 1, got [{lo}, {hi})")
+    elif lo_key > hi_key:
+        if lo == hi:
+            raise ValueError("a single point needs both endpoints included")
+        raise ValueError(f"empty component: lo {lo} > hi {hi}")
+    return lo_key, hi_key
+
+
 @dataclass(frozen=True)
 class Component:
     """One maximal interval of a BoundarySet."""
@@ -79,10 +109,7 @@ class Component:
     hi_in: bool
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty component: lo {self.lo} > hi {self.hi}")
-        if self.lo == self.hi and not (self.lo_in and self.hi_in):
-            raise ValueError("a single point needs both endpoints included")
+        key_range(self.lo, self.lo_in, self.hi, self.hi_in)
 
     @property
     def lo_key(self):
@@ -100,10 +127,7 @@ class Component:
 
     def sample_point(self):
         """A representative point, preferring the left endpoint."""
-        if self.lo_in:
-            return self.lo
-        # open on the left: lo < hi here, so the midpoint is interior
-        return _midpoint(self.lo, self.hi)
+        return _sample(self.lo_key, self.hi_key)
 
     def __str__(self):
         left = "[" if self.lo_in else "("
@@ -242,12 +266,6 @@ def interval(lo, hi, lo_in=True, hi_in=False):
 
 def singleton(x):
     return BoundarySet([Component(x, True, x, True)])
-
-
-@lru_cache(maxsize=256)
-def _unit_keys(d):
-    """The keys of 0 and of 1 in field d, built once per field."""
-    return key(ExactScalar.zero(d), AT), key(ExactScalar.one(d), AT)
 
 
 class PointOutsideDomain(ValueError):

@@ -10,8 +10,9 @@ parse_spec reads a document in one pass.  Each scalar text is parsed once
 per call, into one dict that the map's pieces or IET lengths, the
 subdivision and x0 share: equal texts give one object, and a bad text
 fails at the first path that holds it.  Each class component is read
-straight into its key range, checked there, and each class is built from
-its ranges.  The dict lives only as long as the call.
+straight into its key range by intervalsets.key_range, the check that
+Component makes, and each class is built from its ranges.  The dict
+lives only as long as the call.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .exactnum import (
     format_scalar,
     parse_scalar,
 )
-from .intervalsets import ABOVE, AT, BELOW, BoundarySet, Component, key
+from .intervalsets import BoundarySet, key_range
 from .intervalmap import (IET, AffinePiece, HalfOpenInterval, PiecewiseMap,
                           PointOutsideDomain, iet_to_map)
 from .subdivision import GluingMap, Subdivision
@@ -263,15 +264,10 @@ def subdivision_from_json(obj, d, path="/subdivision", parsed=None):
             hi = scalar(_require(co, "hi", ipath), ipath, "hi")
             lo_in = _read_bool(co.get("lo_in", True), ipath, "lo_in")
             hi_in = _read_bool(co.get("hi_in", False), ipath, "hi_in")
-            lo_key, hi_key = key(lo, AT if lo_in else ABOVE), key(hi, AT if hi_in else BELOW)
-            if lo_key > hi_key:
-                # the keys cross exactly when Component refuses the
-                # interval; its check says why
-                try:
-                    Component(lo, lo_in, hi, hi_in)
-                except ValueError as e:
-                    raise SpecError(ipath, str(e)) from e
-            ranges.append((lo_key, hi_key))
+            try:
+                ranges.append(key_range(lo, lo_in, hi, hi_in))
+            except ValueError as e:
+                raise SpecError(ipath, str(e)) from e
         classes[letter] = BoundarySet._from_ranges(ranges)
     return Subdivision(classes)
 

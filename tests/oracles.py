@@ -4,13 +4,14 @@ Everything in this file is deliberately written from first principles and
 kept separate from the library: decimal evaluation for order checks,
 substitution words for golden prefixes, brute-force scans that double
 check the fast implementations, content ids spelled out from plain
-number tuples, set algebra on plain (lo, lo_in, hi, hi_in) tuples, and
-the scalar grammar read one character at a time.  None of it imports
-from ietwords.
+number tuples, set algebra on plain (lo, lo_in, hi, hi_in) tuples, the
+rule for when such a tuple is an interval, decided by exact comparisons,
+and the scalar grammar read one character at a time.  None of it
+imports from ietwords.
 """
 
 import hashlib
-from decimal import Decimal, getcontext
+from decimal import ROUND_FLOOR, Decimal, getcontext
 from fractions import Fraction
 from functools import total_ordering
 
@@ -435,3 +436,40 @@ def set_image(comps, slope, intercept):
     if slope == 1:
         return [(lo + intercept, lo_in, hi + intercept, hi_in) for lo, lo_in, hi, hi_in in comps]
     return [(intercept - hi, hi_in, intercept - lo, lo_in) for lo, lo_in, hi, hi_in in comps]
+
+
+def interval_verdict(lo, lo_in, hi, hi_in, half_open=False):
+    """Whether the Surds lo and hi, each with its field, bound an interval:
+    ("ok", its text) when they do, else (exception name, message).
+
+    Ends from two fields are refused first.  A component must hold a point:
+    lo < hi, or lo == hi with both ends held.  A map's half-open domain
+    [lo, hi) needs 0 <= lo < hi <= 1, with 0 and 1 in lo's field.
+    """
+    def text(x):
+        return scalar_text(x.a, x.b, x.field)
+
+    if lo.field != hi.field:
+        return "FieldMismatch", f"field contexts differ: sqrt({lo.field}) vs sqrt({hi.field})"
+    if half_open:
+        if not Surd(0, 0, lo.field) <= lo < hi <= Surd(1, 0, lo.field):
+            return "ValueError", f"need 0 <= lo < hi <= 1, got [{text(lo)}, {text(hi)})"
+        lo_in, hi_in = True, False
+    elif hi < lo:
+        return "ValueError", f"empty component: lo {text(lo)} > hi {text(hi)}"
+    elif lo == hi and not (lo_in and hi_in):
+        return "ValueError", "a single point needs both endpoints included"
+    return "ok", f"{'[' if lo_in else '('}{text(lo)}, {text(hi)}{']' if hi_in else ')'}"
+
+
+def floor_scaled(x, scale=2**64):
+    """floor(x * scale) for a Surd: a 60-digit decimal guess, moved until
+    exact signs put x * scale in [n, n + 1)."""
+    a, b, d = x.a * scale, x.b * scale, x.field or 0
+    guess = decimal_value(a.numerator, a.denominator, b.numerator, b.denominator, d, prec=60)
+    n = int(guess.to_integral_value(rounding=ROUND_FLOOR))
+    while surd_sign(a - n, b, d) < 0:
+        n -= 1
+    while surd_sign(a - n - 1, b, d) >= 0:
+        n += 1
+    return n

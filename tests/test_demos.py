@@ -1,4 +1,5 @@
-"""Every demo script runs to completion without writing to stderr."""
+"""Every demo script runs to completion without writing to stderr, and
+prints the bytes stored for it in tests/demo_output/<name>.txt."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+OUTPUT = Path(__file__).resolve().parent / "demo_output"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -23,3 +25,5 @@ def test_demo_runs_cleanly(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+    expected = (OUTPUT / f"{demo.stem}.txt").read_text(encoding="utf-8")
+    assert done.stdout == expected

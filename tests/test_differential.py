@@ -14,7 +14,9 @@ witnesses, refinements and located pieces must agree exactly.
 Underneath, the tables order positions by keys led by an integer floor;
 that order is checked against the exact comparison of scalars and against
 50-digit decimals.  The BoundarySet operations the references use are
-checked against set algebra on plain tuples.
+checked against set algebra on plain tuples, and the one rule by which
+Component and HalfOpenInterval accept their ends against the same rule
+decided by exact comparisons.
 """
 
 import random
@@ -63,8 +65,9 @@ from ietwords.intervalmap import MapViolation, ValidationReport
 from ietwords.intervalsets import ABOVE, AT, BELOW, _from_keys, key
 
 from conftest import q
-from oracles import (Surd, decimal_cmp, decimal_value, map_id, scalar_text, set_canonical,
-                     set_contains, set_fields, set_image, set_meets, subdivision_id)
+from oracles import (Surd, decimal_cmp, decimal_value, floor_scaled, interval_verdict, map_id,
+                     scalar_text, set_canonical, set_contains, set_fields, set_image, set_meets,
+                     subdivision_id)
 
 # ------------------------------------------------------------- references
 
@@ -877,3 +880,128 @@ def test_a_meet_keeps_the_field_of_its_operands():
         for other in (0, 2):
             with pytest.raises(FieldMismatch):
                 meet.contains(q(1, 2, other))
+
+
+# ------------------------------------------------------ the interval rule
+#
+# Component and HalfOpenInterval decide on keys whether their ends bound an
+# interval; oracles.interval_verdict decides it by exact comparisons of
+# Surds.  Each end is drawn as a pair (rational part, radical part).
+
+FLAG_PAIRS = [(a, b) for a in (False, True) for b in (False, True)]
+
+
+def end_value(rng, d):
+    """A value of field d, mostly in [0, 1], some outside it, and one in a
+    hundred with a 3000-digit denominator."""
+    den = rng.randint(1, 12)
+    a = Fraction(rng.randint(-den // 2 - 1, 3 * den // 2 + 1), den)
+    if rng.random() < 0.01:
+        a += Fraction(rng.randint(-9, 9), 10**2999 + rng.randint(1, 99))
+    b = Fraction(0)
+    if d and rng.random() < 0.5:
+        b = Fraction(rng.randint(-4, 4), rng.randint(1, 8))
+    # keep a + b*sqrt(d) near a, which is near [0, 1]
+    return a - Fraction(round(float(b) * d**0.5 * 16), 16), b
+
+
+def tiny_value(rng, d):
+    """A nonzero value of field d of absolute size below 2**-64."""
+    m = rng.randint(2, 2**20)
+    if d and rng.random() < 0.5:
+        c, sign = rng.randint(1, 10**6), rng.choice((1, -1))
+        # 0 < c*sqrt(d) - isqrt(c*c*d) < 1
+        return Fraction(-sign * isqrt(c * c * d), SCALE * m), Fraction(sign * c, SCALE * m)
+    return Fraction(rng.choice((1, -1)) * rng.randint(1, m - 1), SCALE * m), Fraction(0)
+
+
+def interval_ends(rng, d):
+    """(kind, lo, hi): two values of field d that lie apart, are equal,
+    lie within 2**-64 of each other, or sit on or next to 0 and 1."""
+    kind = rng.choice(("apart", "equal", "close", "unit"))
+    if kind == "unit":
+        ends = [(Fraction(rng.randint(0, 1)), Fraction(0)) for _ in range(2)]
+        for i in (0, 1):
+            if rng.random() < 0.5:
+                a, b = tiny_value(rng, d)
+                ends[i] = (ends[i][0] + a, ends[i][1] + b)
+        return kind, *ends
+    lo = end_value(rng, d)
+    if kind == "apart":
+        return kind, lo, end_value(rng, d)
+    if kind == "equal":
+        return kind, lo, lo
+    a, b = tiny_value(rng, d)
+    return kind, *rng.sample([lo, (lo[0] + a, lo[1] + b)], 2)
+
+
+def scalar_of(value, d):
+    a, b = value
+    return make_scalar(a.numerator, a.denominator, b.numerator, b.denominator, d)
+
+
+def library_verdict(build):
+    """("ok", the text) of what build() returns, or its exception's name and message."""
+    try:
+        built = build()
+    except (ValueError, TypeError) as e:
+        return type(e).__name__, str(e)
+    return "ok", str(built)
+
+
+def oracle_keys(lo, lo_in, hi, hi_in):
+    """The keys (floor(x * 2**64), the text of x, side) of both ends."""
+    return tuple((floor_scaled(x), scalar_text(x.a, x.b, x.field), eps)
+                 for x, eps in ((lo, 0 if lo_in else 1), (hi, 0 if hi_in else -1)))
+
+
+def library_keys(c):
+    return tuple((k, str(x), eps) for k, x, eps in (c.lo_key, c.hi_key))
+
+
+def test_intervals_are_accepted_by_the_exact_rule():
+    rng = random.Random(26)
+    seen = {}
+    for _ in range(20000):
+        d = rng.choice((0, 2, 5))
+        kind, lo, hi = interval_ends(rng, d)
+        lo_in, hi_in = rng.choice(FLAG_PAIRS)
+        x, y = scalar_of(lo, d), scalar_of(hi, d)
+        u, v = Surd(*lo, d), Surd(*hi, d)
+        for half_open, build in ((False, lambda: Component(x, lo_in, y, hi_in)),
+                                 (True, lambda: HalfOpenInterval(x, y))):
+            verdict = library_verdict(build)
+            assert verdict == interval_verdict(u, lo_in, v, hi_in, half_open), (x, lo_in, y, hi_in)
+            if verdict[0] == "ok":
+                flags = (True, False) if half_open else (lo_in, hi_in)
+                assert library_keys(build()) == oracle_keys(u, flags[0], v, flags[1])
+            tag = (half_open, verdict[0] == "ok", kind)
+            seen[tag] = seen.get(tag, 0) + 1
+        if kind == "equal":
+            seen[lo_in, hi_in] = seen.get((lo_in, hi_in), 0) + 1
+        # what the draw covers, told by the library's own floors and order
+        for tag, value in (("floors tie", kind == "close" and _floor64(x) == _floor64(y)),
+                           ("long", max(lo[0].denominator, hi[0].denominator) > 10**2999),
+                           ("outside", not 0 <= x <= 1)):
+            seen[tag] = seen.get(tag, 0) + value
+    # "equal" never makes a half-open domain
+    assert len(seen) == 4 * 4 - 1 + 4 + 3 and min(seen.values()) >= 50, seen
+
+
+def test_ends_from_two_fields_are_refused_first():
+    # FieldMismatch before any order, also for a domain that starts below 0
+    rng = random.Random(27)
+    below = 0
+    for _ in range(600):
+        d, e = rng.sample((0, 2, 5), 2)
+        lo, hi = end_value(rng, d), end_value(rng, e)
+        lo_in, hi_in = rng.choice(FLAG_PAIRS)
+        x, y = scalar_of(lo, d), scalar_of(hi, e)
+        u, v = Surd(*lo, d), Surd(*hi, e)
+        for half_open, build in ((False, lambda: Component(x, lo_in, y, hi_in)),
+                                 (True, lambda: HalfOpenInterval(x, y))):
+            verdict = library_verdict(build)
+            assert verdict == interval_verdict(u, lo_in, v, hi_in, half_open)
+            assert verdict == ("FieldMismatch", f"field contexts differ: sqrt({d}) vs sqrt({e})")
+        below += x < 0
+    assert below >= 50

@@ -183,6 +183,54 @@ def test_rotation_is_two_interval_exchange():
     assert iet_to_map(iet) == r
 
 
+def hand_built_rotation(angle):
+    """The rotation by angle as its two pieces [0, 1 - angle) -> x + angle
+    and [1 - angle, 1) -> x + angle - 1, or as the identity for angle 0."""
+    zero, one = ExactScalar.zero(angle.d), ExactScalar.one(angle.d)
+    if angle == zero:
+        return PiecewiseMap([AffinePiece(HalfOpenInterval(zero, one), 1, zero)])
+    cut = one - angle
+    return PiecewiseMap([AffinePiece(HalfOpenInterval(zero, cut), 1, angle),
+                         AffinePiece(HalfOpenInterval(cut, one), 1, angle - one)])
+
+
+def rotation_angles():
+    """Seeded angles in Q, Q(sqrt 2) and Q(sqrt 5), angle 0 in each, and
+    1/3 and 1/3 + 1/(3*10**2999 + 1) in Q(sqrt 5)."""
+    rng = random.Random(26)
+    angles = [ExactScalar.zero(d) for d in (0, 2, 5)]
+    long_third = Fraction(1, 3) + Fraction(1, 3 * 10**2999 + 1)
+    angles += [q(1, 3, 5), ExactScalar.from_rational(long_third, 5)]
+    for d in (0, 2, 5):
+        drawn = []
+        while len(drawn) < 40:
+            b = Fraction(rng.randint(-20, 20), rng.randint(1, 20)) if d else Fraction(0)
+            x = make_scalar(rng.randint(-80, 80), rng.randint(1, 50),
+                            b.numerator, b.denominator, d)
+            if 0 <= x < 1:
+                drawn.append(x)
+        angles += drawn
+    return angles
+
+
+def test_rotation_is_the_hand_built_two_piece_map():
+    for angle in rotation_angles():
+        built, expected = rotation(angle), hand_built_rotation(angle)
+        assert len(built) == len(expected) == (1 if angle == 0 else 2)
+        for p, e in zip(built.pieces, expected.pieces):
+            assert p == e and str(p.domain) == str(e.domain)
+            assert (p.slope, str(p.intercept)) == (e.slope, str(e.intercept))
+            assert p.domain.lo.d == p.intercept.d == angle.d
+        assert built.content_id() == expected.content_id()
+        assert repr(built) == repr(expected)
+    for d in (0, 2, 5):
+        assert identity_map(d) == hand_built_rotation(ExactScalar.zero(d))
+    with pytest.raises(ValueError, match=r"angle must lie in \[0, 1\)"):
+        rotation(q(1, 1, 5))
+    with pytest.raises(ValueError, match=r"angle must lie in \[0, 1\)"):
+        rotation(q(-1, 3, 2))
+
+
 def test_to_iet_rejections():
     with pytest.raises(NotTranslationPiecewise):
         to_iet(two_piece_valid_nonbijective())
