@@ -1,22 +1,24 @@
 """Piecewise-affine transformations of [0, 1) and interval exchanges.
 
 A PiecewiseMap is a finite list of affine pieces with slope +1 or -1 whose
-half-open domains tile [0, 1).  Validation is report-style: invalid maps
-can be built and inspected, and apply and piece_at answer single points
-of any map, but every orbit walk, is_good and refine_to_good check the
-report first and raise CorruptMap unless it is clean.  An IET is the translation-bijection special case, stored
-as lengths plus a permutation.
+half-open domains tile [0, 1); a domain is a Component [lo, hi), checked
+once by HalfOpenInterval, and the map's table reads its keys.  Validation
+is report-style: invalid maps can be built and inspected, and apply and
+piece_at answer single points of any map, but every orbit walk, is_good
+and refine_to_good check the report first and raise CorruptMap unless it
+is clean.  An IET is the translation-bijection special case, stored as
+lengths plus a permutation.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
-from .intervalsets import (CellTable, Component, PointOutsideDomain, _affine_key, affine_image,
-                           key_range)
+from .intervalsets import (CellTable, Component, PointOutsideDomain, _affine_key, _from_keys,
+                           affine_image, key_range)
 
 
 class CorruptMap(RuntimeError):
@@ -31,23 +33,20 @@ class NotBijective(ValueError):
     """to_iet needs the piece images to tile [0, 1) exactly."""
 
 
-@dataclass(frozen=True)
-class HalfOpenInterval(Component):
-    """[lo, hi) with 0 <= lo < hi <= 1, endpoints in one field context."""
-
-    lo_in: bool = field(default=True, init=False, repr=False)
-    hi_in: bool = field(default=False, init=False, repr=False)
-
-    def __post_init__(self):
-        # Component's check, with the range inside [0, 1) of lo's field
-        key_range(self.lo, True, self.hi, False, unit=self.lo.d)
+def HalfOpenInterval(lo, hi):
+    """The domain [lo, hi), 0 <= lo < hi <= 1, as a Component; its ends
+    must be ExactScalar values from one field context."""
+    for name, x in (("lo", lo), ("hi", hi)):
+        if not isinstance(x, ExactScalar):
+            raise TypeError(f"domain end {name} must be an ExactScalar, got {type(x).__name__}")
+    return _from_keys(*key_range(lo, True, hi, False, unit=lo.d))
 
 
 @dataclass(frozen=True)
 class AffinePiece:
     """x -> slope*x + intercept on a half-open domain, slope +1 or -1."""
 
-    domain: HalfOpenInterval
+    domain: Component
     slope: int
     intercept: ExactScalar
 
@@ -55,6 +54,9 @@ class AffinePiece:
         # bool is an int subclass and 1.0 == 1; neither is a slope
         if type(self.slope) is not int or self.slope not in (1, -1):
             raise ValueError(f"slope must be +1 or -1, got {self.slope!r}")
+        if not isinstance(self.intercept, ExactScalar):
+            raise TypeError(
+                f"intercept must be an ExactScalar, got {type(self.intercept).__name__}")
         if self.intercept.d != self.domain.lo.d:
             raise FieldMismatch("intercept from a different field context")
 

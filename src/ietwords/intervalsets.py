@@ -16,26 +16,26 @@ never checks field contexts or types; the sets and tables here check
 those once per set or point they are given, and key_range() once per
 interval.
 
-A component is the key range (lo_key, hi_key).  key_range() is the one rule
-for which (lo, lo_in, hi, hi_in) make an interval: lo_key <= hi_key, and
-for a map's half-open domain also keys within those of 0 and 1; Component,
-HalfOpenInterval and the document reader call it.  A BoundarySet is stored
-as its merged, sorted key ranges, so set operations are tuple comparisons
-on keys and Components are built only on request.  A CellTable holds key
-ranges sorted by start, each with a value: map domains, map images and
-subdivision cells are each one table, and every single-point lookup, range
-lookup and tiling check on [0, 1) goes through it; overlay() meets two
-tilings into one.  A LatticeTable is a CellTable that tiles [0, 1),
-compiled for the integer lattice of one orbit walk, where floats only
-filter: each walk compiles one, for the overlay of its map's domains and
-the cells it reads, and looks each point up once, by its two lattice
-integers.
+key_range() is the one rule for which (lo, lo_in, hi, hi_in) make an
+interval: lo_key <= hi_key, and for a map's half-open domain also keys
+within those of 0 and 1.  Component, HalfOpenInterval and the document
+reader call it, and a Component keeps its key range.  A BoundarySet is
+stored as its merged, sorted key ranges, so set operations are tuple
+comparisons on keys; it builds Components only on request, from those
+ranges and unchecked (_from_keys).  A CellTable holds key ranges sorted by
+start, each with a value: map domains, map images and subdivision cells
+are each one table, and every single-point lookup, range lookup and tiling
+check on [0, 1) goes through it; overlay() meets two tilings into one.
+A LatticeTable is a CellTable that tiles [0, 1), compiled for the integer
+lattice of one orbit walk, where floats only filter: each walk compiles
+one, for the overlay of its map's domains and the cells it reads, and
+looks each point up once, by its two lattice integers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import starmap
@@ -101,23 +101,18 @@ def key_range(lo, lo_in, hi, hi_in, unit=None):
 
 @dataclass(frozen=True)
 class Component:
-    """One maximal interval of a BoundarySet."""
+    """One interval, with the key range (lo_key, hi_key) it was checked by."""
 
     lo: ExactScalar
     lo_in: bool
     hi: ExactScalar
     hi_in: bool
+    lo_key: tuple = field(init=False, repr=False, compare=False)
+    hi_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        key_range(self.lo, self.lo_in, self.hi, self.hi_in)
-
-    @property
-    def lo_key(self):
-        return key(self.lo, AT if self.lo_in else ABOVE)
-
-    @property
-    def hi_key(self):
-        return key(self.hi, AT if self.hi_in else BELOW)
+        keys = key_range(self.lo, self.lo_in, self.hi, self.hi_in)
+        self.__dict__.update(lo_key=keys[0], hi_key=keys[1])
 
     def is_singleton(self):
         return self.lo == self.hi
@@ -164,10 +159,13 @@ def affine_image(slope, intercept, lo_key, hi_key):
 
 
 def _from_keys(lo_key, hi_key):
+    """The Component of a checked key range, not checked again."""
     (_, lo, le), (_, hi, he) = lo_key, hi_key
     if le == BELOW or he == ABOVE:
         raise ValueError("keys do not bound a component")
-    return Component(lo, le == AT, hi, he == AT)
+    c = object.__new__(Component)
+    c.__dict__.update(lo=lo, lo_in=le == AT, hi=hi, hi_in=he == AT, lo_key=lo_key, hi_key=hi_key)
+    return c
 
 
 class BoundarySet:
@@ -239,7 +237,6 @@ class BoundarySet:
         return self._from_ranges(affine_image(slope, intercept, *r) for r in self._ranges)
 
     def __eq__(self, other):
-        # by position, as the hash goes, whatever the Component subclass
         if not isinstance(other, BoundarySet):
             return NotImplemented
         return self._ranges == other._ranges

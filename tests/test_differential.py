@@ -839,21 +839,55 @@ def test_boundary_sets_match_plain_tuples():
     assert min(seen.values()) >= 5, seen
 
 
+def domain_ends(rng, d):
+    """Sorted distinct points of [0, 1] in field d, with radicals for d > 1."""
+    pool = {ExactScalar.zero(d), ExactScalar.one(d), *_point_pool(rng, d)}
+    if d > 1:
+        # frac(k sqrt d)
+        pool.update(make_scalar(-isqrt(k * k * d), 1, k, 1, d) for k in range(1, 6))
+    return sorted(pool)
+
+
 def test_components_read_from_sets_are_the_checked_ones():
-    # a set builds its components from its key ranges: each must equal the
-    # one built from its ends, singletons and open or closed ends alike
+    # a set builds its components from its key ranges, a meet or an image
+    # too, and HalfOpenInterval a domain from the range it checked: each
+    # must equal the one built and checked from its ends, and keep the keys
+    # of its ends
     rng = random.Random(43)
-    seen = dict.fromkeys(("singleton", *((a, b) for a in (False, True) for b in (False, True))), 0)
+    seen = dict.fromkeys(("singleton", "meet", "image", *((a, b) for a in (False, True)
+                                                          for b in (False, True))), 0)
+
+    def check(c):
+        checked = Component(c.lo, c.lo_in, c.hi, c.hi_in)
+        assert type(c) is Component and c == checked and hash(c) == hash(checked)
+        assert (c.lo_key, c.hi_key, str(c)) == (checked.lo_key, checked.hi_key, str(checked))
+        assert (c.lo_key, c.hi_key) == (key(c.lo, AT if c.lo_in else ABOVE),
+                                        key(c.hi, AT if c.hi_in else BELOW))
+        assert c.sample_point() == checked.sample_point()
+        seen["singleton" if c.is_singleton() else (c.lo_in, c.hi_in)] += 1
+
     for _ in range(300):
-        comps = random_components(rng, rng.choice(SET_FIELDS))
-        if len(set_fields(tuples(comps))) > 1:
+        fields = rng.choice(SET_FIELDS)
+        comps, others = random_components(rng, fields), random_components(rng, fields)
+        if len(set_fields(tuples(comps) + tuples(others))) > 1:
             continue
-        for c in [*BoundarySet(comps).components, *(_from_keys(c.lo_key, c.hi_key) for c in comps)]:
-            checked = Component(c.lo, c.lo_in, c.hi, c.hi_in)
-            assert type(c) is Component and c == checked and hash(c) == hash(checked)
-            assert (c.lo_key, c.hi_key, str(c)) == (checked.lo_key, checked.hi_key, str(checked))
-            assert c.sample_point() == checked.sample_point()
-            seen["singleton" if c.is_singleton() else (c.lo_in, c.hi_in)] += 1
+        bset = BoundarySet(comps)
+        field = rng.choice(sorted(set_fields(tuples(comps))) or [None, 0, 5])
+        intercept = number(rng.choice(SURDS if field == 5 else RATIONALS), field)
+        meet = bset.intersect(BoundarySet(others))
+        image = bset.transform(rng.choice((1, -1)), intercept)
+        for c in [*bset.components, *(_from_keys(c.lo_key, c.hi_key) for c in comps)]:
+            check(c)
+        for kind, derived in (("meet", meet), ("image", image)):
+            for c in derived.components:
+                check(c)
+                seen[kind] += 1
+    for d in (0, 2, 5):
+        for _ in range(100):
+            lo, hi = rng.sample(domain_ends(rng, d), 2)
+            h = HalfOpenInterval(*sorted((lo, hi)))
+            check(h)
+            assert h == Component(h.lo, True, h.hi, False)
     assert min(seen.values()) >= 20, seen
 
 

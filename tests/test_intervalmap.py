@@ -55,11 +55,27 @@ def test_halfopen_interval_validation():
 def test_halfopen_interval_is_a_component():
     h = HalfOpenInterval(q(1, 4), q(3, 4))
     c = Component(q(1, 4), True, q(3, 4), False)
-    assert isinstance(h, Component)
+    assert type(h) is Component and h == c and hash(h) == hash(c)
+    assert HalfOpenInterval(lo=q(1, 4), hi=q(3, 4)) == h
     assert (h.lo_in, h.hi_in) == (True, False)
     assert str(h) == str(c) == "[1/4, 3/4)"
     assert (h.lo_key, h.hi_key) == (c.lo_key, c.hi_key)
     assert h.length() == c.length() == q(1, 2)
+
+
+def test_domain_ends_and_intercepts_must_be_scalars():
+    # an int, Fraction or float is refused by type, at either end; two
+    # scalars from different fields are a field mismatch
+    domain = HalfOpenInterval(q(0), q(1))
+    for plain in (0, 1, Fraction(1, 2), 0.5):
+        with pytest.raises(TypeError, match="domain end lo must be an ExactScalar"):
+            HalfOpenInterval(plain, q(1))
+        with pytest.raises(TypeError, match="domain end hi must be an ExactScalar"):
+            HalfOpenInterval(q(0), plain)
+        with pytest.raises(TypeError, match="intercept must be an ExactScalar"):
+            AffinePiece(domain, 1, plain)
+    with pytest.raises(FieldMismatch):
+        HalfOpenInterval(ExactScalar.zero(5), q(1))
 
 
 def test_slope_must_be_unit():

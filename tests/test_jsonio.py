@@ -1,15 +1,19 @@
 import json
+from collections import Counter
 from math import isqrt
 
 import pytest
 
+from ietwords import intervalmap, intervalsets, jsonio
 from ietwords import (
     IET,
+    BoundarySet,
     CorruptMap,
     CoverageGapError,
     ExactScalar,
     GluingMap,
     OverlapError,
+    PiecewiseMap,
     PointOutsideDomain,
     SpecError,
     Subdivision,
@@ -28,6 +32,7 @@ from ietwords import (
     map_from_json,
     map_to_json,
     parse_spec,
+    refine_to_good,
     rotation,
     subdivision_from_json,
     subdivision_to_json,
@@ -140,6 +145,49 @@ def test_generated_documents_redump_to_their_own_bytes(rng, d):
         x0 = alpha if i % 4 == 0 else random_point(rng, d)
         text = dumps(instance_to_json(InstanceSpec(d, pmap, sub, x0, 7 + i, form)))
         assert dumps(instance_to_json(parse_spec(text))) == text
+
+
+def test_each_interval_is_keyed_once(rng, monkeypatch):
+    # an interval's keys come from the one check that builds it and are
+    # kept: a map reads its domains' keys, and sets and the writer build
+    # components from ranges checked before
+    maps, iets, subs = [], [], []
+    for d in (0, 2, 5):
+        for _ in range(5):
+            maps.append(random_piecewise_map(rng, d))
+            iets.append(random_iet(rng, d))
+            pmap, sub, _ = random_instance(rng, d)
+            subs += [sub, refine_to_good(sub, pmap)[0]]
+        intervalsets._unit_keys(d)                  # cached before counting
+    docs = [(map_to_json(m), m.d, len(m)) for m in maps]
+    docs += [(iet_to_json(iet), iet.d, len(iet.lengths)) for iet in iets]
+    calls = []
+
+    def count(owner, name):
+        function = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for module in (intervalsets, intervalmap, jsonio):
+        count(module, "key_range")
+    count(intervalsets, "key")
+    for doc, d, n in docs:
+        calls.clear()
+        pmap, _ = map_from_json(doc, d)
+        assert Counter(calls) == {"key_range": n, "key": 2 * n}
+        calls.clear()
+        assert PiecewiseMap(pmap.pieces) == pmap and calls == []
+    count(ExactScalar, "_cmp")
+    calls.clear()
+    for sub in subs:
+        sets = list(sub.classes.values())
+        for bset in sets + [BoundarySet(c for s in sets for c in s.components)]:
+            assert len(bset.components) == len(bset)
+        subdivision_to_json(sub)
+    assert calls == []
 
 
 def test_gluing_json_roundtrip():

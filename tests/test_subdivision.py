@@ -461,7 +461,7 @@ def test_refine_to_good_builds_no_components_or_sets(rng, monkeypatch):
 
 
 def test_classes_are_read_from_the_cells_unchecked(rng, monkeypatch):
-    # the cells are canonical already: no Component, no exact comparison
+    # the cells are canonical already: no check, no exact comparison
     subs = []
     for pmap, sub in [random_instance(rng, d)[:2] for d in (0, 5) for _ in range(10)] + [
             large_partition(rng, d, 60) for d in (0, 5)] + [collision_instance()]:
@@ -473,8 +473,8 @@ def test_classes_are_read_from_the_cells_unchecked(rng, monkeypatch):
         classes = sub.classes
         assert [sub.class_of(letter) for letter in sub.alphabet] == list(classes.values())
     assert calls == []
-    classes[sub.alphabet[0]].components        # built on request, and counted
-    assert "__post_init__" in calls
+    classes[sub.alphabet[0]].components        # built on request, from the checked ranges
+    assert calls == []
 
 
 # ------------------------------------------------------------ cell table
