@@ -20,7 +20,6 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappop, heappush
 from itertools import accumulate, islice
 from operator import sub
 
@@ -187,12 +186,20 @@ def _automaton(s):
 def _windows(s, top):
     """Recurrence windows of s for n = 1..top, from one suffix automaton.
 
-    State v holds the factors of lengths (length[link v], length v], all
-    with the end positions E_v.  In end positions, the left-edge term
-    s_1 + n is min E + 1, the right-edge term L - s_m is L - max E + n - 1,
-    and start gaps are end gaps, so v needs max(min E + 1,
-    max(maxgap E, L - max E) + n - 1) at each n it covers, or is
-    NOT_RECURRENT_AT_SCALE when |E| < 2.
+    State v holds the factors of lengths lo = length[link v] + 1 to
+    hi = length v, all with the end positions E.  In end positions, the
+    left-edge term s_1 + n is min E + 1, the right-edge term L - s_m is
+    L - max E + n - 1, and start gaps are end gaps, so v needs
+    max(min E + 1, max(maxgap E, L - max E) + n - 1) at each n it covers, or
+    is NOT_RECURRENT_AT_SCALE when |E| < 2.  With no such length-n factor,
+    window n is the max of these over all v with lo <= n (two prefix maxima):
+    a v with hi < n needs no more.  Left: if e = min E >= n - 1, the length-n
+    factor ending at e ends only in E, first at e; else e + 1 < n, the
+    length-n prefix's left term.  Right: the same with max E, as max E < n - 1
+    would put a later v in the prefix's second occurrence.  Gap g between ends
+    e < e': if e >= n - 2, the length-n factor ending at e' has a gap >= g or
+    first ends at e' (left term >= g + n - 1); else the prefix holds v at e,
+    so it recurs g or more later.
 
     Only states with length[link v] < top cover some n <= top, and their
     links do too.  Each end position is attached to its deepest such
@@ -200,7 +207,6 @@ def _windows(s, top):
     they hold at most len(s) * (top + 1) entries in all.
     """
     link, length, ends = _automaton(s)
-    total = len(s)
     deepest = list(range(len(length)))
     kept = []                                 # states covering some n <= top
     for v in sorted(range(1, len(length)), key=length.__getitem__):
@@ -212,37 +218,26 @@ def _windows(s, top):
     for i, v in enumerate(ends):
         occ[deepest[v]].append(i)
 
-    starting = [[] for _ in range(top + 1)]   # by lo: (hi, left, inner term)
+    left = [0] * (top + 1)                    # by lo: max left-edge term
+    inner = [0] * (top + 1)                   # by lo: max gap or right term
     lonely = [0] * (top + 2)                  # difference array of |E| < 2
     for v in reversed(kept):
         lo = length[link[v]] + 1
-        hi = min(length[v], top)
         e = occ.pop(v)
         e.sort()
         if link[v]:
             occ[link[v]].extend(e)
         if len(e) < 2:
             lonely[lo] += 1
-            lonely[hi + 1] -= 1
+            lonely[min(length[v], top) + 1] -= 1
         else:
-            gap = max(map(sub, islice(e, 1, None), e))
-            starting[lo].append((hi, e[0] + 1, max(gap, total - e[-1])))
+            left[lo] = max(left[lo], e[0] + 1)
+            inner[lo] = max(inner[lo], max(map(sub, islice(e, 1, None), e)), len(s) - e[-1])
 
-    windows = []
-    left, inner = [], []                      # max-heaps of (-term, hi)
-    for n, missing in enumerate(accumulate(lonely[1 : top + 1]), 1):
-        for hi, a, b in starting[n]:
-            heappush(left, (-a, hi))
-            heappush(inner, (-b, hi))
-        if missing:
-            windows.append(NOT_RECURRENT_AT_SCALE)
-            continue
-        while left[0][1] < n:
-            heappop(left)
-        while inner[0][1] < n:
-            heappop(inner)
-        windows.append(max(-left[0][0], -inner[0][0] + n - 1))
-    return windows
+    needs = zip(accumulate(lonely[1 : top + 1]), accumulate(left[1:], max),
+                accumulate(inner[1:], max))
+    return [NOT_RECURRENT_AT_SCALE if missing else max(a, b + n - 1)
+            for n, (missing, a, b) in enumerate(needs, 1)]
 
 
 def detect_period(word):

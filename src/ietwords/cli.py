@@ -18,7 +18,7 @@ from functools import cache
 from itertools import islice
 
 from .analysis import complexity, detect_period, recurrence_profile
-from .coding import WordOrigin, code, iter_code, roundtrip_check
+from .coding import WordOrigin, iter_code, roundtrip_check
 from .exactnum import format_scalar
 from .intervalmap import to_iet
 from .jsonio import (
@@ -65,13 +65,14 @@ def _violation_json(v):
 
 
 def _length(spec, args):
-    return spec.length if args.length is None else args.length
+    length = spec.length if args.length is None else args.length
+    if length < 1:
+        raise ValueError("need n >= 1")
+    return length
 
 
 def _cmd_generate(spec, args, out):
     length = _length(spec, args)
-    if length < 1:
-        raise ValueError("need n >= 1")
     # the word is written as the orbit is walked, never held whole
     letters = iter_code(spec.pmap, spec.sub, spec.x0, length)
     if args.as_json:
@@ -123,7 +124,7 @@ def _cmd_roundtrip(spec, args, out):
 
 
 def _cmd_analyze(spec, args, out):
-    word = code(spec.pmap, spec.sub, spec.x0, _length(spec, args))
+    word = tuple(iter_code(spec.pmap, spec.sub, spec.x0, _length(spec, args)))
     n_max = min(args.nmax, len(word))
     comp = complexity(word, n_max)
     rec = recurrence_profile(word, n_max)

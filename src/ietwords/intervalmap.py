@@ -1,13 +1,13 @@
 """Piecewise-affine transformations of [0, 1) and interval exchanges.
 
 A PiecewiseMap is a finite list of affine pieces with slope +1 or -1 whose
-half-open domains tile [0, 1); a domain is a Component [lo, hi), checked
-once by HalfOpenInterval, and the map's table reads its keys.  Validation
-is report-style: invalid maps can be built and inspected, and apply and
-piece_at answer single points of any map, but every orbit walk, is_good
-and refine_to_good check the report first and raise CorruptMap unless it
-is clean.  An IET is the translation-bijection special case, stored as
-lengths plus a permutation.
+half-open domains tile [0, 1); a domain is a Component [lo, hi) in [0, 1),
+checked once by HalfOpenInterval (AffinePiece refuses any other), and the
+map's table reads its keys.  Validation is report-style: invalid maps can
+be built and inspected, and apply and piece_at answer single points of any
+map, but every orbit walk, is_good and refine_to_good check the report
+first and raise CorruptMap unless it is clean.  An IET, the special case
+of a translation bijection, is stored as lengths plus a permutation.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
 from .intervalsets import (CellTable, Component, PointOutsideDomain, _affine_key, _from_keys,
-                           affine_image, key_range)
+                           _in_unit, affine_image, key_range)
 
 
 class CorruptMap(RuntimeError):
@@ -36,10 +37,14 @@ class NotBijective(ValueError):
 def HalfOpenInterval(lo, hi):
     """The domain [lo, hi), 0 <= lo < hi <= 1, as a Component; its ends
     must be ExactScalar values from one field context."""
+    _scalar_ends(lo, hi)
+    return _from_keys(*key_range(lo, True, hi, False, unit=lo.d))
+
+
+def _scalar_ends(lo, hi):
     for name, x in (("lo", lo), ("hi", hi)):
         if not isinstance(x, ExactScalar):
             raise TypeError(f"domain end {name} must be an ExactScalar, got {type(x).__name__}")
-    return _from_keys(*key_range(lo, True, hi, False, unit=lo.d))
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,9 @@ class AffinePiece:
     intercept: ExactScalar
 
     def __post_init__(self):
+        # the rule HalfOpenInterval checks, read from the domain's stored keys
+        _scalar_ends(self.domain.lo, self.domain.hi)
+        _in_unit(self.domain.lo_key, self.domain.hi_key, self.domain.lo.d)
         # bool is an int subclass and 1.0 == 1; neither is a slope
         if type(self.slope) is not int or self.slope not in (1, -1):
             raise ValueError(f"slope must be +1 or -1, got {self.slope!r}")
@@ -265,27 +273,15 @@ class IET:
 
 def iet_to_map(iet):
     """Embed an IET as its canonical translation PiecewiseMap."""
-    k = len(iet.lengths)
     zero = ExactScalar.zero(iet.d)
-
-    src_starts = [zero]
-    for length in iet.lengths[:-1]:
-        src_starts.append(src_starts[-1] + length)
-    src_starts.append(ExactScalar.one(iet.d))      # the lengths sum to 1 exactly
-
-    # slot s is occupied by the interval i with permutation[i] == s
-    by_slot = sorted(range(k), key=lambda i: iet.permutation[i])
-    dest_starts = [None] * k
-    cursor = zero
-    for i in by_slot:
-        dest_starts[i] = cursor
-        cursor = cursor + iet.lengths[i]
-
-    pieces = []
-    for i in range(k):
-        domain = HalfOpenInterval(src_starts[i], src_starts[i + 1])
-        pieces.append(AffinePiece(domain, 1, dest_starts[i] - src_starts[i]))
-    return PiecewiseMap(pieces)
+    # the lengths sum to 1 exactly, so the last start is 1
+    starts = [*accumulate(iet.lengths[:-1], initial=zero), ExactScalar.one(iet.d)]
+    # slot s is occupied by the interval i with permutation[i] == s, and its
+    # image starts where the intervals in the slots before s end
+    by_slot = sorted(range(len(iet.lengths)), key=iet.permutation.__getitem__)
+    dest = dict(zip(by_slot, accumulate((iet.lengths[i] for i in by_slot), initial=zero)))
+    return PiecewiseMap(AffinePiece(HalfOpenInterval(lo, hi), 1, dest[i] - lo)
+                        for i, (lo, hi) in enumerate(zip(starts, starts[1:])))
 
 
 def to_iet(pmap):

@@ -89,14 +89,19 @@ def key_range(lo, lo_in, hi, hi_in, unit=None):
     _same_field(_field(lo), _field(hi))
     lo_key, hi_key = key(lo, AT if lo_in else ABOVE), key(hi, AT if hi_in else BELOW)
     if unit is not None:
-        start, end = _unit_keys(unit)
-        if not start <= lo_key <= hi_key < end:
-            raise ValueError(f"need 0 <= lo < hi <= 1, got [{lo}, {hi})")
+        _in_unit(lo_key, hi_key, unit)
     elif lo_key > hi_key:
         if lo == hi:
             raise ValueError("a single point needs both endpoints included")
         raise ValueError(f"empty component: lo {lo} > hi {hi}")
     return lo_key, hi_key
+
+
+def _in_unit(lo_key, hi_key, d):
+    """Raise ValueError unless the key range lies in [0, 1) of field d."""
+    start, end = _unit_keys(d)
+    if not start <= lo_key <= hi_key < end:
+        raise ValueError(f"need 0 <= lo < hi <= 1, got {_from_keys(lo_key, hi_key)}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ietwords import (
     APERIODIC_AT_SCALE,
@@ -162,6 +162,11 @@ def test_complexity_then_recurrence_builds_one_automaton():
 
 @settings(max_examples=150, deadline=None)
 @given(words_and_depths())
+# words on which some n sees a state whose lengths end below n needing the
+# most between occurrences (found by a seeded search)
+@example((list("baaabaabaab"), 11))
+@example((list("abbabbabbbbbbab"), 15))
+@example((list("abbababbbbbbbbbaba"), 18))
 def test_recurrence_profile_matches_starts_oracle(case):
     word, n_max = case
     prof = recurrence_profile(word, n_max)

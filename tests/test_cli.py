@@ -1,13 +1,15 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ietwords
-from ietwords import cli, code, dumps, parse_spec, word_to_json
+from ietwords import PiecewiseMap, Subdivision, cli, code, coding, dumps, parse_spec, word_to_json
 from ietwords.cli import main
 
 GOLDEN = {
@@ -84,7 +86,7 @@ def test_generate_text_streams_the_wrapped_word(capsys, golden_spec, monkeypatch
     def no_whole_word(*args):
         raise AssertionError("the text path builds the whole word")
 
-    monkeypatch.setattr(cli, "code", no_whole_word)
+    monkeypatch.setattr(coding, "SymbolicWord", no_whole_word)
     rc, out, _ = run(capsys, "generate", golden_spec, "--length", str(length))
     assert rc == 0 and out == expected
 
@@ -102,7 +104,7 @@ def test_generate_json_streams_the_word(capsys, tmp_path, monkeypatch, length):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "code", None)
+            patch.setattr(coding, "SymbolicWord", None)
             rc, out, _ = run(capsys, "generate", str(path), "--length", str(length), "--json")
         assert rc == 0 and out == expected
 
@@ -179,6 +181,44 @@ def test_analyze_rejects_a_depth_below_one(capsys, golden_spec):
     for flags in ((), ("--json",)):
         rc, out, err = run(capsys, "analyze", golden_spec, "--nmax", "0", *flags)
         assert (rc, out, err) == (1, "", "error: need n_max >= 1\n")
+
+
+def long_iet_document(path):
+    """An IET in Q(sqrt 5) with the 20 lengths 1/20 +- 1/D_j, for distinct
+    2000-digit D_j, and a shuffled permutation: about 80 KB, but its
+    intercepts have more digits than a number may be formatted with."""
+    lengths = [str(Fraction(1, 20) + sign * Fraction(1, 10**1999 + j))
+               for j in range(10) for sign in (1, -1)]
+    permutation = list(range(20))
+    random.Random(0).shuffle(permutation)
+    doc = {
+        "field_d": 5,
+        "map": {"lengths": lengths, "permutation": permutation},
+        "subdivision": {"classes": {"a": [{"lo": "0", "hi": "1/2"}],
+                                    "b": [{"lo": "1/2", "hi": "1"}]}},
+        "x0": "0",
+        "length": 10,
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_analyze_formats_no_content_ids(capsys, tmp_path, monkeypatch, golden_spec):
+    # analyze prints no map or subdivision id, so it builds none, and the
+    # digit limit on formatted numbers does not reach it
+    expected = [run(capsys, "analyze", golden_spec, *flags) for flags in ((), ("--json",))]
+
+    def no_ids(self):
+        raise AssertionError("analyze builds a content id")
+
+    monkeypatch.setattr(PiecewiseMap, "content_id", no_ids)
+    monkeypatch.setattr(Subdivision, "content_id", no_ids)
+    assert [run(capsys, "analyze", golden_spec, *flags) for flags in ((), ("--json",))] == expected
+    monkeypatch.undo()
+    path = long_iet_document(tmp_path / "long-iet.json")
+    for flags in ((), ("--json",)):
+        rc, out, err = run(capsys, "analyze", path, *flags)
+        assert (rc, err) == (0, "") and "prefix" in out
 
 
 def test_analyze_periodic_instance(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,28 @@ def test_domain_ends_and_intercepts_must_be_scalars():
             AffinePiece(domain, 1, plain)
     with pytest.raises(FieldMismatch):
         HalfOpenInterval(ExactScalar.zero(5), q(1))
+
+
+def test_a_piece_refuses_what_halfopen_interval_refuses():
+    # a domain must lie in [0, 1), with ExactScalar ends: AffinePiece reads
+    # the rule off a given Component's keys and raises what
+    # HalfOpenInterval raises for the same ends
+    for lo, hi in ((q(-1, 2), q(1)), (q(1, 2), q(3, 2))):
+        with pytest.raises(ValueError) as refused:
+            HalfOpenInterval(lo, hi)
+        with pytest.raises(ValueError) as piece:
+            AffinePiece(Component(lo, True, hi, False), 1, q(0))
+        assert str(piece.value) == str(refused.value) == f"need 0 <= lo < hi <= 1, got [{lo}, {hi})"
+    for lo in (q(0), q(-1, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"need 0 <= lo < hi <= 1, got [{lo}, 1]")):
+            AffinePiece(Component(lo, True, q(1), True), 1, q(0))
+    for lo, hi, name in ((0, q(1, 2), "lo"), (Fraction(0), q(1, 2), "lo"),
+                         (q(0), 1, "hi"), (q(0), Fraction(1, 2), "hi"), (0, Fraction(1, 2), "lo")):
+        with pytest.raises(TypeError, match=f"^domain end {name} must be an ExactScalar, got "):
+            AffinePiece(Component(lo, True, hi, False), 1, q(0))
+    # so no map holds a domain that validate would misreport as an overlap
+    with pytest.raises(ValueError):
+        PiecewiseMap([AffinePiece(Component(q(-1, 2), True, q(1), False), 1, q(1, 2))])
 
 
 def test_slope_must_be_unit():

@@ -6,10 +6,14 @@ import pydoc
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
 import ietwords
+from ietwords import (IET, AffinePiece, BoundarySet, ExactScalar, FieldMismatch, GluingMap,
+                      HalfOpenInterval, PiecewiseMap, SpecError, Subdivision, ZeroDenominator,
+                      interval, parse_spec, recurrence_window, refine_to_good, rotation)
 from oracles import fibonacci_word
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +61,52 @@ def test_pydoc_lists_every_public_name():
     assert "ietwords.analysis.ComplexityProfile" in tree
     assert not re.search(r"[\s.(]_", tree), tree
     assert not re.search(r"^    class \w+\([^)]*\b_", text, re.M)
+
+
+def test_refusals_keep_their_types_and_messages():
+    # one line per refusal that the rest of the suite leaves unexercised
+    half = {d: ExactScalar.from_rational(Fraction(1, 2), d) for d in (0, 5)}
+    one = {d: ExactScalar.one(d) for d in (0, 5)}
+    piece = {d: AffinePiece(HalfOpenInterval(ExactScalar.zero(d), one[d]), 1, ExactScalar.zero(d))
+             for d in (0, 5)}
+    iet_doc = {"field_d": 0, "map": {"lengths": ["1"], "permutation": 0},
+               "subdivision": {"classes": {"A": [{"lo": "0", "hi": "1"}]}}, "x0": "0", "length": 1}
+    cases = [
+        (lambda: ExactScalar(1, 0, 0, 5), ZeroDenominator, "denominator is zero"),
+        (lambda: ExactScalar(1, 0, 3, 0).on_lattice(4), ValueError,
+         "4 is not a multiple of the denominator 3"),
+        (lambda: PiecewiseMap([]), ValueError, "a map needs at least one piece"),
+        (lambda: PiecewiseMap([piece[0], piece[5]]), FieldMismatch,
+         "pieces from different field contexts"),
+        (lambda: AffinePiece(piece[0].domain, 1, half[5]), FieldMismatch,
+         "intercept from a different field context"),
+        (lambda: IET((one[0],), (0, 1)), ValueError, "lengths and permutation sizes differ"),
+        (lambda: IET((half[0], half[5]), (0, 1)), FieldMismatch,
+         "lengths from different field contexts"),
+        (lambda: Subdivision({}), ValueError, "a subdivision needs at least one class"),
+        (lambda: Subdivision({"A": interval(ExactScalar.zero(0), half[0]),
+                              "B": interval(half[5], one[5])}),
+         FieldMismatch, "class endpoints from different field contexts"),
+        (lambda: GluingMap({}), ValueError, "empty gluing map"),
+        (lambda: refine_to_good(Subdivision({"A": interval(ExactScalar.zero(5), one[5])}),
+                                rotation(half[0])),
+         FieldMismatch, "subdivision and map use different field contexts"),
+        (lambda: parse_spec("[]"), SpecError, "/: expected a JSON object"),
+        (lambda: parse_spec(iet_doc), SpecError, "/map/permutation: expected an array"),
+        (lambda: BoundarySet().sample_point(), ValueError, "empty set has no points"),
+        (lambda: recurrence_window("a b a b", 0), ValueError, "need n >= 1"),
+    ]
+    for call, kind, message in cases:
+        try:
+            call()
+        except Exception as e:
+            assert (type(e), str(e)) == (kind, message)
+        else:
+            raise AssertionError(f"no {kind.__name__}: {message}")
+    # a negative denominator is moved into the numerators, and so is its sign
+    assert ExactScalar(1, 1, -2, 5) == ExactScalar(-1, -1, 2, 5)
+    assert ExactScalar(1, 1, -2, 5).denominator == 2
+    assert repr(BoundarySet()) == "BoundarySet(empty)"
 
 
 def test_readme_tour_runs():
