@@ -9,22 +9,18 @@ the refined coding back — all in exact arithmetic over Q(sqrt(d)).
 from types import ModuleType as _ModuleType
 
 from .exactnum import (
-    EQ,
-    GT,
-    LT,
     ExactScalar,
     FieldMismatch,
     NonSquarefreeRadicand,
     OutOfExpectedRange,
     ParseError,
     ZeroDenominator,
-    cmp,
     format_scalar,
     make_scalar,
     mod1,
     parse_scalar,
 )
-from .intervalsets import BoundarySet, Component, interval, singleton
+from .intervalsets import BoundarySet, Component, interval
 from .intervalmap import (
     IET,
     AffinePiece,
@@ -78,7 +74,6 @@ from .jsonio import (
     SpecError,
     dumps,
     gluing_from_json,
-    gluing_to_json,
     iet_to_json,
     instance_to_json,
     map_from_json,

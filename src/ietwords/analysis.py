@@ -65,9 +65,6 @@ class ComplexityProfile:
     values: tuple          # ((n, p(n)), ...)
     prefix_length: int
 
-    def p(self, n):
-        return dict(self.values)[n]     # KeyError when n has no value
-
     def rows(self):
         return list(self.values)
 
@@ -78,9 +75,6 @@ class RecurrenceProfile:
 
     values: tuple          # ((n, window), ...)
     prefix_length: int
-
-    def window(self, n):
-        return dict(self.values)[n]     # KeyError when n has no value
 
     def rows(self):
         return list(self.values)

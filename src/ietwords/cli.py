@@ -24,7 +24,6 @@ from .intervalmap import to_iet
 from .jsonio import (
     SpecError,
     dumps,
-    gluing_to_json,
     iet_to_json,
     parse_spec,
     subdivision_to_json,
@@ -109,7 +108,7 @@ def _cmd_refine(spec, args, out):
     refined, gluing = refine_to_good(spec.sub, spec.pmap)
     out.write(dumps({
         "subdivision": subdivision_to_json(refined),
-        "gluing": gluing_to_json(gluing),
+        "gluing": gluing.mapping,
     }))
     return 0
 

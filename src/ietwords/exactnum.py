@@ -52,9 +52,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-# Comparison verdicts, aligned with the sign of the difference.
-LT, EQ, GT = -1, 0, 1
-
 # Largest radicand parse_scalar accepts; its squarefree check stays well
 # under a second.
 MAX_RADICAND = 10**12
@@ -175,9 +172,6 @@ class ExactScalar:
         if rem:
             raise ValueError(f"{den} is not a multiple of the denominator {self._q}")
         return self._a * k, self._b * k
-
-    def is_rational(self):
-        return self._b == 0
 
     # -- arithmetic -------------------------------------------------------
 
@@ -357,11 +351,6 @@ def make_scalar(a_num, a_den, b_num, b_den, d):
         b_num, b_den = -b_num, -b_den
     q = a_den * b_den // gcd(a_den, b_den)
     return ExactScalar(a_num * (q // a_den), b_num * (q // b_den), q, d)
-
-
-def cmp(x, y):
-    """LT, EQ or GT by real value; requires a shared field context."""
-    return x._cmp(y)
 
 
 def mod1(x):

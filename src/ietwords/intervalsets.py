@@ -17,8 +17,8 @@ those once per set or point they are given, and key_range() once per
 interval.
 
 key_range() is the one rule for which (lo, lo_in, hi, hi_in) make an
-interval: lo_key <= hi_key, and for a map's half-open domain also keys
-within those of 0 and 1.  Component, HalfOpenInterval and the document
+interval: lo_key <= hi_key, and for a map's domain also [lo, hi), with
+keys within those of 0 and 1.  Component, HalfOpenInterval and the document
 reader call it, and a Component keeps its key range.  A BoundarySet is
 stored as its merged, sorted key ranges, so set operations are tuple
 comparisons on keys; it builds Components only on request, from those
@@ -82,7 +82,7 @@ def _unit_keys(d):
 def key_range(lo, lo_in, hi, hi_in, unit=None):
     """The key range (lo_key, hi_key) of the interval from lo to hi, each
     end included iff its flag is set, which must hold a point; with
-    unit = d it must lie in [0, 1) of field d.  Raises FieldMismatch for
+    unit = d it must be [lo, hi) in [0, 1) of field d.  Raises FieldMismatch for
     ends from two field contexts, TypeError for an end that is not an
     ExactScalar, int or Fraction, and ValueError for a refused interval.
     """
@@ -98,9 +98,9 @@ def key_range(lo, lo_in, hi, hi_in, unit=None):
 
 
 def _in_unit(lo_key, hi_key, d):
-    """Raise ValueError unless the key range lies in [0, 1) of field d."""
+    """Raise ValueError unless the key range is [lo, hi) in [0, 1) of field d."""
     start, end = _unit_keys(d)
-    if not start <= lo_key <= hi_key < end:
+    if not (start <= lo_key <= hi_key < end and lo_key[2] == AT and hi_key[2] == BELOW):
         raise ValueError(f"need 0 <= lo < hi <= 1, got {_from_keys(lo_key, hi_key)}")
 
 
@@ -118,9 +118,6 @@ class Component:
     def __post_init__(self):
         keys = key_range(self.lo, self.lo_in, self.hi, self.hi_in)
         self.__dict__.update(lo_key=keys[0], hi_key=keys[1])
-
-    def is_singleton(self):
-        return self.lo == self.hi
 
     def length(self):
         return self.hi - self.lo
@@ -166,8 +163,6 @@ def affine_image(slope, intercept, lo_key, hi_key):
 def _from_keys(lo_key, hi_key):
     """The Component of a checked key range, not checked again."""
     (_, lo, le), (_, hi, he) = lo_key, hi_key
-    if le == BELOW or he == ABOVE:
-        raise ValueError("keys do not bound a component")
     c = object.__new__(Component)
     c.__dict__.update(lo=lo, lo_in=le == AT, hi=hi, hi_in=he == AT, lo_key=lo_key, hi_key=hi_key)
     return c
@@ -264,10 +259,6 @@ class BoundarySet:
 def interval(lo, hi, lo_in=True, hi_in=False):
     """Single flagged interval as a BoundarySet; [lo, hi) by default."""
     return BoundarySet([Component(lo, lo_in, hi, hi_in)])
-
-
-def singleton(x):
-    return BoundarySet([Component(x, True, x, True)])
 
 
 class PointOutsideDomain(ValueError):

@@ -102,10 +102,6 @@ def subdivision_to_json(sub):
     }
 
 
-def gluing_to_json(gluing):
-    return gluing.mapping
-
-
 def _origin_to_json(origin):
     if origin is None:
         return None
@@ -137,14 +133,13 @@ def write_word_json(out, letters, origin):
 
 
 def instance_to_json(spec):
-    doc = {
+    return {
         "field_d": spec.field_d,
         "map": iet_to_json(spec.iet) if spec.iet is not None else map_to_json(spec.pmap),
         "subdivision": subdivision_to_json(spec.sub),
         "x0": format_scalar(spec.x0),
         "length": spec.length,
     }
-    return doc
 
 
 def dumps(obj):
@@ -198,13 +193,14 @@ def _reader(d, parsed):
     return scalar
 
 
-def map_from_json(obj, d, path="/map", parsed=None):
+def map_from_json(obj, d, parsed=None):
     """A PiecewiseMap from either the pieces form or the IET form.
 
     Returns (pmap, iet-or-None).  Structure errors raise SpecError; the
     map is built but not validated here.  Scalar texts are parsed into
     `parsed` (text -> scalar), a fresh dict by default.
     """
+    path = "/map"
     if not isinstance(obj, dict):
         raise SpecError(path, f"expected an object, got {type(obj).__name__}")
     scalar = _reader(d, {} if parsed is None else parsed)
@@ -245,10 +241,11 @@ def map_from_json(obj, d, path="/map", parsed=None):
     raise SpecError(path, "expected either a 'pieces' or a 'lengths' description")
 
 
-def subdivision_from_json(obj, d, path="/subdivision", parsed=None):
+def subdivision_from_json(obj, d, parsed=None):
     """A Subdivision from its classes; each component is read straight
     into its key range.  Scalar texts are parsed into `parsed`, as
     map_from_json does."""
+    path = "/subdivision"
     classes_obj = _require(obj, "classes", path)
     if not isinstance(classes_obj, dict) or not classes_obj:
         raise SpecError(f"{path}/classes", "expected a nonempty object")

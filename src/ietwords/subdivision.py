@@ -337,15 +337,6 @@ class GluingMap:
     def mapping(self):
         return dict(self._mapping)
 
-    def domain(self):
-        return tuple(sorted(self._mapping))
-
-    def image_alphabet(self):
-        return tuple(sorted(set(self._mapping.values())))
-
-    def is_bijective(self):
-        return len(set(self._mapping.values())) == len(self._mapping)
-
     def __call__(self, letter):
         try:
             return self._mapping[letter]

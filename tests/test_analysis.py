@@ -79,9 +79,8 @@ def test_fibonacci_complexity_is_n_plus_one():
     prof = complexity(word, 50)
     assert all(pn == n + 1 for n, pn in prof.values)
     assert prof.prefix_length == 1000
-    assert prof.p(7) == 8
-    with pytest.raises(KeyError):
-        prof.p(51)
+    assert dict(prof.values)[7] == 8
+    assert [n for n, _ in prof.values] == list(range(1, 51))
 
 
 def test_complexity_of_periodic_word_is_bounded():
@@ -119,7 +118,7 @@ def test_str_words_are_read_as_text_writes_them():
         assert complexity(text, 5) == complexity(word, 5)
         assert recurrence_profile(text, 5) == recurrence_profile(word, 5)
         assert detect_period(text) == detect_period(word) == (0, 3)
-    assert complexity(word, 1).p(1) == 3
+    assert dict(complexity(word, 1).values)[1] == 3
 
 
 # ------------------------------------------------------- shared automaton
@@ -257,9 +256,8 @@ def test_recurrence_profile_caps_depth():
     prof = recurrence_profile(word, 50)
     assert prof.values[-1][0] == 25  # 100 // 4
     assert prof.prefix_length == 100
-    assert prof.window(1) == recurrence_window(word, 1)
-    with pytest.raises(KeyError):
-        prof.window(26)
+    assert dict(prof.values)[1] == recurrence_window(word, 1)
+    assert [n for n, _ in prof.values] == list(range(1, 26))
 
 
 # ----------------------------------------------------------------- periods

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -5,16 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ietwords import (
-    EQ,
-    GT,
-    LT,
     ExactScalar,
     FieldMismatch,
     NonSquarefreeRadicand,
     OutOfExpectedRange,
     ParseError,
     ZeroDenominator,
-    cmp,
     format_scalar,
     make_scalar,
     mod1,
@@ -34,6 +31,11 @@ def parts(x):
     return a.numerator, a.denominator, b.numerator, b.denominator
 
 
+def order(x, y):
+    """-1, 0 or 1 by real value, read from the comparison operators."""
+    return (x > y) - (x < y)
+
+
 def test_canonical_form_reduces():
     x = make_scalar(2, 4, 0, 1, 0)
     assert x.rational_part == Fraction(1, 2)
@@ -45,7 +47,7 @@ def test_d_zero_and_one_are_rational_contexts():
     assert make_scalar(1, 2, 7, 3, 0).radical_part == 0
     folded = make_scalar(1, 2, 1, 2, 1)  # 1/2 + 1/2*sqrt(1) == 1
     assert folded == make_scalar(1, 1, 0, 1, 0)
-    assert folded.is_rational()
+    assert folded.radical_part == 0
 
 
 def test_construction_errors():
@@ -71,10 +73,10 @@ def test_arithmetic_does_not_recheck_the_radicand(monkeypatch):
 
 
 def test_cmp_spec_values():
-    assert cmp(ALPHA, make_scalar(2, 3, 0, 1, 5)) == LT
-    assert cmp(make_scalar(2, 3, 0, 1, 5), ALPHA) == GT
+    assert order(ALPHA, make_scalar(2, 3, 0, 1, 5)) == -1
+    assert order(make_scalar(2, 3, 0, 1, 5), ALPHA) == 1
     same = make_scalar(-1, 2, 1, 2, 5)
-    assert cmp(ALPHA, same) == EQ
+    assert order(ALPHA, same) == 0
     # sqrt(2) + sqrt(0-ish rational parts): opposite-sign branch
     x = make_scalar(3, 2, -1, 1, 2)  # 3/2 - sqrt(2) > 0
     assert x.sign() == 1
@@ -87,8 +89,9 @@ def test_cross_context_operations_raise():
     r5 = make_scalar(0, 1, 1, 1, 5)
     with pytest.raises(FieldMismatch):
         r2 + r5
-    with pytest.raises(FieldMismatch):
-        cmp(r2, r5)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(FieldMismatch):
+            compare(r2, r5)
     # equality is value-based and total: rationals can coincide across d
     assert make_scalar(1, 2, 0, 1, 5) == make_scalar(1, 2, 0, 1, 0)
     assert hash(make_scalar(1, 2, 0, 1, 5)) == hash(make_scalar(1, 2, 0, 1, 0))
@@ -131,8 +134,8 @@ def test_sign_integer_only_on_torture_pairs():
     # comparison territory, and the answer is still exact
     fib_a, fib_b = 514229, 832040
     near = make_scalar(fib_a, fib_b, 0, 1, 5)
-    verdict = cmp(ALPHA, near)
-    assert verdict in (LT, GT)
+    verdict = order(ALPHA, near)
+    assert verdict in (-1, 1)
     assert verdict == decimal_cmp((-1, 2, 1, 2, 5), (fib_a, fib_b, 0, 1, 5))
     assert (ALPHA - near).sign() == verdict
 
@@ -151,7 +154,7 @@ def test_cmp_agrees_with_decimal_oracle(rng):
             (*parts(x), 5),
             (*parts(y), 5),
         )
-        assert cmp(x, y) == expected, (str(x), str(y))
+        assert order(x, y) == expected, (str(x), str(y))
 
 
 def test_parse_format_spec_examples():

@@ -96,9 +96,20 @@ def test_a_piece_refuses_what_halfopen_interval_refuses():
                          (q(0), 1, "hi"), (q(0), Fraction(1, 2), "hi"), (0, Fraction(1, 2), "lo")):
         with pytest.raises(TypeError, match=f"^domain end {name} must be an ExactScalar, got "):
             AffinePiece(Component(lo, True, hi, False), 1, q(0))
-    # so no map holds a domain that validate would misreport as an overlap
+    # and [lo, hi) only: an open, closed or left-open domain is refused
+    # with its own brackets
+    for lo, lo_in, hi, hi_in in ((q(0), False, q(1, 2), False), (q(0), True, q(1, 2), True),
+                                 (q(1, 2), False, q(1), False), (q(0), False, q(1, 2), True)):
+        domain = Component(lo, lo_in, hi, hi_in)
+        with pytest.raises(ValueError, match=re.escape(f"need 0 <= lo < hi <= 1, got {domain}")):
+            AffinePiece(domain, 1, q(0))
+    # so no map holds a domain that validate would misreport as an overlap,
+    # nor one with an empty gap, as [0, 1/2] and (1/2, 1) would give
     with pytest.raises(ValueError):
         PiecewiseMap([AffinePiece(Component(q(-1, 2), True, q(1), False), 1, q(1, 2))])
+    with pytest.raises(ValueError):
+        PiecewiseMap([AffinePiece(Component(q(0), True, q(1, 2), True), 1, q(0)),
+                      AffinePiece(Component(q(1, 2), False, q(1), False), 1, q(0))])
 
 
 def test_slope_must_be_unit():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ietwords import (BoundarySet, Component, ExactScalar, FieldMismatch, Subdivision,
-                      interval, make_scalar, singleton)
+                      interval, make_scalar)
 
 from conftest import q
 
@@ -13,8 +13,8 @@ def test_component_validation():
         Component(q(1, 2), True, q(1, 3), False)          # lo > hi
     with pytest.raises(ValueError):
         Component(q(1, 2), True, q(1, 2), False)          # singleton needs flags
-    s = singleton(q(1, 2))
-    assert s.components[0].is_singleton()
+    s = interval(q(1, 2), q(1, 2), hi_in=True)
+    assert s.components == (Component(q(1, 2), True, q(1, 2), True),)
 
 
 def test_adjacent_halfopen_intervals_merge():
@@ -32,7 +32,7 @@ def test_open_gap_prevents_merge():
     assert len(s) == 2
     assert not s.contains(q(1, 2))
     # adding the missing singleton glues everything
-    glued = BoundarySet([*s, *singleton(q(1, 2))])
+    glued = BoundarySet([*s, *interval(q(1, 2), q(1, 2), hi_in=True)])
     assert len(glued) == 1
 
 
@@ -64,7 +64,7 @@ def test_intersect_produces_singleton():
     a = BoundarySet([Component(q(0), True, q(1, 2), True)])
     b = BoundarySet([Component(q(1, 2), True, q(1), False)])
     meet = a.intersect(b)
-    assert len(meet) == 1 and meet.components[0].is_singleton()
+    assert len(meet) == 1 and meet.components[0].lo == meet.components[0].hi
     assert meet.sample_point() == q(1, 2)
 
 

@@ -6,15 +6,20 @@ import pydoc
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
 import ietwords
-from ietwords import (IET, AffinePiece, BoundarySet, ExactScalar, FieldMismatch, GluingMap,
-                      HalfOpenInterval, PiecewiseMap, SpecError, Subdivision, ZeroDenominator,
-                      interval, parse_spec, recurrence_window, refine_to_good, rotation)
+from ietwords import (IET, AffinePiece, BoundarySet, Component, ExactScalar, FieldMismatch,
+                      GluingMap, HalfOpenInterval, PiecewiseMap, SpecError, Subdivision,
+                      SymbolicWord, UnknownLetter, ZeroDenominator, cli, code, glue_word,
+                      interval, make_scalar, parse_spec, recurrence_window, refine_to_good,
+                      rotation)
 from oracles import fibonacci_word
+
+from conftest import q
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(Path(ietwords.__file__).parent.glob("*.py"))
@@ -61,6 +66,64 @@ def test_pydoc_lists_every_public_name():
     assert "ietwords.analysis.ComplexityProfile" in tree
     assert not re.search(r"[\s.(]_", tree), tree
     assert not re.search(r"^    class \w+\([^)]*\b_", text, re.M)
+
+
+def test_public_names_are_these():
+    # adding or removing a public name is an API change: it shows up here
+    assert ietwords.__all__ == [
+        "APERIODIC_AT_SCALE", "AffinePiece", "BoundarySet", "ComplexityProfile", "Component",
+        "CorruptMap", "CoverageGapError", "ExactScalar", "FieldMismatch", "GluingMap",
+        "GoodnessCertificate", "GoodnessViolation", "HalfOpenInterval", "IET", "InstanceSpec",
+        "NOT_RECURRENT_AT_SCALE", "NonSquarefreeRadicand", "NotBijective",
+        "NotTranslationPiecewise", "OK", "OutOfExpectedRange", "OverlapError", "ParseError",
+        "PiecewiseMap", "PointOutsideDomain", "PrefixTooShort", "RecurrenceProfile",
+        "RoundtripResult", "SpecError", "Subdivision", "SymbolicWord", "UnknownLetter",
+        "WordOrigin", "ZeroDenominator", "code", "complexity", "detect_period", "dumps",
+        "format_scalar", "glue_word", "gluing_from_json", "identity_map", "iet_to_json",
+        "iet_to_map", "instance_to_json", "interval", "is_good", "iter_code", "iter_orbit",
+        "make_scalar", "map_from_json", "map_to_json", "mod1", "orbit", "parse_scalar",
+        "parse_spec", "recurrence_profile", "recurrence_window", "refine_to_good", "rotation",
+        "roundtrip_check", "subdivision_from_json", "subdivision_to_json", "to_iet",
+        "word_to_json",
+    ]
+
+
+def test_rarely_reached_lines_keep_their_output(tmp_path, capsys):
+    # one line per output or refusal that only the demos, or nothing else
+    # in the suite, reaches
+    third = rotation(q(1, 3))
+    sub = Subdivision({"A": interval(q(0), q(1, 2)), "B": interval(q(1, 2), q(1))})
+    word = code(third, sub, q(0), 13)
+    glued = glue_word(word, GluingMap({"A": "X", "B": "X"}))
+    doc = tmp_path / "third.json"
+    doc.write_text('{"field_d": 0, "map": {"lengths": ["2/3", "1/3"], "permutation": [1, 0]},'
+                   ' "subdivision": {"classes": {"A": [{"lo": "0", "hi": "1/2"}],'
+                   ' "B": [{"lo": "1/2", "hi": "1"}]}}, "x0": "0", "length": 12}')
+    assert cli.main(["analyze", str(doc)]) == 0
+    analyzed = capsys.readouterr().out.splitlines()
+    cases = [
+        (lambda: code(third, sub, q(0), 0), (ValueError, "need n >= 1")),
+        (lambda: type(glued), SymbolicWord),
+        (lambda: (glued.letters, glued.origin.projected, word.origin.projected),
+         (("X",) * 13, True, False)),
+        (lambda: glued.origin == replace(word.origin, projected=True), True),
+        (lambda: repr(word), "SymbolicWord(13 letters: A A B A A B A A B A A B ...)"),
+        (lambda: make_scalar(1, 2, 1, -2, 5) == make_scalar(1, 2, -1, 2, 5), True),
+        (lambda: repr(make_scalar(1, 2, 1, -2, 5)), "ExactScalar('1/2-1/2*sqrt(5)', d=5)"),
+        (lambda: analyzed[-1], "period: preperiod 0, period 3"),
+        (lambda: repr(BoundarySet([Component(q(0), False, q(1, 4), True),
+                                   Component(q(1, 2), True, q(1, 2), True)])),
+         "BoundarySet((0, 1/4] u [1/2, 1/2])"),
+        (lambda: repr(sub), "Subdivision({A: BoundarySet([0, 1/2)), B: BoundarySet([1/2, 1))})"),
+        (lambda: repr(GluingMap({"B": "X", "A": "X"})), "GluingMap(A->X, B->X)"),
+        (lambda: str(UnknownLetter("Z")), "letter 'Z' is not in the gluing domain"),
+    ]
+    for call, expected in cases:
+        try:
+            got = call()
+        except Exception as e:
+            got = type(e), str(e)
+        assert got == expected, (got, expected)
 
 
 def test_refusals_keep_their_types_and_messages():
