@@ -2,8 +2,10 @@
 
 The word of x0 under a map T and subdivision S is the color sequence of
 T^0 x0, T^1 x0, T^2 x0, ...  Batch and streaming generation share one orbit
-walk.  The glue-back round trip is decided on a table of where the glued
-refined letter is the original one, and walks only to locate a mismatch.
+walk.  The glue-back round trip is decided on the cells of where the glued
+refined letter is the original one, met in one ordered walk over the
+refined and original cells; only when some cell says no are they made a
+table, and the orbit walked to locate the mismatch.
 
 Every walk requires a map whose validation report is clean: its orbits
 then stay in [0, 1) and its domains tile [0, 1), and a broken map raises
@@ -257,12 +259,12 @@ OK = RoundtripResult(True)
 
 
 def _agreement(refined, gluing, sub):
-    """The cells of [0, 1) on which the glued refined letter is, or is not,
-    the original letter, valued True or False.
+    """The cells (lo_key, hi_key, same) of [0, 1), left to right, with same
+    True where the glued refined letter is the original letter.
 
-    Both tables tile [0, 1), so their common refinement does, left to
-    right; neighbours with the same value are joined, and a correct
-    refinement gives the single cell [0, 1) valued True.
+    Both tables tile [0, 1), so their common refinement does; neighbours
+    with the same value are joined, and a correct refinement gives the
+    single cell [0, 1) valued True.
     """
     cells = []
     for lo, hi, (letter, original) in refined.table.overlay(sub.table):
@@ -271,7 +273,7 @@ def _agreement(refined, gluing, sub):
             cells[-1] = (cells[-1][0], hi, same)
         else:
             cells.append((lo, hi, same))
-    return CellTable(cells, sub.d)
+    return cells
 
 
 def roundtrip_check(pmap, sub, x0, n):
@@ -279,22 +281,23 @@ def roundtrip_check(pmap, sub, x0, n):
 
     Equivalent to comparing glue_word(code(pmap, refined, x0, n)) with
     code(pmap, sub, x0, n) for (refined, gluing) = refine_to_good(sub, pmap).
-    The answer is read off the table of where the glued refined letter is
+    The answer is read off the cells of where the glued refined letter is
     the original one.  refine_to_good has validated the map, so every orbit
-    stays in [0, 1), and a table that is the single cell [0, 1) valued True
-    proves the round trip for every start and length without a walk.
-    Otherwise the orbit is walked to the first point in a False cell; a
-    point past the first repeat repeats an earlier one, so the walk stops
-    once the cycle closes, when every distinct point has been read.
+    stays in [0, 1), and the single cell [0, 1) valued True proves the
+    round trip for every start and length without a table or a walk.
+    Otherwise the cells become a table, and the orbit is walked to the
+    first point in a False cell; a point past the first repeat repeats an
+    earlier one, so the walk stops once the cycle closes, when every
+    distinct point has been read.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     refined, gluing = refine_to_good(sub, pmap)
-    agree = _agreement(refined, gluing, sub)
-    if [value for _, _, value in agree.cells] == [True]:
+    cells = _agreement(refined, gluing, sub)
+    if len(cells) == 1 and cells[0][2]:
         pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
         return OK
-    walk = _LatticeOrbit(pmap, x0, agree)
+    walk = _LatticeOrbit(pmap, x0, CellTable(cells, sub.d))
     for k, (_, same) in enumerate(islice(walk.stream(), n)):
         if not same:
             return RoundtripResult(False, k)

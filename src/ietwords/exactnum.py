@@ -452,16 +452,14 @@ def parse_scalar(text, d=None):
     return _result(a, b, q, radicand)
 
 
-def _format_rat(num, den):
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
 def format_scalar(x):
-    """Canonical text form; parse_scalar(format_scalar(x)) == x."""
+    """Canonical text form, each part in lowest terms; parse_scalar(format_scalar(x)) == x."""
     a, b, q = x._a, x._b, x._q
     if b == 0:
         return str(a) if q == 1 else f"{a}/{q}"   # canonical: gcd(a, q) == 1
-    sign = "+" if b > 0 else "-"
-    return f"{_format_rat(a, q)}{sign}{_format_rat(abs(b), q)}*sqrt({x._d})"
+    g = gcd(a, q)
+    rational = str(a // g) if g == q else f"{a // g}/{q // g}"
+    sign, b = ("+", b) if b > 0 else ("-", -b)
+    g = gcd(b, q)
+    radical = str(b // g) if g == q else f"{b // g}/{q // g}"
+    return f"{rational}{sign}{radical}*sqrt({x._d})"

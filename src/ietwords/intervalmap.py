@@ -169,13 +169,17 @@ class PiecewiseMap:
         the right piece's start value, compared on the stored image ends
         (slope -1 maps a domain's end to its image's start).  On a valid map
         these are the points where the left limit differs from the value.
-        Computed once per map; each call returns a fresh list."""
+        Each call returns a fresh list."""
+        return [cut[1] for cut in self._cut_keys()]
+
+    def _cut_keys(self):
+        """The keys of the discontinuities, left to right, computed once per map."""
         if self._cuts is None:
             ends = [image[::p.slope] for image, p in zip(self._piece_images(), self._pieces)]
-            self._cuts = [right.domain.lo for (_, left_end), (right_start, _), right
+            self._cuts = [right.domain.lo_key for (_, left_end), (right_start, _), right
                           in zip(ends, ends[1:], self._pieces[1:])
                           if left_end[1] != right_start[1]]
-        return list(self._cuts)
+        return self._cuts
 
     def validate(self):
         """Structural report: overlaps, gaps, escaping images, bijectivity."""
@@ -214,11 +218,11 @@ class PiecewiseMap:
     def content_id(self):
         """Deterministic identity string derived from the pieces."""
         fields, hi, hi_text = [], None, None
-        for p in self._pieces:
+        for (_, lo, _), (_, end, _), p in self.table.cells:
             # a piece mostly starts on the object the one before it ends on:
             # format that once (an equal object gives the same text)
-            lo_text = hi_text if p.domain.lo is hi else format_scalar(p.domain.lo)
-            hi, hi_text = p.domain.hi, format_scalar(p.domain.hi)
+            lo_text = hi_text if lo is hi else format_scalar(lo)
+            hi, hi_text = end, format_scalar(end)
             fields.append(f"{lo_text},{hi_text},{p.slope},{format_scalar(p.intercept)}")
         text = ";".join(fields)
         return "map:" + hashlib.sha256(text.encode()).hexdigest()[:12]

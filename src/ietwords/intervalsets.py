@@ -25,7 +25,8 @@ comparisons on keys; it builds Components only on request, from those
 ranges and unchecked (_from_keys).  A CellTable holds key ranges sorted by
 start, each with a value: map domains, map images and subdivision cells
 are each one table, and every single-point lookup, range lookup and tiling
-check on [0, 1) goes through it; overlay() meets two tilings into one.
+check on [0, 1) goes through it; overlay() meets two tilings into one in
+a single ordered walk over both, with no lookup per cell.
 A LatticeTable is a CellTable that tiles [0, 1), compiled for the integer
 lattice of one orbit walk, where floats only filter: each walk compiles
 one, for the overlay of its map's domains and the cells it reads, and
@@ -269,7 +270,7 @@ class CellTable:
     """Cells (lo_key, hi_key, value) in field d, sorted by start key.
 
     Cells with equal starts keep their order.  faults() says whether the
-    cells tile [0, 1); meeting() assumes that they do.
+    cells tile [0, 1); meeting() and overlay() assume that they do.
     """
 
     __slots__ = ("cells", "d", "_starts", "_start", "_end")
@@ -306,10 +307,20 @@ class CellTable:
 
     def overlay(self, other):
         """The common refinement of two tables that tile [0, 1), left to
-        right, as (lo_key, hi_key, (value here, value in other))."""
-        for lo_key, hi_key, value in self.cells:
-            for lo, hi, other_value in other.meeting(lo_key, hi_key):
-                yield lo, hi, (value, other_value)
+        right, as (lo_key, hi_key, (value here, value in other)): one
+        ordered walk over both, each piece from the later start to the
+        earlier end, this table's on a tie."""
+        theirs = other.cells
+        j = 0
+        for lo, hi, value in self.cells:
+            _, their_hi, their_value = theirs[j]
+            while their_hi < hi:
+                yield lo, their_hi, (value, their_value)
+                j += 1
+                lo, their_hi, their_value = theirs[j]
+            yield lo, hi, (value, their_value)
+            if their_hi == hi:
+                j += 1
 
     def faults(self):
         """Walk the cells across [0, 1) and yield every fault.

@@ -14,8 +14,9 @@ types and fields, then walks the cells across [0, 1) and rejects the first
 gap, overlap or cell outside it; refine_to_good stores the cells it cuts
 from a checked subdivision unwalked, and their names and its GluingMap
 unchecked.  content_id is one pass over the cells, left to right, each
-cell's text gathered under its letter.  Condition 1 needs the cells by
-letter only when there are more cells than letters.
+cell's text gathered under its letter, then joined once.  Condition 1
+needs the cells by letter only when there are more cells than letters,
+and condition 2 ranks the letters only when a cut lies inside a cell.
 
 Condition 2 and refine_to_good pay per discontinuity (_cuts_inside): each
 is bisected into the cell starts once, O(discontinuities * log cells), and
@@ -37,7 +38,12 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
-from .intervalsets import AT, BoundarySet, CellTable, _field, _pred, _sample, _succ, key
+from .intervalsets import BoundarySet, CellTable, _field, _pred, _sample, _succ
+
+
+# "1" for a closed end, "0" for an open one, indexed by the end's key side:
+# AT (0) is closed, ABOVE (1) and BELOW (-1) are open
+_CLOSED = ("1", "0", "0")
 
 
 class OverlapError(ValueError):
@@ -151,14 +157,18 @@ class Subdivision:
         return len(self.table.cells)
 
     def content_id(self):
-        # one pass; a start that is the object the cell before ends on is formatted once
+        # one pass; a start that is the object the cell before ends on is
+        # formatted once.  A cell's text leads with ";letter:" in its class's
+        # first cell, "|" in the others, so one join gives "a:...|...;b:..."
         parts = {letter: [] for letter in self._alphabet}
         hi = hi_text = None
         for (_, lo, le), (_, end, he), letter in self.table.cells:
             lo_text = hi_text if lo is hi else format_scalar(lo)
             hi, hi_text = end, format_scalar(end)
-            parts[letter].append(f"{lo_text},{int(le == AT)},{hi_text},{int(he == AT)}")
-        text = ";".join(f"{letter}:" + "|".join(texts) for letter, texts in parts.items())
+            texts = parts[letter]
+            sep = "|" if texts else f";{letter}:"
+            texts.append(f"{sep}{lo_text},{_CLOSED[le]},{hi_text},{_CLOSED[he]}")
+        text = "".join([t for texts in parts.values() for t in texts])[1:]
         return "sub:" + hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def __eq__(self, other):
@@ -221,8 +231,7 @@ def _cuts_inside(sub, pmap):
     """
     cells, starts = sub.table.cells, sub.table._starts
     inside = {}
-    for p in pmap.discontinuities():       # sorted, as the pieces are
-        cut = key(p, AT)
+    for cut in pmap._cut_keys():           # sorted, as the pieces are
         i = bisect_left(starts, cut) - 1
         if cut < cells[i][1]:
             inside.setdefault(i, []).append(cut)
@@ -310,16 +319,18 @@ def is_good(sub, pmap):
                 witness = tuple(_sample(*cell[:2]) for cell in cells[:2])
                 violations.append(GoodnessViolation("not-convex", letter, witness=witness))
 
-    rank = {letter: r for r, letter in enumerate(sub.alphabet)}
-    shared = []                            # in position order
-    for i, cuts in _cuts_inside(sub, pmap).items():
-        lo_key, hi_key, letter = sub.table.cells[i]
-        parts = list(pmap._parts(lo_key, hi_key))
-        for p, color, *sides in _shared_colors(sub, rank, cuts, parts):
-            a, b = (_pull_back(piece, _sample(lo, hi)) for piece, lo, hi in sides)
-            shared.append(GoodnessViolation("shared-image-color", letter, point=p,
-                                            color=color, witness=(a, b)))
-    violations.extend(sorted(shared, key=lambda v: rank[v.letter]))
+    inside = _cuts_inside(sub, pmap)
+    if inside:                             # no cut inside a cell, no shared color
+        rank = {letter: r for r, letter in enumerate(sub.alphabet)}
+        shared = []                        # in position order
+        for i, cuts in inside.items():
+            lo_key, hi_key, letter = sub.table.cells[i]
+            parts = list(pmap._parts(lo_key, hi_key))
+            for p, color, *sides in _shared_colors(sub, rank, cuts, parts):
+                a, b = (_pull_back(piece, _sample(lo, hi)) for piece, lo, hi in sides)
+                shared.append(GoodnessViolation("shared-image-color", letter, point=p,
+                                                color=color, witness=(a, b)))
+        violations.extend(sorted(shared, key=lambda v: rank[v.letter]))
     return violations or GoodnessCertificate(sub.content_id(), pmap.content_id())
 
 

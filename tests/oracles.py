@@ -6,11 +6,13 @@ substitution words for golden prefixes, brute-force scans that double
 check the fast implementations, content ids spelled out from plain
 number tuples, set algebra on plain (lo, lo_in, hi, hi_in) tuples, the
 rule for when such a tuple is an interval, decided by exact comparisons,
-and the scalar grammar read one character at a time.  None of it
+the overlay of two tilings by one lookup per cell, and the scalar
+grammar read one character at a time.  None of it
 imports from ietwords.
 """
 
 import hashlib
+from bisect import bisect_right
 from decimal import ROUND_FLOOR, Decimal, getcontext
 from fractions import Fraction
 from functools import total_ordering
@@ -161,6 +163,28 @@ def cuts_inside_cells(cells, cuts):
         if mine:
             inside[i] = mine
     return inside
+
+
+def overlay_by_lookup(cells, other):
+    """The common refinement of two tilings of [0, 1), each a list of
+    (lo_key, hi_key, value) tuples sorted by start with every cell ending
+    just before the next begins, as (lo_key, hi_key, (value, other value)).
+
+    For each cell, the other cell holding its start is found by bisecting
+    the other starts; from there the other cells are clipped to the cell
+    until one reaches its end.  A clipped piece keeps the cell's start or
+    the other cell's, whichever comes later, and the cell's start on a tie.
+    """
+    starts = [lo for lo, _, _ in other]
+    out = []
+    for lo, hi, value in cells:
+        i = bisect_right(starts, lo) - 1
+        while other[i][1] < hi:
+            out.append((lo, other[i][1], (value, other[i][2])))
+            i += 1
+            lo = other[i][0]
+        out.append((lo, hi, (value, other[i][2])))
+    return out
 
 
 def rational_grid(denominator):

@@ -4,6 +4,7 @@ from itertools import islice
 
 import pytest
 
+import ietwords.coding as coding
 from ietwords import (
     OK,
     BoundarySet,
@@ -11,6 +12,7 @@ from ietwords import (
     Component,
     ExactScalar,
     FieldMismatch,
+    GluingMap,
     PointOutsideDomain,
     RoundtripResult,
     Subdivision,
@@ -21,6 +23,7 @@ from ietwords import (
     iter_orbit,
     make_scalar,
     orbit,
+    refine_to_good,
     rotation,
     roundtrip_check,
     word_to_json,
@@ -297,16 +300,32 @@ def test_roundtrip_on_random_instances(rng):
         assert roundtrip_check(pmap, sub, x0, 300).ok
 
 
+def counting(monkeypatch, name):
+    """The arguments of each construction of coding's `name`."""
+    made = []
+    real = getattr(coding, name)
+
+    def count(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coding, name, count)
+    return made
+
+
 def test_certified_roundtrip_compiles_no_table(monkeypatch, golden):
-    # a certified agreement table answers without a walk, so no lattice
-    # table is compiled, but a bad start still raises as a walk would
+    # certified agreement cells answer without a walk, so neither their
+    # table nor a lattice table is built, but a bad start still raises as
+    # a walk would
     R, sub, alpha = golden
 
     def refuse(*args):
         raise AssertionError("a certified round trip compiled a LatticeTable")
 
+    cell_tables = counting(monkeypatch, "CellTable")
     monkeypatch.setattr("ietwords.coding.LatticeTable", refuse)
     assert roundtrip_check(R, sub, alpha, 10**6) is OK
+    assert cell_tables == []
     assert roundtrip_check(R, sub, 0, 1) is OK
     with pytest.raises(PointOutsideDomain):
         roundtrip_check(R, sub, 1, 10)
@@ -316,3 +335,30 @@ def test_certified_roundtrip_compiles_no_table(monkeypatch, golden):
         roundtrip_check(R, sub, "1/2", 10)
     with pytest.raises(ValueError):
         roundtrip_check(R, sub, alpha, 0)
+
+
+def test_a_wrong_letter_is_walked_to_in_one_table(monkeypatch, golden):
+    # a gluing that sends the letter of [0, 1/50) to "1" breaks the round
+    # trip there: the walk compiles one lattice table and stops at the
+    # orbit's first point in [0, 1/50), pinned and stepped through R here
+    R, _, alpha = golden
+    zero, one = ExactScalar.zero(5), ExactScalar.one(5)
+    cut, tiny = one - alpha, q(1, 50, 5)
+    sub = Subdivision({"1": [Component(tiny, True, cut, False)],
+                       "0": [Component(cut, True, one, False)],
+                       "x": [Component(zero, True, tiny, False)]})
+    refined, gluing = refine_to_good(sub, R)
+    assert gluing.mapping == {"00": "0", "10": "1", "x0": "x"}
+    monkeypatch.setattr(coding, "refine_to_good",
+                        lambda s, m: (refined, GluingMap({**gluing.mapping, "x0": "1"})))
+    for x0, k in ((alpha, 33), (zero, 0), (q(1, 2, 5), 17)):
+        x, first = x0, 0
+        while not x < tiny:
+            x, first = R(x), first + 1
+        assert first == k
+        lattice_tables = counting(monkeypatch, "LatticeTable")
+        assert roundtrip_check(R, sub, x0, 10**6) == RoundtripResult(False, k)
+        assert len(lattice_tables) == 1
+        assert roundtrip_check(R, sub, x0, k + 1) == RoundtripResult(False, k)
+        if k:
+            assert roundtrip_check(R, sub, x0, k) is OK

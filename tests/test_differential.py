@@ -42,6 +42,7 @@ from ietwords import (
     PiecewiseMap,
     PointOutsideDomain,
     Subdivision,
+    format_scalar,
     interval,
     iet_to_map,
     is_good,
@@ -488,6 +489,24 @@ def long_partition(rng, d, k):
     return pmap, Subdivision(classes)
 
 
+def pinned_instances():
+    """A subdivision with open, closed and shared ends in Q(sqrt 5), a map
+    with a slope -1 piece whose cut lies inside a cell, the refinement
+    that cut makes, and a rotation in Q(sqrt 4000037) by an angle with
+    300-digit parts."""
+    third, half = q(1, 3, 5), make_scalar(2, 4, 0, 1, 5)
+    sub = Subdivision({"A": [Component(q(0, 1, 5), True, third, False),
+                             Component(q(1, 2, 5), False, q(1, 1, 5), False)],
+                       "B": [Component(q(1, 3, 5), True, half, True)]})
+    a = make_scalar(1, 4, 1, 9, 5)               # inside B's cell [1/3, 1/2]
+    flip = PiecewiseMap([AffinePiece(HalfOpenInterval(q(0, 1, 5), a), -1, a),
+                         AffinePiece(HalfOpenInterval(a, q(1, 1, 5)), 1, q(0, 1, 5))])
+    refined, _ = refine_to_good(sub, flip)
+    angle = make_scalar(-10**299 + 7, 3 * 10**299 + 1, 10**299 - 3, 12000 * 10**299 + 2,
+                        4000037)
+    return sub, flip, refined, rotation(mod1(angle))
+
+
 def test_content_ids_match_the_oracle_text():
     # (2 + sqrt 5)/2 is 1 + (1/2) sqrt 5: its two parts reduce differently
     assert str(make_scalar(2, 2, 1, 2, 5)) == scalar_text(Fraction(1), Fraction(1, 2), 5)
@@ -509,7 +528,9 @@ def test_content_ids_match_the_oracle_text():
         instances += [random_translation_instance(rng, 5)[:2],
                       random_rational_instance(rng)[:2], several_cuts_per_component(rng)]
     instances += [long_partition(rng, d, 200) for d in (0, 5)]
-    seen = dict.fromkeys(("several components", "singleton", "flip"), 0)
+    pinned_sub, flip, _, _ = pinned_instances()
+    instances.append((flip, pinned_sub))
+    seen = dict.fromkeys(("several components", "singleton", "flip", "cut refinement"), 0)
     for pmap, sub in instances:
         refined, _ = refine_to_good(sub, pmap)
         for s in (sub, refined):
@@ -518,10 +539,38 @@ def test_content_ids_match_the_oracle_text():
         seen["several components"] += any(len(c) > 1 for c in sub.classes.values())
         seen["singleton"] += any(c.lo == c.hi for cls in sub.classes.values() for c in cls)
         seen["flip"] += any(p.slope == -1 for p in pmap.pieces)
+        seen["cut refinement"] += len(refined.table.cells) > len(sub.table.cells)
     assert min(seen.values()) >= 2, seen
+    # four ids pinned as literals, the refinement cut inside a cell
+    sub, flip, refined, rot = pinned_instances()
+    assert len(refined.table.cells) == len(sub.table.cells) + 1
+    assert rot.content_id() == oracle_map_id(rot)
+    assert [s.content_id() for s in (sub, refined)] == ["sub:e751d1cbef8f", "sub:b9cef11f74bc"]
+    assert [m.content_id() for m in (flip, rot)] == ["map:30afe46e0005", "map:84baab861130"]
     # with gaps and overlaps, a piece need not start where the one before ends
     for pmap in (random_map(rng) for _ in range(100)):
         assert pmap.content_id() == oracle_map_id(pmap)
+
+
+def test_format_scalar_matches_the_oracle_text():
+    # a seeded pool over four fields, with 300-digit integers, q = 1,
+    # negative radical parts and parts that reduce by different factors;
+    # the oracle reads the parts as drawn, d = 0 dropping the radical one
+    rng = random.Random(30)
+    seen = dict.fromkeys(("300 digits", "q = 1", "negative radical", "reduce differently"), 0)
+    for d in (0, 2, 5, 4000037):
+        for _ in range(250):
+            big = rng.choice((1, 12, 10**6, 10**300))
+            a, b = (Fraction(rng.randint(-big, big), rng.choice((1, rng.randint(1, big))))
+                    for _ in range(2))
+            b = b if d else Fraction(0)
+            x = make_scalar(a.numerator, a.denominator, b.numerator, b.denominator, d)
+            assert format_scalar(x) == scalar_text(a, b, d)
+            seen["300 digits"] += max(abs(a.numerator), abs(b.numerator)) >= 10**299
+            seen["q = 1"] += a.denominator == b.denominator == 1
+            seen["negative radical"] += b < 0
+            seen["reduce differently"] += b != 0 and a.denominator != b.denominator
+    assert min(seen.values()) >= 200, seen
 
 
 def test_a_map_id_stays_the_same():

@@ -56,8 +56,9 @@ from ietwords.instances import (
     random_subdivision,
     random_translation_instance,
 )
-from ietwords.intervalsets import ABOVE, AT, CellTable, LatticeTable, _from_keys, key
+from ietwords.intervalsets import ABOVE, AT, BELOW, CellTable, LatticeTable, _from_keys, key
 
+from oracles import overlay_by_lookup
 from test_differential import perturbed_translation_map, random_map
 
 FIELDS = (0, 2, 5, 4000037)
@@ -424,13 +425,59 @@ def test_walk_table_is_the_overlay_of_pieces_and_cells():
                     continue               # isolating needs a second letter
                 for x in (pmap.pieces[-1].domain.lo, rng.choice(field_points(rng, d))):
                     broken, gluing = isolating(sub, x, "X")
-                    agree = coding._agreement(broken, gluing, sub)
+                    agree = CellTable(coding._agreement(broken, gluing, sub), sub.d)
                     same = lambda y: gluing(broken.color_of(y)) == sub.color_of(y)
                     cells = assert_overlay_matches(pmap, agree, same)
                     assert [(lo, hi) for lo, hi, (_, ok) in cells if not ok] == [
                         (key(x, AT), key(x, AT))]
                     kinds["false singleton"] += 1
     assert min(kinds.values()) >= 10, kinds
+
+
+def sided_table(rng, cuts, d):
+    """A table tiling [0, 1) with a boundary at each cut, and the side it
+    takes there: the cell before ends just below the cut ("below"), at it
+    ("at"), or the cut is a cell of its own ("point")."""
+    cells, sides, lo = [], {}, key(ExactScalar.zero(d), AT)
+    for x in cuts:
+        sides[x] = side = rng.choice(("below", "at", "point"))
+        if side == "point":
+            cells += [(lo, key(x, BELOW)), (key(x, AT), key(x, AT))]
+            lo = key(x, ABOVE)
+        else:
+            eps = BELOW if side == "below" else AT
+            cells.append((lo, key(x, eps)))
+            lo = key(x, eps + 1)
+    cells.append((lo, key(ExactScalar.one(d), BELOW)))
+    return CellTable([(lo, hi, i) for i, (lo, hi) in enumerate(cells)], d), sides
+
+
+def test_overlay_matches_a_lookup_per_cell():
+    # the ordered walk against one bisect per cell on plain tuples: seeded
+    # map, subdivision and refinement tables, each with itself and with a
+    # one-cell table, in both orders, and tables whose shared boundaries
+    # take every pair of key sides
+    rng = random.Random(30)
+    side_pairs = set()
+    for d in (0, 5):
+        whole = Subdivision({"all": [Component(ExactScalar.zero(d), True,
+                                               ExactScalar.one(d), False)]}).table
+        for _ in range(20):
+            pmap, sub, _ = random_instance(rng, d)
+            refined, _ = refine_to_good(sub, pmap)
+            tables = (pmap.table, sub.table, refined.table, whole)
+            for a in tables:
+                for b in tables:
+                    assert list(a.overlay(b)) == overlay_by_lookup(a.cells, b.cells)
+            pool = field_points(rng, d)
+            shared = rng.sample(pool, min(4, len(pool)))
+            mine, theirs = (sorted({*shared, *rng.sample(pool, 2)}) for _ in range(2))
+            (a, a_sides), (b, b_sides) = sided_table(rng, mine, d), sided_table(rng, theirs, d)
+            assert list(a.faults()) == list(b.faults()) == []
+            assert list(a.overlay(b)) == overlay_by_lookup(a.cells, b.cells)
+            assert list(b.overlay(a)) == overlay_by_lookup(b.cells, a.cells)
+            side_pairs |= {(a_sides[x], b_sides[x]) for x in shared}
+    assert len(side_pairs) == 9, side_pairs
 
 
 def test_starts_below_the_normal_float_range():
@@ -780,13 +827,13 @@ def test_agreement_is_one_true_cell_unless_a_point_is_broken():
         for _ in range(10):
             pmap, sub, x0 = random_instance(rng, d)
             refined, gluing = refine_to_good(sub, pmap)
-            table = coding._agreement(refined, gluing, sub)
+            table = CellTable(coding._agreement(refined, gluing, sub), sub.d)
             assert [value for _, _, value in table.cells] == [True]
             assert list(table.faults()) == []
     for pmap, sub, x0, (mu, lam) in flip_instances():
         x = list(exact_orbit(pmap, x0, mu + lam))[-1]
         broken, gluing = isolating(sub, x, "X")
-        table = coding._agreement(broken, gluing, sub)
+        table = CellTable(coding._agreement(broken, gluing, sub), sub.d)
         assert list(table.faults()) == []
         false = [(lo, hi) for lo, hi, value in table.cells if not value]
         assert false == [(key(x, AT), key(x, AT))]
