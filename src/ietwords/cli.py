@@ -99,8 +99,8 @@ def _cmd_check_good(spec, args, out):
         out.write(dumps({"good": False,
                          "violations": [_violation_json(v) for v in result]}))
     else:
-        for v in result:
-            out.write(f"violation: {v}\n")
+        # the whole report is formatted before any of it is written
+        out.write("".join(f"violation: {v}\n" for v in result))
     return 1
 
 

@@ -106,8 +106,8 @@ def random_piecewise_map(rng, d=5, max_pieces=6):
     return PiecewiseMap(pieces).require_valid()
 
 
-def random_iet(rng, d=5, max_intervals=5):
-    k = rng.randint(2, max_intervals)
+def random_iet(rng, d=5):
+    k = rng.randint(2, 5)
     cuts = _cuts(rng, d, k - 1)
     lengths = tuple(hi - lo for lo, hi in _intervals_from_cuts(cuts, d))
     permutation = list(range(k))
@@ -120,11 +120,11 @@ def random_translation_map(rng, d=5):
     return iet_to_map(random_iet(rng, d))
 
 
-def random_subdivision(rng, d=5, max_colors=5, max_components=4):
-    colors = [chr(ord("A") + i) for i in range(rng.randint(2, max_colors))]
+def random_subdivision(rng, d=5):
+    colors = [chr(ord("A") + i) for i in range(rng.randint(2, 5))]
     labels = []
     for color in colors:
-        labels.extend([color] * rng.randint(1, max_components))
+        labels.extend([color] * rng.randint(1, 4))
     for _ in range(40):
         rng.shuffle(labels)
         if all(a != b for a, b in zip(labels, labels[1:])):
@@ -174,19 +174,17 @@ def _grid_scalar(rng, q, lo=0, hi=None):
     return ExactScalar.from_rational(Fraction(rng.randint(lo, hi), q), 0)
 
 
-def random_rational_instance(rng, max_denominator=24):
-    """All endpoints and intercepts on one grid of denominator q <= max.
+def random_rational_instance(rng):
+    """All endpoints and intercepts on one grid of denominator q <= 24.
 
     Returns (map, subdivision, x0, q).  Keeping every datum a multiple of
     1/q means a scan over the half-grid 1/(2q) sees a point of every
     nonempty color-class intersection, which is what makes a grid pair
     scan equivalent to the exact condition-2 check.
     """
-    q = rng.randint(4, max_denominator)
+    q = rng.randint(4, 24)
 
     def distinct_cuts(count):
-        if count > q - 1:
-            count = q - 1
         nums = rng.sample(range(1, q), count)
         return sorted(ExactScalar.from_rational(Fraction(n, q), 0) for n in nums)
 

@@ -1,13 +1,13 @@
 """Piecewise-affine transformations of [0, 1) and interval exchanges.
 
 A PiecewiseMap is a finite list of affine pieces with slope +1 or -1 whose
-half-open domains tile [0, 1); a domain is a Component [lo, hi) in [0, 1),
-checked once by HalfOpenInterval (AffinePiece refuses any other), and the
-map's table reads its keys.  Validation is report-style: invalid maps can
-be built and inspected, and apply and piece_at answer single points of any
-map, but every orbit walk, is_good and refine_to_good check the report
-first and raise CorruptMap unless it is clean.  An IET, the special case
-of a translation bijection, is stored as lengths plus a permutation.
+half-open domains tile [0, 1).  Validation is report-style: invalid maps
+can be built and inspected, and apply and piece_at answer single points of
+any map.  validate is the one step that derives what a map knows (the
+report, each piece's image, the discontinuities), once per map; every
+orbit walk, is_good and refine_to_good raise CorruptMap unless its report
+is clean.  An IET, the special case of a translation bijection, is stored
+as lengths plus a permutation.
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ class ValidationReport:
 class PiecewiseMap:
     """Affine pieces sorted by domain start; `table` holds their domains."""
 
-    __slots__ = ("_pieces", "_d", "table", "_report", "_cuts", "_images")
+    # _validated: (report, piece images, cut keys), filled by validate
+    __slots__ = ("_pieces", "_d", "table", "_validated")
 
     def __init__(self, pieces):
         pieces = tuple(pieces)
@@ -113,9 +114,7 @@ class PiecewiseMap:
         self.table = CellTable(((p.domain.lo_key, p.domain.hi_key, p) for p in pieces), d)
         self._pieces = tuple(p for _, _, p in self.table.cells)
         self._d = d
-        self._report = None
-        self._cuts = None
-        self._images = None
+        self._validated = None
 
     @property
     def pieces(self):
@@ -139,22 +138,15 @@ class PiecewiseMap:
 
     __call__ = apply
 
-    def _piece_images(self):
-        """Each piece's image key range, in table order, computed once."""
-        if self._images is None:
-            self._images = [affine_image(p.slope, p.intercept, lo, hi)
-                            for lo, hi, p in self.table.cells]
-        return self._images
-
     def _parts(self, lo_key, hi_key):
         """Each piece meeting the key range, clipped to it, left to right, as
         (lo_key, hi_key, piece, image key range of the clipped part).
 
-        The map must be valid.  A part's image is its piece's stored one,
-        but for an end where the range clips the piece, so a range costs
-        at most two image ends.
+        The map must be valid, so validate has kept its piece images.  A
+        part's image is its piece's stored one, but for an end where the
+        range clips the piece, so a range costs at most two image ends.
         """
-        cells, images = self.table.cells, self._piece_images()
+        cells, images = self.table.cells, self._validated[1]
         first = bisect_right(self.table._starts, lo_key) - 1
         for i, (lo, hi, piece) in enumerate(self.table.meeting(lo_key, hi_key), first):
             start, end = images[i][::piece.slope]      # images of the piece's start, end
@@ -166,25 +158,22 @@ class PiecewiseMap:
 
     def discontinuities(self):
         """Interior boundaries where the left piece's end value differs from
-        the right piece's start value, compared on the stored image ends
-        (slope -1 maps a domain's end to its image's start).  On a valid map
-        these are the points where the left limit differs from the value.
-        Each call returns a fresh list."""
-        return [cut[1] for cut in self._cut_keys()]
-
-    def _cut_keys(self):
-        """The keys of the discontinuities, left to right, computed once per map."""
-        if self._cuts is None:
-            ends = [image[::p.slope] for image, p in zip(self._piece_images(), self._pieces)]
-            self._cuts = [right.domain.lo_key for (_, left_end), (right_start, _), right
-                          in zip(ends, ends[1:], self._pieces[1:])
-                          if left_end[1] != right_start[1]]
-        return self._cuts
+        the right piece's start value, as validate finds them.  On a valid
+        map these are the points where the left limit differs from the
+        value.  Each call returns a fresh list."""
+        self.validate()
+        return [cut[1] for cut in self._validated[2]]
 
     def validate(self):
-        """Structural report: overlaps, gaps, escaping images, bijectivity."""
-        if self._report is not None:
-            return self._report
+        """Structural report: overlaps, gaps, escaping images, bijectivity.
+
+        The one pass that derives what the map knows: it also keeps each
+        piece's image key range, in table order, and the keys of the
+        discontinuities, left to right, read off the image ends (slope -1
+        maps a domain's end to its image's start).  Never raises.
+        """
+        if self._validated is not None:
+            return self._validated[0]
         violations = []
         # domains lie inside [0, 1), so the walk finds only gaps and overlaps
         for kind, _, lo_key, hi_key in self.table.faults():
@@ -196,18 +185,21 @@ class PiecewiseMap:
                 violations.append(MapViolation(
                     "domain-overlap", f"domains overlap from {lo}", witness=lo))
 
+        images = [affine_image(p.slope, p.intercept, lo, hi) for lo, hi, p in self.table.cells]
+        ends = [image[::p.slope] for image, p in zip(images, self._pieces)]
+        cuts = [right.domain.lo_key for (_, left_end), (right_start, _), right
+                in zip(ends, ends[1:], self._pieces[1:]) if left_end[1] != right_start[1]]
         # the images tile [0, 1) exactly when the map is a bijection
-        img = CellTable(((*image, i) for i, image in enumerate(self._piece_images())), self._d)
+        img = CellTable(((*image, i) for i, image in enumerate(images)), self._d)
         faults = list(img.faults())
         for i in sorted(img.cells[j][2] for kind, j, _, _ in faults if kind == "escape"):
             p = self._pieces[i]
             violations.append(MapViolation(
                 "image-escape", f"piece {i} maps {p.domain} outside [0, 1)",
                 witness=p.domain.lo))
-        bijective = not faults
 
-        self._report = ValidationReport(tuple(violations), bijective)
-        return self._report
+        self._validated = ValidationReport(tuple(violations), not faults), images, cuts
+        return self._validated[0]
 
     def require_valid(self):
         report = self.validate()
@@ -297,7 +289,7 @@ def to_iet(pmap):
     if not report.ok or not report.bijective:
         raise NotBijective(str(report))
     lengths = tuple(p.domain.length() for p in pmap.pieces)
-    order = sorted(range(len(pmap)), key=pmap._piece_images().__getitem__)
+    order = sorted(range(len(pmap)), key=pmap._validated[1].__getitem__)
     permutation = [0] * len(order)
     for slot, i in enumerate(order):
         permutation[i] = slot

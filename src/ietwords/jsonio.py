@@ -269,12 +269,12 @@ def subdivision_from_json(obj, d, parsed=None):
     return Subdivision(classes)
 
 
-def gluing_from_json(obj, path="/gluing"):
+def gluing_from_json(obj):
     if not isinstance(obj, dict) or not obj:
-        raise SpecError(path, "expected a nonempty object of letter pairs")
+        raise SpecError("/gluing", "expected a nonempty object of letter pairs")
     for k, v in obj.items():
         if not isinstance(v, str):
-            raise SpecError(f"{path}/{k}", "expected a letter string")
+            raise SpecError(f"/gluing/{k}", "expected a letter string")
     return GluingMap(obj)
 
 

@@ -4,30 +4,18 @@ A Subdivision assigns a letter to every point of [0, 1); the letter's color
 class is a finite union of flagged intervals.  A subdivision is *good* for a
 map when (1) every color class is convex and (2) at every discontinuity that
 sits strictly inside a class, the two sides map to color sets that do not
-meet.  Any subdivision can be cut into a good one, and the original coding
-is recovered from the refined one by gluing letters back.
+meet.
 
 A subdivision is stored only as its intervalsets.CellTable: each class
 component is a cell (start key, end key, letter), and a class is the set
-of its cells' ranges, built on request.  Subdivision(classes) checks endpoint
-types and fields, then walks the cells across [0, 1) and rejects the first
-gap, overlap or cell outside it; refine_to_good stores the cells it cuts
-from a checked subdivision unwalked, and their names and its GluingMap
-unchecked.  content_id is one pass over the cells, left to right, each
-cell's text gathered under its letter, then joined once.  Condition 1
-needs the cells by letter only when there are more cells than letters,
-and condition 2 ranks the letters only when a cut lies inside a cell.
+of its cells' ranges, built on request.
 
-Condition 2 and refine_to_good pay per discontinuity (_cuts_inside): each
-is bisected into the cell starts once, O(discontinuities * log cells), and
-refine_to_good copies the cells once, cutting a cell at the cuts strictly
-inside it.  For condition 2 a cell with a cut is clipped to each piece it
-meets (PiecewiseMap._parts), and each part takes its piece's stored image,
-mapped again only at the cell's ends; each part's image is looked up in
-the cells once, and once more from just above each cut for the part that
-cut starts, so a cell with m cuts and n parts costs m + n image lookups.
-The first color in alphabet order that both sides of a cut reach is the
-violation, witnessed by one point on each side whose image has that color.
+is_good and refine_to_good both start at _cuts_inside, which checks the
+fields and the map's validation report once and places each cut that
+validate found in the cells with one bisect: O(discontinuities * log
+cells).  Condition 2 then costs m + n image lookups for a cell with m cuts
+met by n pieces (_shared_colors), and refine_to_good copies the cells
+once, cutting each at the cuts inside it.
 """
 
 from __future__ import annotations
@@ -227,11 +215,15 @@ def _cuts_inside(sub, pmap):
     """Cell index, in position order -> the keys of the map's
     discontinuities strictly inside that cell, sorted; cells with none are
     left out.  A cut lies in the last cell starting below it, and inside
-    it unless it is that cell's closed end.
+    it unless it is that cell's closed end.  Raises FieldMismatch unless
+    sub and pmap share a field, then CorruptMap unless pmap is valid.
     """
+    if sub.d != pmap.d:
+        raise FieldMismatch("subdivision and map use different field contexts")
+    pmap.require_valid()
     cells, starts = sub.table.cells, sub.table._starts
     inside = {}
-    for cut in pmap._cut_keys():           # sorted, as the pieces are
+    for cut in pmap._validated[2]:         # sorted, as the pieces are
         i = bisect_left(starts, cut) - 1
         if cut < cells[i][1]:
             inside.setdefault(i, []).append(cut)
@@ -306,11 +298,10 @@ def is_good(sub, pmap):
 
     Returns a GoodnessCertificate, or a list of GoodnessViolation records
     with exact witnesses, ordered by letter, then component, then cut.
-    Raises CorruptMap when pmap fails validation.
+    Raises FieldMismatch when the fields differ, else CorruptMap when
+    pmap fails validation.
     """
-    if sub.d != pmap.d:
-        raise FieldMismatch("subdivision and map use different field contexts")
-    pmap.require_valid()
+    inside = _cuts_inside(sub, pmap)
     violations = []
     # every class owns a cell, so equal counts make each class one interval
     if len(sub.table.cells) > len(sub.alphabet):
@@ -319,7 +310,6 @@ def is_good(sub, pmap):
                 witness = tuple(_sample(*cell[:2]) for cell in cells[:2])
                 violations.append(GoodnessViolation("not-convex", letter, witness=witness))
 
-    inside = _cuts_inside(sub, pmap)
     if inside:                             # no cut inside a cell, no shared color
         rank = {letter: r for r, letter in enumerate(sub.alphabet)}
         shared = []                        # in position order
@@ -375,18 +365,15 @@ def refine_to_good(sub, pmap):
     discontinuity strictly inside it, so the image-color condition holds
     vacuously.  Gluing sends each fresh letter back to the letter it was
     cut from, and the new alphabet has at most (#old components) +
-    (#discontinuities) letters.  Raises CorruptMap when pmap fails
-    validation.
+    (#discontinuities) letters.  Raises FieldMismatch when the fields
+    differ, else CorruptMap when pmap fails validation.
     """
-    if sub.d != pmap.d:
-        raise FieldMismatch("subdivision and map use different field contexts")
-    pmap.require_valid()
+    inside = _cuts_inside(sub, pmap)
 
     # each cut joins the piece to its right; names are minted left to right
     # into per-letter lists, so the mapping reads in alphabet order, then index.
     # Plain concatenation can collide ("B" cut in 11 and "B1" both mint "B10"); an
     # underscore keeps names unambiguous while staying deterministic
-    inside = _cuts_inside(sub, pmap)
     for sep in ("", "_"):
         cells, names = [], {letter: [] for letter in sub.alphabet}
         for i, (lo, hi, letter) in enumerate(sub.table.cells):
@@ -402,7 +389,7 @@ def refine_to_good(sub, pmap):
             break
 
     # sub's cells tile [0, 1) in one field (its constructor checked them),
-    # that field is pmap's (checked above), and each cut lies strictly
+    # that field is pmap's (_cuts_inside checked), and each cut lies strictly
     # inside its cell: the pieces tile [0, 1) in it too, unwalked, and
     # each name, a checked letter with a suffix, is a token; none is checked again
     refined = object.__new__(Subdivision)

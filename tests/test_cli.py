@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import ietwords
-from ietwords import PiecewiseMap, Subdivision, cli, code, coding, dumps, parse_spec, word_to_json
+from ietwords import (GoodnessViolation, PiecewiseMap, Subdivision, cli, code, coding, dumps,
+                      parse_spec, word_to_json)
 from ietwords.cli import main
 
 GOLDEN = {
@@ -135,6 +136,32 @@ def test_check_good_violations(capsys, coarse_spec):
     assert doc["good"] is False
     assert doc["violations"][0]["kind"] == "shared-image-color"
     assert len(doc["violations"][0]["witness"]) == 2
+
+
+def test_check_good_writes_nothing_before_an_error(capsys, tmp_path, monkeypatch):
+    # a reversal of three thirds has two cuts inside the one class, so two
+    # violations; formatting the second fails, as a number past Python's
+    # digit limit does, and the first must not have been written
+    doc = {"field_d": 0, "map": {"lengths": ["1/3", "1/3", "1/3"], "permutation": [2, 1, 0]},
+           "subdivision": {"classes": {"A": [{"lo": "0", "hi": "1"}]}},
+           "x0": "0", "length": 5}
+    path = tmp_path / "two-violations.json"
+    path.write_text(json.dumps(doc))
+    rc, out, _ = run(capsys, "check-good", str(path))
+    assert rc == 1 and out.count("violation: ") == 2
+    calls = []
+    real_str = GoodnessViolation.__str__
+
+    def fails_second(v):
+        calls.append(v)
+        if len(calls) == 2:
+            raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+        return real_str(v)
+
+    monkeypatch.setattr(GoodnessViolation, "__str__", fails_second)
+    rc, out, err = run(capsys, "check-good", str(path))
+    assert rc == 1 and out == "" and len(calls) == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------------ refine

@@ -17,15 +17,18 @@ from ietwords import (
     NotTranslationPiecewise,
     PiecewiseMap,
     PointOutsideDomain,
+    code,
     identity_map,
     iet_to_map,
+    is_good,
     make_scalar,
+    refine_to_good,
     rotation,
     to_iet,
 )
 
 from ietwords.cli import main
-from ietwords.instances import random_iet, random_subdivision
+from ietwords.instances import random_iet, random_piecewise_map, random_subdivision
 from ietwords.jsonio import InstanceSpec, dumps, iet_to_json, instance_to_json, map_to_json
 
 from conftest import q
@@ -189,9 +192,10 @@ def test_identity_has_no_discontinuities():
 
 def test_discontinuities_are_computed_once(monkeypatch):
     # the cuts are read off the pieces' images, one per piece per map,
-    # which validate shares; no piece is evaluated at a point
-    images, evaluations = [], []
+    # which validate computes; no piece is evaluated at a point
+    images, evaluations, walked = [], [], []
     real_image, real_call = intervalmap.affine_image, AffinePiece.__call__
+    real_faults = intervalsets.CellTable.faults
     monkeypatch.setattr(intervalmap, "affine_image",
                         lambda *args: images.append(args) or real_image(*args))
     monkeypatch.setattr(AffinePiece, "__call__",
@@ -203,6 +207,38 @@ def test_discontinuities_are_computed_once(monkeypatch):
     assert r.validate().bijective
     assert r.discontinuities() == [q(2, 3)]
     assert len(images) == len(r) and evaluations == []
+
+    # whichever call comes first on a fresh map, the images are computed
+    # once and the image table is walked once, by validate
+    monkeypatch.setattr(intervalsets.CellTable, "faults",
+                        lambda self: walked.append(self) or real_faults(self))
+    calls = {
+        "validate": lambda pmap, sub: pmap.validate(),
+        "discontinuities": lambda pmap, sub: pmap.discontinuities(),
+        "is_good": lambda pmap, sub: is_good(sub, pmap),
+        "refine_to_good": lambda pmap, sub: refine_to_good(sub, pmap),
+        "to_iet": lambda pmap, sub: to_iet(pmap),
+        "code": lambda pmap, sub: code(pmap, sub, ExactScalar.zero(pmap.d), 20),
+    }
+    rng = random.Random(31)
+    maps = [rotation(q(1, 3)), rotation(ALPHA)]
+    maps += [iet_to_map(random_iet(rng, d)) for d in (0, 5) for _ in range(3)]
+    maps += [random_piecewise_map(rng, d) for d in (0, 5) for _ in range(3)]
+    others = 0
+    for pmap in maps:
+        sub = random_subdivision(rng, pmap.d)
+        iet = pmap.validate().bijective and all(p.slope == 1 for p in pmap.pieces)
+        others += not iet
+        order = [name for name in calls if iet or name != "to_iet"]
+        for name in order:
+            fresh = PiecewiseMap(pmap.pieces)
+            images.clear()
+            walked.clear()
+            for call in (name, *order):
+                calls[call](fresh, sub)
+            assert len(images) == len(fresh), name
+            assert [t is fresh.table for t in walked].count(False) == 1, name
+    assert others >= 3
 
 
 def test_iet_construction_errors():

@@ -340,6 +340,25 @@ def test_refine_rejects_a_map_that_fails_validation():
         refine_to_good(sub, pmap)
 
 
+def overlapping_map(d):
+    # two domains start at 1/2, so validation reports an overlap
+    pieces = [(q(0, 1, d), q(1, 2, d), q(1, 2, d)), (q(1, 2, d), q(3, 4, d), q(1, 4, d)),
+              (q(1, 2, d), q(1, 1, d), q(-1, 2, d))]
+    return PiecewiseMap(AffinePiece(HalfOpenInterval(lo, hi), 1, c) for lo, hi, c in pieces)
+
+
+@pytest.mark.parametrize("check", [is_good, refine_to_good])
+def test_goodness_checks_the_field_before_the_map(check):
+    sub = Subdivision({"A": [Component(q(0), True, q(1), False)]})
+    with pytest.raises(FieldMismatch):
+        check(sub, rotation(ALPHA))
+    with pytest.raises(CorruptMap):
+        check(sub, overlapping_map(0))
+    # a map with both faults reports the field first
+    with pytest.raises(FieldMismatch):
+        check(sub, overlapping_map(5))
+
+
 def test_alphabet_bound(rng):
     for _ in range(25):
         pmap, sub, _ = random_instance(rng)
@@ -638,8 +657,8 @@ def test_cut_grouping_matches_plain_key_comparisons():
 
 # ------------------------------------------- stored piece images
 #
-# A map computes each piece's image once; discontinuities() reads the
-# image ends and is_good clips a stored image only where a cell clips its
+# A map's validation computes each piece's image once; the cuts are read
+# off the image ends, and is_good clips a stored image only where a cell clips its
 # piece.  The references recompute every image from the part itself, as
 # is_good did before the images were stored.
 
