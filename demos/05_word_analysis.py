@@ -27,7 +27,7 @@ fib = code(spec.pmap, spec.sub, spec.x0, spec.length)
 prof = complexity(fib, 12)
 print("Fibonacci word, first 2000 letters")
 print("   n  p(n)")
-for n, p in prof.rows():
+for n, p in prof.values:
     print(f"  {n:2d}  {p:4d}")
 print()
 
@@ -35,7 +35,7 @@ print()
 # length-W window of the prefix contains every length-n factor.
 rec = recurrence_profile(fib, 6)
 print("   n  window")
-for n, w in rec.rows():
+for n, w in rec.values:
     print(f"  {n:2d}  {w:6}")
 print()
 
@@ -60,4 +60,4 @@ print()
 # Complexity separates the two instantly as well: a periodic word's
 # factor counts flatline at the period.
 flat = complexity(periodic, 10)
-print("periodic word complexity:", [p for _, p in flat.rows()])
+print("periodic word complexity:", [p for _, p in flat.values])

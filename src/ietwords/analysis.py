@@ -39,9 +39,6 @@ class _Verdict:
     def __repr__(self):
         return self._name
 
-    def __str__(self):
-        return self._name
-
 
 NOT_RECURRENT_AT_SCALE = _Verdict("NOT_RECURRENT_AT_SCALE")
 APERIODIC_AT_SCALE = _Verdict("APERIODIC_AT_SCALE")
@@ -65,9 +62,6 @@ class ComplexityProfile:
     values: tuple          # ((n, p(n)), ...)
     prefix_length: int
 
-    def rows(self):
-        return list(self.values)
-
 
 @dataclass(frozen=True)
 class RecurrenceProfile:
@@ -75,9 +69,6 @@ class RecurrenceProfile:
 
     values: tuple          # ((n, window), ...)
     prefix_length: int
-
-    def rows(self):
-        return list(self.values)
 
 
 def complexity(word, n_max):

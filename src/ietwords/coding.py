@@ -2,10 +2,10 @@
 
 The word of x0 under a map T and subdivision S is the color sequence of
 T^0 x0, T^1 x0, T^2 x0, ...  Batch and streaming generation share one orbit
-walk.  The glue-back round trip is decided on the cells of where the glued
-refined letter is the original one, met in one ordered walk over the
-refined and original cells; only when some cell says no are they made a
-table, and the orbit walked to locate the mismatch.
+walk.  The glue-back round trip is decided on the overlay of the refined
+and original cells, each valued True where the glued refined letter is the
+original one: every overlay cell valued True proves it, and only when some
+cell says no are they made a table, and the orbit walked to the mismatch.
 
 Every walk requires a map whose validation report is clean: its orbits
 then stay in [0, 1) and its domains tile [0, 1), and a broken map raises
@@ -22,7 +22,8 @@ the points out as ExactScalar values.  glue_word sends a word's letters
 through a gluing.
 
 Every walk reads one stream of shared entries, which stops walking at the
-first return to an earlier lattice point: Brent's cycle rule finds it in
+first return to an earlier lattice point: Brent's cycle rule (R. P. Brent,
+An improved Monte Carlo factorization algorithm, BIT 20, 1980) finds it in
 constant memory, and exactly, since two lattice points are equal exactly
 when their integer pairs are.  It then walks one more period and repeats
 its entries, one reference per period point, so an eventually periodic
@@ -174,10 +175,10 @@ class _LatticeOrbit:
         pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
         x0 = x0 + ExactScalar.zero(pmap.d)     # lifts int and Fraction starts
         den = lcm(x0.denominator, *(p.intercept.denominator for p in pmap.pieces))
-        overlay = CellTable(pmap.table.overlay(table), pmap.d)
-        self.table = LatticeTable(overlay, den)
+        overlay = list(pmap.table.overlay(table))
+        self.table = LatticeTable(overlay, pmap.d, den)
         self.cells = [((p.slope, *p.intercept.on_lattice(den)), value)
-                      for _, _, (p, value) in overlay.cells]
+                      for _, _, (p, value) in overlay]
         self.x0, self.den, self.start = x0, den, x0.on_lattice(den)
         self.period = None
 
@@ -258,43 +259,26 @@ class RoundtripResult:
 OK = RoundtripResult(True)
 
 
-def _agreement(refined, gluing, sub):
-    """The cells (lo_key, hi_key, same) of [0, 1), left to right, with same
-    True where the glued refined letter is the original letter.
-
-    Both tables tile [0, 1), so their common refinement does; neighbours
-    with the same value are joined, and a correct refinement gives the
-    single cell [0, 1) valued True.
-    """
-    cells = []
-    for lo, hi, (letter, original) in refined.table.overlay(sub.table):
-        same = gluing(letter) == original
-        if cells and cells[-1][2] == same:
-            cells[-1] = (cells[-1][0], hi, same)
-        else:
-            cells.append((lo, hi, same))
-    return cells
-
-
 def roundtrip_check(pmap, sub, x0, n):
     """Does gluing the refined coding recover the original coding?
 
     Equivalent to comparing glue_word(code(pmap, refined, x0, n)) with
     code(pmap, sub, x0, n) for (refined, gluing) = refine_to_good(sub, pmap).
-    The answer is read off the cells of where the glued refined letter is
-    the original one.  refine_to_good has validated the map, so every orbit
-    stays in [0, 1), and the single cell [0, 1) valued True proves the
-    round trip for every start and length without a table or a walk.
-    Otherwise the cells become a table, and the orbit is walked to the
-    first point in a False cell; a point past the first repeat repeats an
-    earlier one, so the walk stops once the cycle closes, when every
-    distinct point has been read.
+    The answer is read off the overlay of the refined and original cells,
+    each valued True where the glued refined letter is the original one.
+    refine_to_good has validated the map, so every orbit stays in [0, 1):
+    every overlay cell valued True proves the round trip for every start
+    and length, with no table or walk.  Otherwise the cells become a
+    table, and the orbit is walked to the first point in a False cell; a
+    point past the first repeat repeats an earlier one, so the walk stops
+    once the cycle closes, when every distinct point has been read.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     refined, gluing = refine_to_good(sub, pmap)
-    cells = _agreement(refined, gluing, sub)
-    if len(cells) == 1 and cells[0][2]:
+    cells = [(lo, hi, gluing(letter) == original)
+             for lo, hi, (letter, original) in refined.table.overlay(sub.table)]
+    if all(same for _, _, same in cells):
         pmap.table.index(x0)           # raises PointOutsideDomain outside [0, 1)
         return OK
     walk = _LatticeOrbit(pmap, x0, CellTable(cells, sub.d))

@@ -115,11 +115,6 @@ def random_iet(rng, d=5):
     return IET(lengths, tuple(permutation))
 
 
-def random_translation_map(rng, d=5):
-    """A random translation bijection, via a random interval exchange."""
-    return iet_to_map(random_iet(rng, d))
-
-
 def random_subdivision(rng, d=5):
     colors = [chr(ord("A") + i) for i in range(rng.randint(2, 5))]
     labels = []
@@ -163,15 +158,10 @@ def random_instance(rng, d=5):
 
 def random_translation_instance(rng, d=5):
     return (
-        random_translation_map(rng, d),
+        iet_to_map(random_iet(rng, d)),
         random_subdivision(rng, d),
         random_point(rng, d),
     )
-
-
-def _grid_scalar(rng, q, lo=0, hi=None):
-    hi = q if hi is None else hi
-    return ExactScalar.from_rational(Fraction(rng.randint(lo, hi), q), 0)
 
 
 def random_rational_instance(rng):
@@ -211,5 +201,5 @@ def random_rational_instance(rng):
     segments = _intervals_from_cuts(distinct_cuts(m - 1), 0)
     sub = _labelled_subdivision(rng, segments, labels)
 
-    x0 = _grid_scalar(rng, q, 0, q - 1)
+    x0 = ExactScalar.from_rational(Fraction(rng.randint(0, q - 1), q), 0)
     return pmap, sub, x0, q

@@ -101,7 +101,7 @@ class PiecewiseMap:
     """Affine pieces sorted by domain start; `table` holds their domains."""
 
     # _validated: (report, piece images, cut keys), filled by validate
-    __slots__ = ("_pieces", "_d", "table", "_validated")
+    __slots__ = ("_pieces", "table", "_validated")
 
     def __init__(self, pieces):
         pieces = tuple(pieces)
@@ -113,7 +113,6 @@ class PiecewiseMap:
                 raise FieldMismatch("pieces from different field contexts")
         self.table = CellTable(((p.domain.lo_key, p.domain.hi_key, p) for p in pieces), d)
         self._pieces = tuple(p for _, _, p in self.table.cells)
-        self._d = d
         self._validated = None
 
     @property
@@ -122,7 +121,7 @@ class PiecewiseMap:
 
     @property
     def d(self):
-        return self._d
+        return self.table.d
 
     def __len__(self):
         return len(self._pieces)
@@ -190,7 +189,7 @@ class PiecewiseMap:
         cuts = [right.domain.lo_key for (_, left_end), (right_start, _), right
                 in zip(ends, ends[1:], self._pieces[1:]) if left_end[1] != right_start[1]]
         # the images tile [0, 1) exactly when the map is a bijection
-        img = CellTable(((*image, i) for i, image in enumerate(images)), self._d)
+        img = CellTable(((*image, i) for i, image in enumerate(images)), self.d)
         faults = list(img.faults())
         for i in sorted(img.cells[j][2] for kind, j, _, _ in faults if kind == "escape"):
             p = self._pieces[i]
@@ -288,7 +287,7 @@ def to_iet(pmap):
     report = pmap.validate()
     if not report.ok or not report.bijective:
         raise NotBijective(str(report))
-    lengths = tuple(p.domain.length() for p in pmap.pieces)
+    lengths = tuple(p.domain.hi - p.domain.lo for p in pmap.pieces)
     order = sorted(range(len(pmap)), key=pmap._validated[1].__getitem__)
     permutation = [0] * len(order)
     for slot, i in enumerate(order):

@@ -27,10 +27,10 @@ start, each with a value: map domains, map images and subdivision cells
 are each one table, and every single-point lookup, range lookup and tiling
 check on [0, 1) goes through it; overlay() meets two tilings into one in
 a single ordered walk over both, with no lookup per cell.
-A LatticeTable is a CellTable that tiles [0, 1), compiled for the integer
-lattice of one orbit walk, where floats only filter: each walk compiles
-one, for the overlay of its map's domains and the cells it reads, and
-looks each point up once, by its two lattice integers.
+A LatticeTable is compiled from a list of overlay cells that tiles [0, 1),
+for the integer lattice of one orbit walk, where floats only filter: each
+walk compiles one, from the overlay of its map's domains and the cells it
+reads, and looks each point up once, by its two lattice integers.
 """
 
 from __future__ import annotations
@@ -119,9 +119,6 @@ class Component:
     def __post_init__(self):
         keys = key_range(self.lo, self.lo_in, self.hi, self.hi_in)
         self.__dict__.update(lo_key=keys[0], hi_key=keys[1])
-
-    def length(self):
-        return self.hi - self.lo
 
     def sample_point(self):
         """A representative point, preferring the left endpoint."""
@@ -349,10 +346,12 @@ class CellTable:
             yield "gap", len(self.cells), cursor, _pred(end)
 
 
-# The float filter of LatticeTable.  A lattice value x = A + B*sqrt(d), in
-# units of 1/den, is approximated as xf = fl(af + bf) with af = fl(A),
-# bf = fl(fl(B) * fl(sqrt d)); each operation is correctly rounded with
-# unit roundoff u = 2**-53, and fl(d) = d for d < 2**53.  Then
+# The float filter of LatticeTable, after Shewchuk, Adaptive Precision
+# Floating-Point Arithmetic and Fast Robust Geometric Predicates (1997).
+# A lattice value x = A + B*sqrt(d), in units of 1/den, is approximated
+# as xf = fl(af + bf) with af = fl(A), bf = fl(fl(B) * fl(sqrt d)); each
+# operation is correctly rounded with unit roundoff u = 2**-53, and
+# fl(d) = d for d < 2**53.  Then
 #   |af - A| <= u|A|,  |bf - B sqrt d| <= ((1 + u)**3 - 1)|B| sqrt d,
 #   |xf - (af + bf)| <= u(|af| + |bf|),
 # and |A| <= |af|/(1 - u), |B| sqrt d <= |bf|/(1 - u)**3 give
@@ -376,16 +375,15 @@ _FILTER = 2.0**-49
 
 
 class LatticeTable:
-    """A CellTable that tiles [0, 1), compiled for the lattice
-    (1/den)(Z + Z sqrt d) of one orbit walk, whatever den is.
+    """Overlay cells (lo_key, hi_key, value) in field d that tile [0, 1)
+    left to right, as CellTable.overlay yields them, compiled for the
+    lattice (1/den)(Z + Z sqrt d) of one orbit walk, whatever den is.
 
-    The cells must tile [0, 1), as the domains of a valid map and the
-    cells of a subdivision do.  index(A, B) takes the integers of a point
-    x = (A + B sqrt d) / den in [0, 1) and gives the cell that holds x, as
-    CellTable.index(x) does.  A cell start (a + b sqrt d) / q is kept as
-    (a den, b den, q, eps); a cell ends where the next one starts, or at 1.
-    The table keeps only what a lookup needs: the cells' values stay with
-    the CellTable it was compiled from.
+    index(A, B) takes the integers of a point x = (A + B sqrt d) / den in
+    [0, 1) and gives the index of the cell that holds x.  A cell start
+    (a + b sqrt d) / q is kept as (a den, b den, q, eps); a cell ends where
+    the next one starts, or at 1.  The table keeps only what a lookup
+    needs: the cells' values stay in the list it was compiled from.
 
     For d in {0, 1} every B is 0, each start becomes the least integer A
     with A/den at or after it, and a lookup is one bisect over those.
@@ -396,12 +394,12 @@ class LatticeTable:
 
     __slots__ = ("_d", "_root", "_starts", "_lo", "_filter")
 
-    def __init__(self, table, den):
-        self._d = table.d
-        self._root = sqrt(table.d) if table.d < 2**53 else nan
+    def __init__(self, cells, d, den):
+        self._d = d
+        self._root = sqrt(d) if d < 2**53 else nan
         self._starts = [(*x.on_lattice(den * x.denominator), x.denominator, eps)
-                        for (_, x, eps), _, _ in table.cells]
-        if table.d <= 1:
+                        for (_, x, eps), _, _ in cells]
+        if d <= 1:
             self._lo = [(a + q - 1 + eps) // q for a, _, q, eps in self._starts]
         else:
             lo = [self._float(a, b, q) for a, b, q, _ in self._starts]

@@ -190,11 +190,10 @@ class GoodnessViolation:
     witness: tuple | None = None
 
     def __str__(self):
+        a, b = self.witness
         if self.kind == "not-convex":
-            a, b = self.witness
             return (f"class {self.letter!r} is not convex "
                     f"(components sampled at {a} and {b})")
-        a, b = self.witness
         return (f"class {self.letter!r} straddles discontinuity {self.point}: "
                 f"images of {a} and {b} are both colored {self.color!r}")
 
@@ -205,7 +204,6 @@ class GoodnessCertificate:
 
     subdivision_id: str
     map_id: str
-    violations: tuple = ()
 
     def __str__(self):
         return f"good for {self.map_id} (subdivision {self.subdivision_id})"

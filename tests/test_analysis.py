@@ -71,7 +71,7 @@ def test_complexity_matches_slice_oracle(case):
     word, n_max = case
     prof = complexity(word, n_max)
     assert prof.prefix_length == len(word)
-    assert prof.rows() == list(enumerate(complexity_by_slices(word, n_max), 1))
+    assert list(prof.values) == list(enumerate(complexity_by_slices(word, n_max), 1))
 
 
 def test_fibonacci_complexity_is_n_plus_one():
@@ -107,7 +107,7 @@ def test_complexity_input_validation():
 
 def test_complexity_accepts_words_and_sequences():
     w = SymbolicWord("a b a b".split())
-    assert complexity(w, 2).rows() == complexity(list("abab"), 2).rows()
+    assert complexity(w, 2).values == complexity(list("abab"), 2).values
 
 
 def test_str_words_are_read_as_text_writes_them():
@@ -132,9 +132,9 @@ def test_shared_automaton_never_goes_stale(rng):
              for form in (list(word), " ".join(word), SymbolicWord(word),
                           SymbolicWord(list(word)))]
     calls = [
-        (lambda w: complexity(w, 12).rows(),
+        (lambda w: list(complexity(w, 12).values),
          lambda word: list(enumerate(complexity_by_slices(word, 12), 1))),
-        (lambda w: recurrence_profile(w, 12).rows(),
+        (lambda w: list(recurrence_profile(w, 12).values),
          lambda word: oracle_profile(word, 12)),
         (lambda w: recurrence_window(w, 2),
          lambda word: recurrence_window_by_starts(word, 2) or NOT_RECURRENT_AT_SCALE),
@@ -170,7 +170,7 @@ def test_recurrence_profile_matches_starts_oracle(case):
     word, n_max = case
     prof = recurrence_profile(word, n_max)
     assert prof.prefix_length == len(word)
-    assert prof.rows() == oracle_profile(word, n_max)
+    assert list(prof.values) == oracle_profile(word, n_max)
 
 
 @settings(max_examples=100, deadline=None)
@@ -194,7 +194,7 @@ def test_recurrence_profile_rejects_a_depth_below_one():
 def test_recurrence_profile_of_short_words_is_empty():
     for word in (list("a"), list("ab"), list("abc")):
         prof = recurrence_profile(word, 10)
-        assert prof.rows() == []
+        assert list(prof.values) == []
         assert prof.prefix_length == len(word)
 
 
@@ -202,12 +202,12 @@ def test_one_letter_word():
     word = list("a" * 40)
     assert [pn for _, pn in complexity(word, 40).values] == [1] * 40
     # a^n starts at every position, so the edges set the window: W = n
-    assert recurrence_profile(word, 40).rows() == [(n, n) for n in range(1, 11)]
+    assert list(recurrence_profile(word, 40).values) == [(n, n) for n in range(1, 11)]
 
 
 def test_recurrence_verdict_changes_with_n():
     word = list("aab" + "ab" * 8)      # "aa" occurs once, every letter often
-    rows = recurrence_profile(word, 10).rows()
+    rows = list(recurrence_profile(word, 10).values)
     assert rows == oracle_profile(word, 10)
     assert isinstance(rows[0][1], int)
     assert all(w is NOT_RECURRENT_AT_SCALE for _, w in rows[1:])

@@ -19,6 +19,7 @@ from ietwords import (
     SymbolicWord,
     WordOrigin,
     code,
+    iet_to_map,
     iter_code,
     iter_orbit,
     make_scalar,
@@ -28,7 +29,7 @@ from ietwords import (
     roundtrip_check,
     word_to_json,
 )
-from ietwords.instances import random_instance, random_translation_map
+from ietwords.instances import random_iet, random_instance
 from ietwords.intervalsets import LatticeTable
 
 from conftest import as_fraction, q
@@ -93,9 +94,9 @@ def test_n_points_cost_n_minus_one_applies(monkeypatch, golden):
         lookups.append((A, B))
         return real_index(self, A, B)
 
-    def counting_init(self, table, den):
-        compiled.append(table)
-        real_init(self, table, den)
+    def counting_init(self, cells, d, den):
+        compiled.append(cells)
+        real_init(self, cells, d, den)
 
     def walks(pmap, sub, x0):
         return (lambda n: orbit(pmap, x0, n),
@@ -155,7 +156,7 @@ def test_orbit_denominators_do_not_grow(rng):
     # translations by rationals: every orbit point's denominator divides
     # the lcm of the input denominators (coding stays exactly computable)
     for _ in range(20):
-        pmap = random_translation_map(rng, d=0)
+        pmap = iet_to_map(random_iet(rng, d=0))
         dens = [1]
         for piece in pmap.pieces:
             dens.append(as_fraction(piece.domain.lo).denominator)

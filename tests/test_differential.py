@@ -57,9 +57,9 @@ from ietwords.instances import (
     golden_alpha,
     random_instance,
     random_piecewise_map,
+    random_iet,
     random_rational_instance,
     random_translation_instance,
-    random_translation_map,
 )
 from ietwords.intervalmap import MapViolation, ValidationReport
 from ietwords.intervalsets import ABOVE, AT, BELOW, _from_keys, key
@@ -236,7 +236,7 @@ def cuts_inside_classes(rng):
     if rng.random() < 0.5:
         pmap = random_piecewise_map(rng, d)
     else:
-        pmap = random_translation_map(rng, d)
+        pmap = iet_to_map(random_iet(rng, d))
     zero, one = ExactScalar.zero(d), ExactScalar.one(d)
     cuts = [zero, *pmap.discontinuities(), one]
     bounds = [zero, *((a + b) * Fraction(1, 2) for a, b in zip(cuts[1:-2], cuts[2:-1])), one]
@@ -316,7 +316,7 @@ def random_map(rng):
 def perturbed_translation_map(rng):
     """A translation bijection with one piece often shifted or reflected."""
     d = rng.choice((0, 5))
-    pieces = list(random_translation_map(rng, d).pieces)
+    pieces = list(iet_to_map(random_iet(rng, d)).pieces)
     if rng.random() < 0.7:
         j = rng.randrange(len(pieces))
         p = pieces[j]

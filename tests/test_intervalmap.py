@@ -64,7 +64,7 @@ def test_halfopen_interval_is_a_component():
     assert (h.lo_in, h.hi_in) == (True, False)
     assert str(h) == str(c) == "[1/4, 3/4)"
     assert (h.lo_key, h.hi_key) == (c.lo_key, c.hi_key)
-    assert h.length() == c.length() == q(1, 2)
+    assert h.hi - h.lo == c.hi - c.lo == q(1, 2)
 
 
 def test_domain_ends_and_intercepts_must_be_scalars():
