@@ -3,7 +3,9 @@
 A scalar is stored in the canonical form (a + b*sqrt(d)) / q with integers
 a, b, positive integer q and gcd(a, b, q) = 1.  All predicates, including
 the total order, are decided by integer sign tests; no floating point ever
-touches a decision path.
+touches a decision path.  Sums and differences are put in lowest terms
+by Henrici's rule, dividing out only a factor of gcd(q1, q2), which is
+no longer than the smaller denominator.
 
 d = 0 and d = 1 are accepted as purely rational field markers (the radical
 part is folded away at construction).  Scalars from different field
@@ -190,12 +192,7 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _result(
-            self._a * o._q + o._a * self._q,
-            self._b * o._q + o._b * self._q,
-            self._q * o._q,
-            self._d,
-        )
+        return _sum(self._a, self._b, self._q, o._a, o._b, o._q, self._d)
 
     __radd__ = __add__
 
@@ -203,12 +200,7 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _result(
-            self._a * o._q - o._a * self._q,
-            self._b * o._q - o._b * self._q,
-            self._q * o._q,
-            self._d,
-        )
+        return _sum(self._a, self._b, self._q, -o._a, -o._b, o._q, self._d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -230,7 +222,7 @@ class ExactScalar:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return _result(-self._a, -self._b, self._q, self._d)
+        return _canonical(-self._a, -self._b, self._q, self._d)
 
     # -- ordering ---------------------------------------------------------
 
@@ -305,6 +297,27 @@ def _result(a, b, q, d):
     g = gcd(a, b, q)
     if g > 1:
         a, b, q = a // g, b // g, q // g
+    return _canonical(a, b, q, d)
+
+
+def _sum(a1, b1, q1, a2, b2, q2, d):
+    """(a1 + b1*sqrt(d)) / q1 + (a2 + b2*sqrt(d)) / q2 for canonical operands
+    of field d, in lowest terms by Henrici's rule (as fractions.Fraction adds)."""
+    g = gcd(q1, q2)
+    if g == 1:
+        return _canonical(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, q1 * q2, d)
+    s, t = q1 // g, q2 // g
+    a, b, q = a1 * t + a2 * s, b1 * t + b2 * s, s * q2
+    # the operands are canonical, so a prime dividing a, b and s*q2 divides
+    # neither s nor t (else it divides a1, b1, q1 or a2, b2, q2): it divides g
+    g = gcd(g, a, b)
+    if g > 1:
+        a, b, q = a // g, b // g, q // g
+    return _canonical(a, b, q, d)
+
+
+def _canonical(a, b, q, d):
+    """The scalar (a + b*sqrt(d)) / q from a triple already in canonical form."""
     x = object.__new__(ExactScalar)
     x._a, x._b, x._q, x._d, x._k = a, b, q, d, None
     return x

@@ -249,6 +249,11 @@ class IET:
             raise ValueError("lengths and permutation sizes differ")
         if sorted(self.permutation) != list(range(len(self.lengths))):
             raise ValueError(f"not a permutation of 0..{len(self.lengths) - 1}")
+        if not self.lengths:
+            raise ValueError("an IET needs at least one interval")
+        for i, length in enumerate(self.lengths):
+            if not isinstance(length, ExactScalar):
+                raise TypeError(f"length {i} must be an ExactScalar, got {type(length).__name__}")
         d = self.lengths[0].d
         zero = ExactScalar.zero(d)
         total = zero
@@ -301,6 +306,8 @@ def identity_map(d=0):
 
 def rotation(angle):
     """Rotation x -> x + angle (mod 1) as a two-piece translation map."""
+    if not isinstance(angle, ExactScalar):
+        raise TypeError(f"angle must be an ExactScalar, got {type(angle).__name__}")
     if not 0 <= angle < 1:
         raise ValueError(f"angle must lie in [0, 1), got {angle}")
     if angle == 0:

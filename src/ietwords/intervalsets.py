@@ -43,7 +43,7 @@ from itertools import starmap
 from math import nan, sqrt
 from operator import itemgetter
 
-from .exactnum import ExactScalar, FieldMismatch, _floor64, _result, _sign_of
+from .exactnum import ExactScalar, FieldMismatch, _canonical, _floor64, _sign_of
 
 BELOW, AT, ABOVE = -1, 0, 1
 
@@ -133,8 +133,10 @@ class Component:
 def _midpoint(a, b):
     s = a + b
     if isinstance(s, ExactScalar):
-        # (a + b sqrt d) / 2q at once; multiplying by 1/2 lifts it into the field first
-        return _result(s._a, s._b, 2 * s._q, s._d)
+        # s is canonical, so (a + b sqrt d) / 2q is too unless a and b are even
+        if (s._a | s._b) & 1:
+            return _canonical(s._a, s._b, 2 * s._q, s._d)
+        return _canonical(s._a >> 1, s._b >> 1, s._q, s._d)
     return s * Fraction(1, 2)
 
 

@@ -295,7 +295,8 @@ def is_good(sub, pmap):
     """Check both goodness conditions.
 
     Returns a GoodnessCertificate, or a list of GoodnessViolation records
-    with exact witnesses, ordered by letter, then component, then cut.
+    with exact witnesses: every not-convex violation first, in alphabet
+    order, then the shared-image-color ones by letter, then position.
     Raises FieldMismatch when the fields differ, else CorruptMap when
     pmap fails validation.
     """

@@ -6,9 +6,9 @@ substitution words for golden prefixes, brute-force scans that double
 check the fast implementations, content ids spelled out from plain
 number tuples, set algebra on plain (lo, lo_in, hi, hi_in) tuples, the
 rule for when such a tuple is an interval, decided by exact comparisons,
-the overlay of two tilings by one lookup per cell, and the scalar
-grammar read one character at a time.  None of it
-imports from ietwords.
+the overlay of two tilings by one lookup per cell, the scalar grammar
+read one character at a time, and scalar sums reduced by the full gcd.
+None of it imports from ietwords.
 """
 
 import hashlib
@@ -16,6 +16,7 @@ from bisect import bisect_right
 from decimal import ROUND_FLOOR, Decimal, getcontext
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd
 
 
 def decimal_value(a_num, a_den, b_num, b_den, d, prec=50):
@@ -24,6 +25,17 @@ def decimal_value(a_num, a_den, b_num, b_den, d, prec=50):
     a = Decimal(a_num) / Decimal(a_den)
     b = Decimal(b_num) / Decimal(b_den)
     return a + b * Decimal(d).sqrt()
+
+
+def scalar_sum(x, y, d):
+    """(a, b, q) of x + y, for x and y the canonical (a, b, q) triples of
+    (a + b*sqrt(d)) / q: cross-multiplied, then divided by gcd(a, b, q)."""
+    (a1, b1, q1), (a2, b2, q2) = x, y
+    a, b, q = a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, q1 * q2
+    if d <= 1:                       # the radical of d = 0 or 1 is rational
+        a, b = a + d * b, 0
+    g = gcd(a, b, q)
+    return a // g, b // g, q // g
 
 
 def decimal_cmp(x, y, prec=50):

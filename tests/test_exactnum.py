@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from ietwords import (
 from ietwords import exactnum
 from ietwords.exactnum import is_squarefree
 
-from oracles import decimal_cmp, read_scalar_text, squarefree
+from oracles import decimal_cmp, read_scalar_text, scalar_sum, squarefree
 
 ALPHA = make_scalar(-1, 2, 1, 2, 5)  # (sqrt(5) - 1) / 2
 
@@ -342,6 +343,68 @@ def test_add_commutes_and_neg_inverts(a, b, c, e):
     assert x + y == y + x
     assert x + (-x) == ExactScalar.zero(5)
     assert (x - y) + y == x
+
+
+SUM_RADICANDS = (0, 1, 2, 5, 4000037)
+
+
+def triple(x):
+    """x's stored (a, b, q), read without a Fraction, which would reduce it."""
+    return (*x.on_lattice(x.denominator), x.denominator)
+
+
+def assert_sums_match_the_full_gcd(x, y):
+    d, tx, ty = x.d, triple(x), triple(y)
+    neg = lambda t: (-t[0], -t[1], t[2])
+    assert triple(x + y) == scalar_sum(tx, ty, d)
+    assert triple(x - y) == scalar_sum(tx, neg(ty), d)
+    assert triple(y - x) == scalar_sum(ty, neg(tx), d)
+    assert triple(-x) == scalar_sum((0, 0, 1), neg(tx), d)
+    assert triple(x + 1) == scalar_sum(tx, (1, 0, 1), d)
+    assert triple(Fraction(1, 6) + x) == scalar_sum((1, 0, 6), tx, d)
+
+
+def scalar_over(rng, q, d, top):
+    """A canonical scalar of field d whose denominator is exactly q."""
+    while True:
+        x = ExactScalar(rng.randint(-top, top), rng.randint(-top, top), q, d)
+        if x.denominator == q:
+            return x
+
+
+def test_sums_match_the_full_gcd_on_seeded_pairs(rng):
+    for d in SUM_RADICANDS:
+        for _ in range(150):
+            top = rng.choice((9, 10**6, 10**40))
+            x = scalar_over(rng, rng.randint(1, 60), d, top)
+            q = rng.randint(1, 60)
+            while gcd(q, x.denominator) > 1:
+                q += 1
+            pairs = [
+                (x, ExactScalar(rng.randint(-top, top), rng.randint(-top, top),
+                                rng.randint(1, 60), d)),
+                (x, scalar_over(rng, q, d, top)),                         # coprime
+                (x, scalar_over(rng, rng.randint(2, 30) * x.denominator, d, top)),
+                (x, scalar_over(rng, x.denominator, d, top)),             # equal
+            ]
+            # 600-digit denominators sharing a 300-digit factor
+            g = rng.randint(10**299, 10**300)
+            pairs.append((scalar_over(rng, g * rng.randint(10**299, 10**300), d, 10**600),
+                          scalar_over(rng, g * rng.randint(10**299, 10**300), d, 10**600)))
+            for u, v in pairs:
+                assert_sums_match_the_full_gcd(u, v)
+                assert_sums_match_the_full_gcd(v, u)
+            # equal denominators that cancel leave the canonical zero
+            for u, v in pairs:
+                assert triple(u - u) == triple(u + -u) == triple(-v + v) == (0, 0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SUM_RADICANDS), st.integers(1, 10**30),
+       *(st.integers(-10**30, 10**30) for _ in range(4)),
+       *(st.integers(1, 10**30) for _ in range(2)))
+def test_sums_match_the_full_gcd_hypothesis(d, g, a1, b1, a2, b2, s, t):
+    assert_sums_match_the_full_gcd(ExactScalar(a1, b1, g * s, d), ExactScalar(a2, b2, g * t, d))
 
 
 @given(st.integers(-400, 400), st.integers(1, 60), st.integers(-400, 400), st.integers(1, 60))

@@ -146,6 +146,10 @@ def test_refusals_keep_their_types_and_messages():
         (lambda: IET((one[0],), (0, 1)), ValueError, "lengths and permutation sizes differ"),
         (lambda: IET((half[0], half[5]), (0, 1)), FieldMismatch,
          "lengths from different field contexts"),
+        (lambda: IET((), ()), ValueError, "an IET needs at least one interval"),
+        (lambda: IET((Fraction(1, 2), Fraction(1, 2)), (1, 0)), TypeError,
+         "length 0 must be an ExactScalar, got Fraction"),
+        (lambda: rotation(0), TypeError, "angle must be an ExactScalar, got int"),
         (lambda: Subdivision({}), ValueError, "a subdivision needs at least one class"),
         (lambda: Subdivision({"A": interval(ExactScalar.zero(0), half[0]),
                               "B": interval(half[5], one[5])}),
