@@ -5,9 +5,9 @@ automaton of the word (Blumer et al., TCS 1985): a state is a class of
 factors with the same end positions, covering a range of lengths, so one
 pass over the states answers all n at once.  The last word's automaton
 is kept, so complexity and recurrence_profile on one word build it once.
-Periods come from slice comparisons of the word's letter codes, one per
-candidate period.  Both read the letters as they are: they only hash
-letters and compare them for equality.
+Periods come from one search for the least shift at which the word's
+last third recurs, and one slice comparison there.  Both read the letters
+as they are: they only hash letters and compare them for equality.
 
 Everything here is evidence at a scale: the verdict sentinels say
 "...AT_SCALE" because a finite prefix can never certify an infinite-word
@@ -16,11 +16,10 @@ property, only fail to falsify it.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import sub
 
 
@@ -55,6 +54,14 @@ def _letters_of(word):
     return letters
 
 
+def _require_depth(n, name):
+    """Refuse a factor length n that is not an int of at least 1."""
+    if not isinstance(n, int):
+        raise TypeError(f"{name} must be an integer, got {type(n).__name__}")
+    if n < 1:
+        raise ValueError(f"need {name} >= 1")
+
+
 @dataclass(frozen=True)
 class ComplexityProfile:
     """p(n) for 1 <= n <= n_max, measured on a specific prefix length."""
@@ -80,8 +87,7 @@ def complexity(word, n_max):
     """
     letters = _letters_of(word)
     length = len(letters)
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
+    _require_depth(n_max, "n_max")
     if length < n_max:
         raise PrefixTooShort(f"prefix of length {length} < n_max {n_max}")
     link, longest, _ = _automaton(letters)
@@ -110,8 +116,7 @@ def recurrence_window(word, n):
     """
     letters = _letters_of(word)
     length = len(letters)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_depth(n, "n")
     if length < 4 * n:
         raise PrefixTooShort(f"prefix of length {length} < 4n = {4 * n}")
     return _windows(letters, n)[-1]
@@ -120,8 +125,7 @@ def recurrence_window(word, n):
 def recurrence_profile(word, n_max):
     """recurrence_window for every n up to n_max that the prefix supports."""
     letters = _letters_of(word)
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
+    _require_depth(n_max, "n_max")
     top = min(n_max, len(letters) // 4)
     windows = _windows(letters, top) if top >= 1 else []
     return RecurrenceProfile(tuple(enumerate(windows, 1)), len(letters))
@@ -189,7 +193,8 @@ def _windows(s, top):
     Only states with length[link v] < top cover some n <= top, and their
     links do too.  Each end position is attached to its deepest such
     state, and the lists are merged up the links in decreasing length, so
-    they hold at most len(s) * (top + 1) entries in all.
+    they hold at most len(s) * (top + 1) entries in all.  L is appended to
+    each list once it is merged, so its last gap is the right-edge term.
     """
     link, length, ends = _automaton(s)
     deepest = list(range(len(length)))
@@ -215,9 +220,13 @@ def _windows(s, top):
         if len(e) < 2:
             lonely[lo] += 1
             lonely[min(length[v], top) + 1] -= 1
-        else:
-            left[lo] = max(left[lo], e[0] + 1)
-            inner[lo] = max(inner[lo], max(map(sub, islice(e, 1, None), e)), len(s) - e[-1])
+            continue
+        if left[lo] <= e[0]:
+            left[lo] = e[0] + 1
+        e.append(len(s))                      # the right-edge term as a last gap
+        gap = max(map(sub, e[1:], e))
+        if inner[lo] < gap:
+            inner[lo] = gap
 
     needs = zip(accumulate(lonely[1 : top + 1]), accumulate(left[1:], max),
                 accumulate(inner[1:], max))
@@ -240,17 +249,43 @@ def detect_period(word):
     workable q, else APERIODIC_AT_SCALE.
 
     The tail s[p:] has period q iff s[p+q:] == s[p:L-q], and then so does
-    every later tail, so each q takes one comparison at the longest
-    preperiod allowed, and the first q that passes a bisect for the least
-    one.  The letters are compared as integer codes through memoryview
-    slices, which compare in C without copying.
+    every later tail, so q takes one comparison at the longest preperiod
+    allowed, hi = min(L//2, L - 3q), and a q that passes a bisect for the
+    least one.  Only one q is compared: the least shift at which the last
+    m = L//3 letters t occur again, s[L-m-q : L-q] == t, found by str.find
+    on the reversed word, where t is the first m letters.
+
+    Every valid q is such a shift: if s[hi:] has period q, the two factors
+    agree whenever m <= L - q - hi.  When hi = L - 3q that bound is 2q, and
+    3q >= L - L//2 there, so 2q >= L/3; when hi = L//2 it is at least
+    (2/3)(L - L//2) >= L/3.  So m = L//3 is always short enough.
+
+    And if the least shift q0 fails, so does every other shift q: t occurs
+    at the shifts 0, q0 and q, so it has the periods q0 and q - q0, whose
+    sum q is at most m, and by Fine and Wilf's theorem the period
+    g = gcd(q0, q).  The last m + q0 letters repeat their last q0, which
+    lie in t and so have period g; so t recurs at shift g, and g = q0
+    divides q.  If s[hi:] had period q, it would repeat its last q
+    letters, which lie in t and have period q0, so it would have period
+    q0; hi only grows as q shrinks, so q0 would pass.
+
+    The search reads the word as a str with one code point per letter,
+    chr(i % 0x110000) for the i-th distinct letter, and so do the
+    comparisons.  Past 0x110000 distinct letters codes collide, which only
+    adds shifts: then each shift found is compared on the letters
+    themselves, in increasing order, until one passes.
     """
     letters = _letters_of(word)
-    length = len(letters)
-    codes = {c: i for i, c in enumerate(dict.fromkeys(letters))}
-    s = memoryview(array("Q", map(codes.__getitem__, letters)))
-    for q in range(1, length // 3 + 1):
+    length, m = len(letters), len(letters) // 3
+    codes = {c: chr(i % 0x110000) for i, c in enumerate(dict.fromkeys(letters))}
+    s = "".join(map(codes.__getitem__, letters))
+    r, q, exact = s[::-1], 0, len(codes) <= 0x110000
+    if not exact:                     # colliding codes: compare the letters
+        s = letters
+    while (q := r.find(r[:m], q + 1, 2 * m)) > 0:
         hi = min(length // 2, length - 3 * q)
         if s[hi + q:] == s[hi : length - q]:
             return bisect_left(range(hi), True, key=lambda p: s[p + q:] == s[p : length - q]), q
+        if exact:                     # the least shift decides
+            break
     return APERIODIC_AT_SCALE

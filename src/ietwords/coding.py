@@ -129,6 +129,14 @@ def glue_word(word, gluing):
     return tuple(gluing(l) for l in word)
 
 
+def _require_length(n, least):
+    """Refuse an orbit or word length n that is not an int of at least least."""
+    if not isinstance(n, int):
+        raise TypeError(f"n must be an integer, got {type(n).__name__}")
+    if n < least:
+        raise ValueError(f"need n >= {least}")
+
+
 def iter_orbit(pmap, x0, n=None):
     """Stream the forward orbit of x0 as ExactScalars; infinite when n is None.
 
@@ -139,6 +147,8 @@ def iter_orbit(pmap, x0, n=None):
     CorruptMap, before any point, when pmap fails validation, and
     PointOutsideDomain when x0 lies outside [0, 1).
     """
+    if n is not None:
+        _require_length(n, 0)
     walk = _LatticeOrbit(pmap, x0)
     (A, B), den, d = walk.start, walk.den, pmap.d
     for (s, C, D), _ in islice(walk.stream(), n):
@@ -148,8 +158,7 @@ def iter_orbit(pmap, x0, n=None):
 
 def orbit(pmap, x0, n):
     """The first n orbit points of x0, exactly."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_length(n, 1)
     return tuple(iter_orbit(pmap, x0, n))
 
 
@@ -226,6 +235,8 @@ def iter_code(pmap, sub, x0, n=None):
     Memory is constant until the orbit repeats, then one shared entry
     reference per period point.
     """
+    if n is not None:
+        _require_length(n, 0)
     walk = _LatticeOrbit(pmap, x0, sub.table)
     yield from (letter for _, letter in islice(walk.stream(), n))
 
@@ -235,8 +246,7 @@ def code(pmap, sub, x0, n):
 
     Once the orbit repeats, the rest of the word repeats its last period.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_length(n, 1)
     walk = _LatticeOrbit(pmap, x0, sub.table)
     word = (letter for _, letter in islice(walk.stream(), n))
     return SymbolicWord(word, WordOrigin(pmap.content_id(), sub.content_id(), walk.x0, n))
@@ -273,8 +283,7 @@ def roundtrip_check(pmap, sub, x0, n):
     point past the first repeat repeats an earlier one, so the walk stops
     once the cycle closes, when every distinct point has been read.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_length(n, 1)
     refined, gluing = refine_to_good(sub, pmap)
     cells = [(lo, hi, gluing(letter) == original)
              for lo, hi, (letter, original) in refined.table.overlay(sub.table)]

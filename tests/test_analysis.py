@@ -336,3 +336,47 @@ def test_detect_period_reads_large_alphabets():
     # 70000 distinct letters, then a tail of period 2
     word = list(range(70000)) + [0, 1] * 35000
     assert detect_period(word) == eventual_period_scan(word) == (70000, 2)
+
+
+def assert_scan_verdict(word):
+    expect = eventual_period_scan(word)
+    assert detect_period(word) == (APERIODIC_AT_SCALE if expect is None else expect), word
+
+
+def test_detect_period_matches_scan_on_every_short_word():
+    # a search for the last L//3 + 1 letters misses "babaaa" -> (3, 1)
+    for alphabet, top in (("ab", 12), ("abc", 8)):
+        for length in range(1, top + 1):
+            for word in product(alphabet, repeat=length):
+                assert_scan_verdict(word)
+
+
+@pytest.mark.parametrize("length", [50, 151, 300])
+def test_detect_period_matches_scan_on_one_odd_letter(length):
+    # a^i b a^j: the last third recurs at many shifts, or at none
+    for i in range(length):
+        assert_scan_verdict(["a"] * i + ["b"] + ["a"] * (length - 1 - i))
+
+
+@pytest.mark.parametrize("block", ["ab", "aab", "abcabda"])
+@pytest.mark.parametrize("length", [50, 300])
+def test_detect_period_matches_scan_on_one_flipped_letter(block, length):
+    periodic = (list(block) * length)[:length]
+    flip = dict(zip(sorted(set(block)), sorted(set(block))[1:] + sorted(set(block))[:1]))
+    for i in range(length):
+        word = periodic.copy()
+        word[i] = flip[word[i]]
+        assert_scan_verdict(word)
+
+
+def test_detect_period_matches_scan_after_long_preperiods(rng):
+    # preperiods around L//2, the longest a verdict may carry
+    for length in range(50, 301, 10):
+        for pre in range(length // 2 - 3, length // 2 + 4):
+            block = random_word(rng, 2, rng.randint(1, 12))
+            assert_scan_verdict(random_word(rng, 3, pre) + (block * length)[: length - pre])
+
+
+def test_detect_period_reads_a_long_word_with_one_odd_last_letter():
+    # the last third never recurs, so no shift is compared
+    assert detect_period(["a"] * 99999 + ["b"]) is APERIODIC_AT_SCALE

@@ -14,9 +14,11 @@ from types import ModuleType
 import ietwords
 from ietwords import (IET, AffinePiece, BoundarySet, Component, ExactScalar, FieldMismatch,
                       GluingMap, HalfOpenInterval, PiecewiseMap, SpecError, Subdivision,
-                      SymbolicWord, UnknownLetter, ZeroDenominator, cli, code, glue_word,
-                      interval, make_scalar, parse_spec, recurrence_window, refine_to_good,
-                      rotation)
+                      SymbolicWord, UnknownLetter, ZeroDenominator, cli, code, complexity,
+                      glue_word, interval, iter_code, iter_orbit, make_scalar, orbit, parse_spec,
+                      recurrence_profile, recurrence_window, refine_to_good, rotation,
+                      roundtrip_check)
+from ietwords.instances import fibonacci_partition, golden_alpha, golden_rotation
 from oracles import fibonacci_word
 
 from conftest import q
@@ -132,6 +134,7 @@ def test_refusals_keep_their_types_and_messages():
     one = {d: ExactScalar.one(d) for d in (0, 5)}
     piece = {d: AffinePiece(HalfOpenInterval(ExactScalar.zero(d), one[d]), 1, ExactScalar.zero(d))
              for d in (0, 5)}
+    golden, fib, alpha = golden_rotation(), fibonacci_partition(), golden_alpha()
     iet_doc = {"field_d": 0, "map": {"lengths": ["1"], "permutation": 0},
                "subdivision": {"classes": {"A": [{"lo": "0", "hi": "1"}]}}, "x0": "0", "length": 1}
     cases = [
@@ -162,6 +165,19 @@ def test_refusals_keep_their_types_and_messages():
         (lambda: parse_spec(iet_doc), SpecError, "/map/permutation: expected an array"),
         (lambda: BoundarySet().sample_point(), ValueError, "empty set has no points"),
         (lambda: recurrence_window("a b a b", 0), ValueError, "need n >= 1"),
+        # lengths and depths are ints; iter_code and iter_orbit also take 0
+        (lambda: list(iter_code(golden, fib, alpha, -1)), ValueError, "need n >= 0"),
+        (lambda: list(iter_orbit(golden, alpha, -1)), ValueError, "need n >= 0"),
+        (lambda: list(iter_code(golden, fib, alpha, 2.5)), TypeError,
+         "n must be an integer, got float"),
+        (lambda: code(golden, fib, alpha, 2.5), TypeError, "n must be an integer, got float"),
+        (lambda: orbit(golden, alpha, 2.5), TypeError, "n must be an integer, got float"),
+        (lambda: roundtrip_check(golden, fib, alpha, 2.5), TypeError,
+         "n must be an integer, got float"),
+        (lambda: complexity("a b a b", 2.5), TypeError, "n_max must be an integer, got float"),
+        (lambda: recurrence_window("a b a b", 2.5), TypeError, "n must be an integer, got float"),
+        (lambda: recurrence_profile("a b a b " * 2, 2.5), TypeError,
+         "n_max must be an integer, got float"),
     ]
     for call, kind, message in cases:
         try:
