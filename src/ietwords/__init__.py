@@ -20,7 +20,7 @@ from .exactnum import (
     mod1,
     parse_scalar,
 )
-from .intervalsets import BoundarySet, Component, interval
+from .intervalsets import BoundarySet, Component, PointOutsideDomain, interval
 from .intervalmap import (
     IET,
     AffinePiece,
@@ -29,7 +29,6 @@ from .intervalmap import (
     NotBijective,
     NotTranslationPiecewise,
     PiecewiseMap,
-    PointOutsideDomain,
     identity_map,
     iet_to_map,
     rotation,

@@ -22,6 +22,8 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
+from .coding import _require_count
+
 
 class PrefixTooShort(ValueError):
     """The analyzed prefix is too short for the requested depth."""
@@ -54,14 +56,6 @@ def _letters_of(word):
     return letters
 
 
-def _require_depth(n, name):
-    """Refuse a factor length n that is not an int of at least 1."""
-    if not isinstance(n, int):
-        raise TypeError(f"{name} must be an integer, got {type(n).__name__}")
-    if n < 1:
-        raise ValueError(f"need {name} >= 1")
-
-
 @dataclass(frozen=True)
 class ComplexityProfile:
     """p(n) for 1 <= n <= n_max, measured on a specific prefix length."""
@@ -87,7 +81,7 @@ def complexity(word, n_max):
     """
     letters = _letters_of(word)
     length = len(letters)
-    _require_depth(n_max, "n_max")
+    _require_count(n_max, "n_max", 1)
     if length < n_max:
         raise PrefixTooShort(f"prefix of length {length} < n_max {n_max}")
     link, longest, _ = _automaton(letters)
@@ -116,7 +110,7 @@ def recurrence_window(word, n):
     """
     letters = _letters_of(word)
     length = len(letters)
-    _require_depth(n, "n")
+    _require_count(n, "n", 1)
     if length < 4 * n:
         raise PrefixTooShort(f"prefix of length {length} < 4n = {4 * n}")
     return _windows(letters, n)[-1]
@@ -125,7 +119,7 @@ def recurrence_window(word, n):
 def recurrence_profile(word, n_max):
     """recurrence_window for every n up to n_max that the prefix supports."""
     letters = _letters_of(word)
-    _require_depth(n_max, "n_max")
+    _require_count(n_max, "n_max", 1)
     top = min(n_max, len(letters) // 4)
     windows = _windows(letters, top) if top >= 1 else []
     return RecurrenceProfile(tuple(enumerate(windows, 1)), len(letters))

@@ -18,7 +18,7 @@ from functools import cache
 from itertools import islice
 
 from .analysis import complexity, detect_period, recurrence_profile
-from .coding import WordOrigin, iter_code, roundtrip_check
+from .coding import WordOrigin, _require_count, iter_code, roundtrip_check
 from .exactnum import format_scalar
 from .intervalmap import to_iet
 from .jsonio import (
@@ -65,8 +65,7 @@ def _violation_json(v):
 
 def _length(spec, args):
     length = spec.length if args.length is None else args.length
-    if length < 1:
-        raise ValueError("need n >= 1")
+    _require_count(length, "n", 1)
     return length
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import islice
 from math import lcm
+from operator import itemgetter
 
 from .exactnum import ExactScalar, FieldMismatch
 from .intervalsets import CellTable, LatticeTable
@@ -55,14 +56,16 @@ class WordOrigin:
 class SymbolicWord:
     """An immutable finite letter sequence with its provenance.
 
-    Equality compares letters only; the origin is metadata (a glued word
-    can equal the directly generated one).
+    The letters are kept as given: code and glue_word hand over the str
+    tokens of a subdivision or a gluing map.  Equality compares letters
+    only; the origin is metadata (a glued word can equal the directly
+    generated one).
     """
 
     __slots__ = ("_letters", "_origin")
 
     def __init__(self, letters, origin=None):
-        self._letters = tuple(str(l) for l in letters)
+        self._letters = tuple(letters)
         if origin is not None and origin.length != len(self._letters):
             raise ValueError("origin length disagrees with letter count")
         self._origin = origin
@@ -86,8 +89,7 @@ class SymbolicWord:
         """Whitespace-separated tokens, optionally wrapped every `wrap` tokens."""
         if wrap is None:
             return " ".join(self._letters)
-        if wrap < 1:
-            raise ValueError("need wrap >= 1")
+        _require_count(wrap, "wrap", 1)
         lines = [
             " ".join(self._letters[i : i + wrap])
             for i in range(0, len(self._letters), wrap)
@@ -129,12 +131,13 @@ def glue_word(word, gluing):
     return tuple(gluing(l) for l in word)
 
 
-def _require_length(n, least):
-    """Refuse an orbit or word length n that is not an int of at least least."""
-    if not isinstance(n, int):
-        raise TypeError(f"n must be an integer, got {type(n).__name__}")
+def _require_count(n, name, least):
+    """Refuse a count n (a length, depth or wrap width, called name) that is
+    not an int of at least least; a bool is not a count."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"{name} must be an integer, got {type(n).__name__}")
     if n < least:
-        raise ValueError(f"need n >= {least}")
+        raise ValueError(f"need {name} >= {least}")
 
 
 def iter_orbit(pmap, x0, n=None):
@@ -148,7 +151,7 @@ def iter_orbit(pmap, x0, n=None):
     PointOutsideDomain when x0 lies outside [0, 1).
     """
     if n is not None:
-        _require_length(n, 0)
+        _require_count(n, "n", 0)
     walk = _LatticeOrbit(pmap, x0)
     (A, B), den, d = walk.start, walk.den, pmap.d
     for (s, C, D), _ in islice(walk.stream(), n):
@@ -158,7 +161,7 @@ def iter_orbit(pmap, x0, n=None):
 
 def orbit(pmap, x0, n):
     """The first n orbit points of x0, exactly."""
-    _require_length(n, 1)
+    _require_count(n, "n", 1)
     return tuple(iter_orbit(pmap, x0, n))
 
 
@@ -236,9 +239,9 @@ def iter_code(pmap, sub, x0, n=None):
     reference per period point.
     """
     if n is not None:
-        _require_length(n, 0)
+        _require_count(n, "n", 0)
     walk = _LatticeOrbit(pmap, x0, sub.table)
-    yield from (letter for _, letter in islice(walk.stream(), n))
+    yield from map(itemgetter(1), islice(walk.stream(), n))
 
 
 def code(pmap, sub, x0, n):
@@ -246,9 +249,9 @@ def code(pmap, sub, x0, n):
 
     Once the orbit repeats, the rest of the word repeats its last period.
     """
-    _require_length(n, 1)
+    _require_count(n, "n", 1)
     walk = _LatticeOrbit(pmap, x0, sub.table)
-    word = (letter for _, letter in islice(walk.stream(), n))
+    word = map(itemgetter(1), islice(walk.stream(), n))
     return SymbolicWord(word, WordOrigin(pmap.content_id(), sub.content_id(), walk.x0, n))
 
 
@@ -283,7 +286,7 @@ def roundtrip_check(pmap, sub, x0, n):
     point past the first repeat repeats an earlier one, so the walk stops
     once the cycle closes, when every distinct point has been read.
     """
-    _require_length(n, 1)
+    _require_count(n, "n", 1)
     refined, gluing = refine_to_good(sub, pmap)
     cells = [(lo, hi, gluing(letter) == original)
              for lo, hi, (letter, original) in refined.table.overlay(sub.table)]

@@ -3,7 +3,8 @@
 Everything draws from an explicit random.Random so identical seeds give
 identical instances on any platform.  Endpoints are exact by construction:
 rationals with small denominators plus golden-ratio combinations for the
-quadratic contexts — never floats.
+quadratic contexts — never floats.  Both seeded map generators draw every
+piece by one rule, _piece, on a grid of 16 steps or of steps 1/q.
 """
 
 from __future__ import annotations
@@ -86,24 +87,25 @@ def _intervals_from_cuts(cuts, d):
     return list(zip(bounds, bounds[1:]))
 
 
+def _piece(rng, lo, hi, steps):
+    """A piece on [lo, hi) with a random slope, then an intercept c drawn in
+    steps of slack / steps, slack = 1 + lo - hi, so that its image lies in
+    [0, 1): c in [-lo, 1 - hi] for slope +1, and c in [hi, 1 + lo) for slope
+    -1, whose image's top end c - lo is attained and must stay below 1."""
+    slope = rng.choice((1, -1))
+    slack = 1 + lo - hi
+    if slope == 1:
+        c = -lo + slack * Fraction(rng.randint(0, steps), steps)
+    else:
+        c = hi + slack * Fraction(rng.randint(0, steps - 1), steps)
+    return AffinePiece(HalfOpenInterval(lo, hi), slope, c)
+
+
 def random_piecewise_map(rng, d=5, max_pieces=6):
     """A valid (not necessarily bijective) map with slopes in {+1, -1}."""
     k = rng.randint(2, max_pieces)
-    pieces = []
-    for lo, hi in _intervals_from_cuts(_cuts(rng, d, k - 1), d):
-        one = ExactScalar.one(d)
-        slope = rng.choice((1, -1))
-        if slope == 1:
-            # intercept c with lo + c >= 0 and hi + c <= 1
-            slack = one - (hi - lo)
-            c = -lo + slack * Fraction(rng.randint(0, 16), 16)
-        else:
-            # intercept c with c - hi >= 0 and c - lo < 1 (the image's top
-            # end is attained, so it must stay strictly below 1)
-            slack = one + lo - hi
-            c = hi + slack * Fraction(rng.randint(0, 15), 16)
-        pieces.append(AffinePiece(HalfOpenInterval(lo, hi), slope, c))
-    return PiecewiseMap(pieces).require_valid()
+    cells = _intervals_from_cuts(_cuts(rng, d, k - 1), d)
+    return PiecewiseMap(_piece(rng, lo, hi, 16) for lo, hi in cells).require_valid()
 
 
 def random_iet(rng, d=5):
@@ -179,21 +181,9 @@ def random_rational_instance(rng):
         return sorted(ExactScalar.from_rational(Fraction(n, q), 0) for n in nums)
 
     k = rng.randint(2, min(6, q - 1))
-    pieces = []
-    for lo, hi in _intervals_from_cuts(distinct_cuts(k - 1), 0):
-        one = ExactScalar.one(0)
-        slope = rng.choice((1, -1))
-        if slope == 1:
-            # intercept grid-aligned in [-lo, 1 - hi]
-            lo_c = -lo
-            span = int(((one - hi) - lo_c).rational_part * q)
-            c = lo_c + Fraction(rng.randint(0, span), q)
-        else:
-            lo_c = hi
-            hi_steps = int(((one + lo) - hi).rational_part * q)
-            c = lo_c + Fraction(rng.randint(0, max(hi_steps - 1, 0)), q)
-        pieces.append(AffinePiece(HalfOpenInterval(lo, hi), slope, c))
-    pmap = PiecewiseMap(pieces).require_valid()
+    cells = _intervals_from_cuts(distinct_cuts(k - 1), 0)
+    pmap = PiecewiseMap(_piece(rng, lo, hi, int((1 + lo - hi).rational_part * q))
+                        for lo, hi in cells).require_valid()
 
     m = rng.randint(2, min(8, q - 1))
     labels = [chr(ord("A") + (i % 4)) for i in range(m)]

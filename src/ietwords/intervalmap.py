@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .exactnum import ExactScalar, FieldMismatch, format_scalar
-from .intervalsets import (CellTable, Component, PointOutsideDomain, _affine_key, _from_keys,
-                           _in_unit, affine_image, key_range)
+from .intervalsets import (CellTable, Component, _affine_key, _from_keys, _in_unit,
+                           affine_image, key_range)
 
 
 class CorruptMap(RuntimeError):
@@ -98,10 +98,11 @@ class ValidationReport:
 
 
 class PiecewiseMap:
-    """Affine pieces sorted by domain start; `table` holds their domains."""
+    """Affine pieces sorted by domain start, kept only as `table`'s cells
+    (domain start key, domain end key, piece)."""
 
     # _validated: (report, piece images, cut keys), filled by validate
-    __slots__ = ("_pieces", "table", "_validated")
+    __slots__ = ("table", "_validated")
 
     def __init__(self, pieces):
         pieces = tuple(pieces)
@@ -112,25 +113,24 @@ class PiecewiseMap:
             if p.domain.lo.d != d:
                 raise FieldMismatch("pieces from different field contexts")
         self.table = CellTable(((p.domain.lo_key, p.domain.hi_key, p) for p in pieces), d)
-        self._pieces = tuple(p for _, _, p in self.table.cells)
         self._validated = None
 
     @property
     def pieces(self):
-        return self._pieces
+        return tuple(p for _, _, p in self.table.cells)
 
     @property
     def d(self):
         return self.table.d
 
     def __len__(self):
-        return len(self._pieces)
+        return len(self.table.cells)
 
     def piece_at(self, x):
         i = self.table.index(x)
         if i is None:
             raise CorruptMap(f"no piece contains {x}")
-        return self._pieces[i]
+        return self.table.cells[i][2]
 
     def apply(self, x):
         return self.piece_at(x)(x)
@@ -184,15 +184,16 @@ class PiecewiseMap:
                 violations.append(MapViolation(
                     "domain-overlap", f"domains overlap from {lo}", witness=lo))
 
+        pieces = self.pieces
         images = [affine_image(p.slope, p.intercept, lo, hi) for lo, hi, p in self.table.cells]
-        ends = [image[::p.slope] for image, p in zip(images, self._pieces)]
+        ends = [image[::p.slope] for image, p in zip(images, pieces)]
         cuts = [right.domain.lo_key for (_, left_end), (right_start, _), right
-                in zip(ends, ends[1:], self._pieces[1:]) if left_end[1] != right_start[1]]
+                in zip(ends, ends[1:], pieces[1:]) if left_end[1] != right_start[1]]
         # the images tile [0, 1) exactly when the map is a bijection
         img = CellTable(((*image, i) for i, image in enumerate(images)), self.d)
         faults = list(img.faults())
         for i in sorted(img.cells[j][2] for kind, j, _, _ in faults if kind == "escape"):
-            p = self._pieces[i]
+            p = pieces[i]
             violations.append(MapViolation(
                 "image-escape", f"piece {i} maps {p.domain} outside [0, 1)",
                 witness=p.domain.lo))
@@ -221,15 +222,15 @@ class PiecewiseMap:
     def __eq__(self, other):
         if not isinstance(other, PiecewiseMap):
             return NotImplemented
-        return self._pieces == other._pieces
+        return self.pieces == other.pieces
 
     def __hash__(self):
-        return hash(self._pieces)
+        return hash(self.pieces)
 
     def __repr__(self):
         parts = ", ".join(
             f"{p.domain} -> {'+x' if p.slope == 1 else '-x'}+{p.intercept}"
-            for p in self._pieces
+            for p in self.pieces
         )
         return f"PiecewiseMap({parts})"
 
@@ -294,10 +295,7 @@ def to_iet(pmap):
         raise NotBijective(str(report))
     lengths = tuple(p.domain.hi - p.domain.lo for p in pmap.pieces)
     order = sorted(range(len(pmap)), key=pmap._validated[1].__getitem__)
-    permutation = [0] * len(order)
-    for slot, i in enumerate(order):
-        permutation[i] = slot
-    return IET(lengths, tuple(permutation))
+    return IET(lengths, tuple(sorted(range(len(order)), key=order.__getitem__)))
 
 
 def identity_map(d=0):

@@ -31,9 +31,8 @@ from .exactnum import (
     format_scalar,
     parse_scalar,
 )
-from .intervalsets import BoundarySet, key_range
-from .intervalmap import (IET, AffinePiece, HalfOpenInterval, PiecewiseMap,
-                          PointOutsideDomain, iet_to_map)
+from .intervalsets import BoundarySet, PointOutsideDomain, key_range
+from .intervalmap import IET, AffinePiece, HalfOpenInterval, PiecewiseMap, iet_to_map
 from .subdivision import GluingMap, Subdivision
 
 

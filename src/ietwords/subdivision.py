@@ -145,14 +145,14 @@ class Subdivision:
         return len(self.table.cells)
 
     def content_id(self):
-        # one pass; a start that is the object the cell before ends on is
-        # formatted once.  A cell's text leads with ";letter:" in its class's
-        # first cell, "|" in the others, so one join gives "a:...|...;b:..."
+        # one pass; the cells tile [0, 1), so each starts where the one
+        # before ends, and each end is formatted once.  A cell's text leads
+        # with ";letter:" in its class's first cell, "|" in the others, so
+        # one join gives "a:...|...;b:..."
         parts = {letter: [] for letter in self._alphabet}
-        hi = hi_text = None
-        for (_, lo, le), (_, end, he), letter in self.table.cells:
-            lo_text = hi_text if lo is hi else format_scalar(lo)
-            hi, hi_text = end, format_scalar(end)
+        hi_text = "0"
+        for (_, _, le), (_, hi, he), letter in self.table.cells:
+            lo_text, hi_text = hi_text, format_scalar(hi)
             texts = parts[letter]
             sep = "|" if texts else f";{letter}:"
             texts.append(f"{sep}{lo_text},{_CLOSED[le]},{hi_text},{_CLOSED[he]}")

@@ -165,7 +165,6 @@ def test_apply_and_domain_errors():
         m.apply(q(1))
     with pytest.raises(PointOutsideDomain):
         m.apply(q(-1, 5))
-    assert PointOutsideDomain is intervalmap.PointOutsideDomain
     assert PointOutsideDomain is intervalsets.PointOutsideDomain
 
 

@@ -1,8 +1,10 @@
 """The package as a whole: its imports, its export list and the README."""
 
 import ast
+import hashlib
 import os
 import pydoc
+import random
 import re
 import subprocess
 import sys
@@ -18,7 +20,9 @@ from ietwords import (IET, AffinePiece, BoundarySet, Component, ExactScalar, Fie
                       glue_word, interval, iter_code, iter_orbit, make_scalar, orbit, parse_spec,
                       recurrence_profile, recurrence_window, refine_to_good, rotation,
                       roundtrip_check)
-from ietwords.instances import fibonacci_partition, golden_alpha, golden_rotation
+from ietwords.exactnum import format_scalar
+from ietwords.instances import (fibonacci_partition, golden_alpha, golden_rotation,
+                                random_instance, random_rational_instance)
 from oracles import fibonacci_word
 
 from conftest import q
@@ -178,6 +182,19 @@ def test_refusals_keep_their_types_and_messages():
         (lambda: recurrence_window("a b a b", 2.5), TypeError, "n must be an integer, got float"),
         (lambda: recurrence_profile("a b a b " * 2, 2.5), TypeError,
          "n_max must be an integer, got float"),
+        # bool is an int subclass, but not a count; nor is a wrap width of
+        # another type
+        (lambda: complexity(["a"] * 3, True), TypeError, "n_max must be an integer, got bool"),
+        (lambda: recurrence_window("a b a b", True), TypeError, "n must be an integer, got bool"),
+        (lambda: code(golden, fib, alpha, True), TypeError, "n must be an integer, got bool"),
+        (lambda: list(iter_orbit(golden, alpha, False)), TypeError,
+         "n must be an integer, got bool"),
+        (lambda: SymbolicWord("ab").text(wrap=True), TypeError,
+         "wrap must be an integer, got bool"),
+        (lambda: SymbolicWord("ab").text(wrap=2.5), TypeError,
+         "wrap must be an integer, got float"),
+        (lambda: SymbolicWord("ab").text(wrap="2"), TypeError,
+         "wrap must be an integer, got str"),
     ]
     for call, kind, message in cases:
         try:
@@ -190,6 +207,24 @@ def test_refusals_keep_their_types_and_messages():
     assert ExactScalar(1, 1, -2, 5) == ExactScalar(-1, -1, 2, 5)
     assert ExactScalar(1, 1, -2, 5).denominator == 2
     assert repr(BoundarySet()) == "BoundarySet(empty)"
+
+
+def test_seeded_instances_stay_the_same():
+    # the content ids and start points that seeds 0-49 draw, hashed; a
+    # change to how instances draws a map, a subdivision or a start point
+    # changes every seeded test and benchmark that reads them
+    lines = []
+    for seed in range(50):
+        for d in (0, 5):
+            pmap, sub, x0 = random_instance(random.Random(seed), d)
+            lines.append(f"{pmap.content_id()} {sub.content_id()} {format_scalar(x0)}")
+        pmap, sub, x0, q = random_rational_instance(random.Random(seed))
+        lines.append(f"{pmap.content_id()} {sub.content_id()} {format_scalar(x0)} {q}")
+    assert lines[:3] == ["map:d7cec747d930 sub:4ccec7c7ccf3 1/8",
+                         "map:a778a31db023 sub:1af9965490e1 13/56",
+                         "map:4bea705b6c83 sub:4a1cfe7dd79d 1/16 16"]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f155922813eafd36c92a84bfa0fe163bc9b9f7e073772f50c47a40a9e4a1aa3f"
 
 
 def test_readme_tour_runs():
