@@ -39,6 +39,7 @@ from .subdivision import (
     GluingMap,
     GoodnessCertificate,
     GoodnessViolation,
+    OutsideUnitIntervalError,
     OverlapError,
     Subdivision,
     UnknownLetter,

@@ -1,11 +1,14 @@
 """Exact arithmetic over a single real quadratic field Q(sqrt(d)).
 
 A scalar is stored in the canonical form (a + b*sqrt(d)) / q with integers
-a, b, positive integer q and gcd(a, b, q) = 1.  All predicates, including
-the total order, are decided by integer sign tests; no floating point ever
-touches a decision path.  Sums and differences are put in lowest terms
-by Henrici's rule, dividing out only a factor of gcd(q1, q2), which is
-no longer than the smaller denominator.
+a, b, positive integer q and gcd(a, b, q) = 1.  All predicates are decided
+in integers; no floating point ever touches a decision path.  Two scalars
+are ordered by their order keys floor(x * 2**64), computed once per
+scalar, and by integer sign tests only when the keys tie; an int or
+Fraction is compared by one sign test, never lifted into the field.  Sums
+and differences are put in lowest terms by Henrici's rule, dividing out
+only a factor of gcd(q1, q2), which is no longer than the smaller
+denominator.
 
 d = 0 and d = 1 are accepted as purely rational field markers (the radical
 part is folded away at construction).  Scalars from different field
@@ -21,6 +24,7 @@ bounded by MAX_DIGITS, Python's default limit for int() on a string.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, sqrt
@@ -107,7 +111,9 @@ class ExactScalar:
     The value is kept over one common denominator, which keeps translation
     orbits cheap; rational_part and radical_part give the two coefficients.
     Arithmetic results skip the radicand check, which the operands passed.
-    The order key floor(x * 2**64) is kept once computed (see _floor64).
+    The order key floor(x * 2**64) is kept once computed (see _floor64),
+    and decides every comparison with a scalar whose key differs.  A
+    rational value hashes as the equal int or Fraction does.
     """
 
     __slots__ = ("_a", "_b", "_q", "_d", "_k")
@@ -135,8 +141,7 @@ class ExactScalar:
     @classmethod
     def from_rational(cls, value, d=0):
         """Lift an int or Fraction into the field context d (radical part 0)."""
-        f = Fraction(value)
-        return cls(f.numerator, 0, f.denominator, d)
+        return cls(value.numerator, 0, value.denominator, d)
 
     @classmethod
     def zero(cls, d=0):
@@ -231,14 +236,26 @@ class ExactScalar:
         return _sign_of(self._a, self._b, self._d)
 
     def _cmp(self, other):
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare ExactScalar with {type(other)!r}")
-        return _sign_of(
-            self._a * o._q - o._a * self._q,
-            self._b * o._q - o._b * self._q,
-            self._d,
-        )
+        if isinstance(other, ExactScalar) and other._d == self._d:
+            # the keys are monotone in the value: unequal keys decide
+            k, l = self._k, other._k
+            if k is None:
+                k = _floor64(self)
+            if l is None:
+                l = _floor64(other)
+            if k != l:
+                return -1 if k < l else 1
+            return _sign_of(
+                self._a * other._q - other._a * self._q,
+                self._b * other._q - other._b * self._q,
+                self._d,
+            )
+        if isinstance(other, (int, Fraction)):
+            # x - n/m = ((a*m - n*q) + b*m*sqrt(d)) / (q*m) with q, m > 0
+            m = other.denominator
+            return _sign_of(self._a * m - other.numerator * self._q, self._b * m, self._d)
+        self._coerce(other)   # FieldMismatch for a scalar of another field
+        raise TypeError(f"cannot compare ExactScalar with {type(other)!r}")
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -271,9 +288,17 @@ class ExactScalar:
         return NotImplemented
 
     def __hash__(self):
-        if self._b == 0:
-            return hash(Fraction(self._a, self._q))
-        return hash((self._a, self._b, self._q, self._d))
+        if self._b:
+            return hash((self._a, self._b, self._q, self._d))
+        # the numeric hash of a/q (Python's "Hashing of numeric types"),
+        # as hash(Fraction(a, q)) gives it: gcd(a, q) = 1, so q has no
+        # inverse modulo the prime modulus only when it is a multiple of
+        # it; hash() itself turns -1 into -2
+        try:
+            h = hash(hash(abs(self._a)) * pow(self._q, -1, sys.hash_info.modulus))
+        except ValueError:
+            h = sys.hash_info.inf
+        return h if self._a >= 0 else -h
 
     # -- misc ---------------------------------------------------------------
 
@@ -332,7 +357,10 @@ def _floor64(x):
     s*sqrt(d) lies strictly between t and t + 1 for that floor t, and
     floor(x * 2**64) = (a * 2**64 + t) // q.  The result is a monotone
     function of the value, so a smaller key means a smaller value; equal
-    keys say nothing.  A scalar keeps its key in the slot _k.
+    keys say nothing.  A scalar keeps its key in the slot _k, filled at its
+    first comparison with a scalar or its first position key, so it pays
+    one isqrt however often it is compared; ExactScalar._cmp decides by
+    the integer signs of the difference only when two keys tie.
     """
     if isinstance(x, ExactScalar):
         k = x._k

@@ -52,6 +52,14 @@ class CoverageGapError(ValueError):
         super().__init__(f"no class covers {witness}")
 
 
+class OutsideUnitIntervalError(ValueError):
+    """A color class holds a point outside [0, 1)."""
+
+    def __init__(self, letter):
+        self.letter = letter
+        super().__init__(f"class {letter!r} extends beyond [0, 1)")
+
+
 class UnknownLetter(KeyError):
     """A letter outside the gluing map's domain."""
 
@@ -111,7 +119,7 @@ class Subdivision:
                 raise CoverageGapError(witness)
             if kind == "overlap":
                 raise OverlapError(witness, (cells[i - 1][2], cells[i][2]))
-            raise ValueError(f"class {cells[i][2]!r} extends beyond [0, 1)")
+            raise OutsideUnitIntervalError(cells[i][2])
 
     def _cells_by_letter(self):
         """Letter -> its cells, left to right; letters in alphabet order."""

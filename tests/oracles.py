@@ -7,11 +7,12 @@ check the fast implementations, content ids spelled out from plain
 number tuples, set algebra on plain (lo, lo_in, hi, hi_in) tuples, the
 rule for when such a tuple is an interval, decided by exact comparisons,
 the overlay of two tilings by one lookup per cell, the scalar grammar
-read one character at a time, and scalar sums reduced by the full gcd.
-None of it imports from ietwords.
+read one character at a time, scalar sums reduced by the full gcd, and
+the numeric hash of a rational.  None of it imports from ietwords.
 """
 
 import hashlib
+import sys
 from bisect import bisect_right
 from decimal import ROUND_FLOOR, Decimal, getcontext
 from fractions import Fraction
@@ -47,6 +48,24 @@ def decimal_cmp(x, y, prec=50):
     if vx > vy:
         return 1
     return 0
+
+
+def rational_hash(m, n):
+    """hash(m / n) for integers m and n > 0, by the algorithm of the
+    "Hashing of numeric types" section of the Python docs: P is the prime
+    sys.hash_info.modulus; after common factors of P are removed, |m| times
+    the inverse of n modulo P (by Fermat), or hash_info.inf when P divides
+    n and there is no inverse; negated for m < 0, and -1 becomes -2."""
+    P = sys.hash_info.modulus
+    while m % P == n % P == 0:
+        m, n = m // P, n // P
+    if n % P == 0:
+        value = sys.hash_info.inf
+    else:
+        value = (abs(m) % P) * pow(n, P - 2, P) % P
+    if m < 0:
+        value = -value
+    return -2 if value == -1 else value
 
 
 def substitution_word(rules, seed, length):

@@ -12,13 +12,16 @@ discontinuities a scan finds inside it.  Verdicts, violation records,
 witnesses, refinements and located pieces must agree exactly.
 
 Underneath, the tables order positions by keys led by an integer floor;
-that order is checked against the exact comparison of scalars and against
-50-digit decimals.  The BoundarySet operations the references use are
+that order, and the comparison operators of scalars, which the same
+floors decide first, are checked against the sign of the difference
+decided from the rational and radical parts alone, and against 50-digit
+decimals.  The BoundarySet operations the references use are
 checked against set algebra on plain tuples, and the one rule by which
 Component and HalfOpenInterval accept their ends against the same rule
 decided by exact comparisons.
 """
 
+import operator
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -67,7 +70,7 @@ from ietwords.intervalsets import ABOVE, AT, BELOW, _from_keys, key
 from conftest import q
 from oracles import (Surd, decimal_cmp, decimal_value, floor_scaled, interval_verdict, map_id,
                      scalar_text, set_canonical, set_contains, set_fields, set_image, set_meets,
-                     subdivision_id)
+                     subdivision_id, surd_sign)
 
 # ------------------------------------------------------------- references
 
@@ -622,7 +625,10 @@ def test_refined_gluing_is_the_checked_gluing():
 # ------------------------------------------- the order of position keys
 #
 # A key (floor(x * 2**64), x, eps) must order positions exactly as the
-# exact comparison of x, then eps, does.  The pairs below are drawn to
+# exact order of x, then eps, does.  The exact order is the sign of the
+# difference, read from the rational and radical parts by surd_sign, not
+# from the comparison operators: those are decided by the same floors
+# first, so they are checked against it too.  The pairs below are drawn to
 # reach every branch of that floor: both signs of the radical part,
 # coefficients past float range, points closer than 2**-64 (whose floors
 # tie), equal values built differently, and int and Fraction points.
@@ -708,12 +714,37 @@ def settled_by_decimals(x, y):
 
 
 def order(u, v):
+    """-1, 0 or 1, read from the comparison operators."""
     return (u > v) - (u < v)
+
+
+def parts_of(v):
+    """(rational part, radical part) of a scalar, int or Fraction."""
+    if isinstance(v, ExactScalar):
+        return v.rational_part, v.radical_part
+    return Fraction(v), Fraction(0)
+
+
+def exact_order(u, v):
+    """-1, 0 or 1: the sign of u - v, for u and v of one field or plain
+    rationals, from their parts alone."""
+    (a, b), (c, e) = parts_of(u), parts_of(v)
+    d = next((w.d for w in (u, v) if isinstance(w, ExactScalar)), 0)
+    return surd_sign(a - c, b - e, d)
+
+
+def uncached(v):
+    """v again as a new object, no order key cached yet; an int or
+    Fraction as it is."""
+    if not isinstance(v, ExactScalar):
+        return v
+    (a, b), d = parts_of(v), v.d
+    return make_scalar(a.numerator, a.denominator, b.numerator, b.denominator, d)
 
 
 def exact_point_pool(rng, d):
     """The draws of instances._point_pool, the direct way: the golden orbit
-    walked again on every call, and the points sorted by exact comparison."""
+    walked again on every call, and the points sorted by their exact order."""
     points = set()
     for _ in range(24):
         den = rng.randint(2, 64)
@@ -723,7 +754,7 @@ def exact_point_pool(rng, d):
         for _ in range(12):
             x = mod1(x + golden_alpha())
             points.add(x)
-    return sorted(points, key=cmp_to_key(order))
+    return sorted(points, key=cmp_to_key(exact_order))
 
 
 @pytest.mark.parametrize("d", [0, 2, 5])
@@ -747,12 +778,28 @@ def test_near_max_radicand_is_a_field():
 def test_key_order_is_the_exact_order(pair):
     x, y = pair
     for v in pair:
-        k = _floor64(v)
-        assert Fraction(k, SCALE) <= v < Fraction(k + 1, SCALE), v
-    exact = order(x, y)
+        # k <= v * 2**64 < k + 1
+        k, (a, b) = _floor64(v), parts_of(v)
+        d = v.d if isinstance(v, ExactScalar) else 0
+        assert surd_sign(a * SCALE - k, b * SCALE, d) >= 0 > surd_sign(a * SCALE - k - 1, b * SCALE, d), v
+    exact = exact_order(x, y)
     for ex in (BELOW, AT, ABOVE):
         for ey in (BELOW, AT, ABOVE):
             assert order(key(x, ex), key(y, ey)) == (exact or order(ex, ey)), (x, y)
+    # each operator, either way round, with the order key cached on
+    # neither side, on one side or on both; a comparison of two scalars
+    # leaves both keys cached
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        for cached in ((), (0,), (1,), (0, 1)):
+            for swap in (False, True):
+                u, v = uncached(x), uncached(y)
+                scalars = [w for w in (u, v) if isinstance(w, ExactScalar)]
+                assert all(w._k is None for w in scalars)
+                for i in cached:
+                    _floor64((u, v)[i])
+                u, v, sign = (v, u, -exact) if swap else (u, v, exact)
+                assert compare(u, v) == compare(sign, 0), (x, y, compare, cached, swap)
+                assert len(scalars) == 1 or all(w._k is not None for w in scalars)
     if settled_by_decimals(x, y):
         assert decimal_cmp(decimal_form(x), decimal_form(y)) == exact
 

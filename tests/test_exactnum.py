@@ -1,5 +1,6 @@
 import operator
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -21,7 +22,7 @@ from ietwords import (
 from ietwords import exactnum
 from ietwords.exactnum import is_squarefree
 
-from oracles import decimal_cmp, read_scalar_text, scalar_sum, squarefree
+from oracles import decimal_cmp, rational_hash, read_scalar_text, scalar_sum, squarefree
 
 ALPHA = make_scalar(-1, 2, 1, 2, 5)  # (sqrt(5) - 1) / 2
 
@@ -97,6 +98,32 @@ def test_cross_context_operations_raise():
     assert make_scalar(1, 2, 0, 1, 5) == make_scalar(1, 2, 0, 1, 0)
     assert hash(make_scalar(1, 2, 0, 1, 5)) == hash(make_scalar(1, 2, 0, 1, 0))
     assert r2 != r5
+    # other types are not ordered with scalars, whether or not a key is cached
+    for other in (0.5, "1/2", None):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(r5, other)
+
+
+def test_rational_hashes_are_the_numeric_hash(rng):
+    # a rational scalar hashes as the equal int and Fraction do, in every
+    # field; a denominator that is a multiple of the modulus has no inverse
+    # modulo it, so the hash is that of infinity, signed
+    P = sys.hash_info.modulus
+    cases = [(0, 1), (1, 1), (-1, 1), (7, 1), (-7, 1), (-7, 3), (P - 1, 1), (P, 1), (-P, 1),
+             (3 * P, 1), (2 * P, 3), (P + 1, P), (1, P), (-1, P), (-5, 2 * P), (2, P * P),
+             (-(P + 2), 2)]                      # |m| / n = 1 modulo P, so -1 -> -2
+    cases += [(rng.randint(-10**40, 10**40), rng.randint(1, 10**40)) for _ in range(300)]
+    for m, n in cases:
+        expected = rational_hash(m, n)
+        assert expected == hash(Fraction(m, n)), (m, n)
+        for d in (0, 5, 4000037):
+            assert hash(ExactScalar(m, 0, n, d)) == expected, (m, n, d)
+    for m, n in ((1, P), (-1, P), (-5, 2 * P), (2, P * P)):
+        assert hash(ExactScalar(m, 0, n, 5)) == (sys.hash_info.inf if m > 0 else -sys.hash_info.inf)
+    assert hash(ExactScalar(-(P + 2), 0, 2, 5)) == hash(ExactScalar(-1, 0, 1, 5)) == -2
+    # equal scalars with a radical part hash alike
+    assert hash(ALPHA) == hash(make_scalar(-1, 2, 1, 2, 5))
 
 
 def test_arithmetic_against_fractions(rng):

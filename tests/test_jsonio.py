@@ -12,6 +12,7 @@ from ietwords import (
     CoverageGapError,
     ExactScalar,
     GluingMap,
+    OutsideUnitIntervalError,
     OverlapError,
     PiecewiseMap,
     PointOutsideDomain,
@@ -379,7 +380,7 @@ MALFORMED = [
     (GOLDEN_DOC, lambda d: d["subdivision"]["classes"]["1"][0].update(lo="1/2"),
      SpecError, '/subdivision/classes/1/0', 'empty component: lo 1/2 > hi 3/2-1/2*sqrt(5)'),
     (GOLDEN_DOC, lambda d: d["subdivision"]["classes"]["0"][0].update(hi="3/2", hi_in=True),
-     ValueError, None, "class '0' extends beyond [0, 1)"),
+     OutsideUnitIntervalError, None, "class '0' extends beyond [0, 1)"),
     (GOLDEN_DOC, lambda d: d["subdivision"]["classes"]["0"][0].update(lo="1/4"),
      OverlapError, None, '1 and 0 overlap at 1/4'),
     (GOLDEN_DOC, lambda d: d["subdivision"]["classes"]["1"][0].update(hi="1/4"),

@@ -81,9 +81,9 @@ def test_public_names_are_these():
         "CorruptMap", "CoverageGapError", "ExactScalar", "FieldMismatch", "GluingMap",
         "GoodnessCertificate", "GoodnessViolation", "HalfOpenInterval", "IET", "InstanceSpec",
         "NOT_RECURRENT_AT_SCALE", "NonSquarefreeRadicand", "NotBijective",
-        "NotTranslationPiecewise", "OK", "OutOfExpectedRange", "OverlapError", "ParseError",
-        "PiecewiseMap", "PointOutsideDomain", "PrefixTooShort", "RecurrenceProfile",
-        "RoundtripResult", "SpecError", "Subdivision", "SymbolicWord", "UnknownLetter",
+        "NotTranslationPiecewise", "OK", "OutOfExpectedRange", "OutsideUnitIntervalError",
+        "OverlapError", "ParseError", "PiecewiseMap", "PointOutsideDomain", "PrefixTooShort",
+        "RecurrenceProfile", "RoundtripResult", "SpecError", "Subdivision", "SymbolicWord", "UnknownLetter",
         "WordOrigin", "ZeroDenominator", "code", "complexity", "detect_period", "dumps",
         "format_scalar", "glue_word", "gluing_from_json", "identity_map", "iet_to_json",
         "iet_to_map", "instance_to_json", "interval", "is_good", "iter_code", "iter_orbit",

@@ -17,6 +17,7 @@ from ietwords import (
     GoodnessViolation,
     HalfOpenInterval,
     IET,
+    OutsideUnitIntervalError,
     OverlapError,
     PiecewiseMap,
     PointOutsideDomain,
@@ -98,14 +99,16 @@ def test_one_point_gap_is_a_coverage_gap():
 
 
 def test_classes_outside_the_unit_interval_are_rejected():
-    with pytest.raises(ValueError, match="'a' extends beyond"):
+    # a named ValueError, so that a caller can tell it from an internal fault
+    with pytest.raises(OutsideUnitIntervalError, match="'a' extends beyond") as e:
         Subdivision({"a": [Component(q(-1, 2), True, q(1, 2), False)],
                      "b": [Component(q(1, 2), True, q(1), False)]})
-    with pytest.raises(ValueError, match="'b' extends beyond"):
+    assert isinstance(e.value, ValueError) and e.value.letter == "a"
+    with pytest.raises(OutsideUnitIntervalError, match="'b' extends beyond"):
         Subdivision({"a": [Component(q(0), True, q(1, 2), False)],
                      "b": [Component(q(1, 2), True, q(3, 2), False)]})
     # a class lying wholly past 1 leaves no point of [0, 1) uncovered
-    with pytest.raises(ValueError, match="'b' extends beyond"):
+    with pytest.raises(OutsideUnitIntervalError, match="'b' extends beyond"):
         Subdivision({"a": [Component(q(0), True, q(1), False)],
                      "b": [Component(q(3, 2), True, q(2), False)]})
     # a gap inside [0, 1) is still reported first, with a witness inside it
